@@ -126,6 +126,21 @@ def _cmd_random_check(args) -> int:
     return worst
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathcong",
@@ -147,33 +162,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("congruences", help="enumerate all congruences")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=int, default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_congruences)
 
     p = sub.add_parser("ideals", help="enumerate all special ideals")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=int, default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_ideals)
 
     p = sub.add_parser("lattice", help="build the congruence lattice")
     p.add_argument("file")
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering to PATH")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=int, default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("check", help="run the theorem-verification harness")
     p.add_argument("file")
-    p.add_argument("--max-elements", type=int, default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("random-check", help="verify the theorems on random quivers")
-    p.add_argument("--vertices", type=int, default=4)
-    p.add_argument("--arrows", type=int, default=5)
+    p.add_argument("--vertices", type=_int_at_least(1), default=4)
+    p.add_argument("--arrows", type=_int_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--max-elements", type=int, default=20)
+    p.add_argument("--trials", type=_int_at_least(1), default=10)
+    # one vertex plus zero: no path semigroup has fewer than 2 elements
+    p.add_argument("--max-elements", type=_int_at_least(2), default=20)
     p.set_defaults(func=_cmd_random_check)
 
     return parser

@@ -109,9 +109,6 @@ class SpecialIdeal:
     def dim(self) -> int:
         return self.space.dim
 
-    def contains_vector(self, v: PathVector) -> bool:
-        return self.space.contains(v)
-
     def contains_relation(self, r: Relation) -> bool:
         return self.space.contains(r.vectorize())
 
@@ -227,6 +224,8 @@ def enumerate_special_ideals(q: Quiver, max_elements: int = 20) -> list[SpecialI
         fresh = []
         for cur in frontier:
             for atom in atoms:
+                if cur.space.contains_subspace(atom.space):
+                    continue  # the join would be cur again
                 joined = ideal_join(cur, atom)
                 k = joined.space.key()
                 if k not in found:

@@ -38,9 +38,6 @@ class FiniteLattice:
     def n(self) -> int:
         return len(self.elements)
 
-    def index_pairs_leq(self):
-        return np.argwhere(self.leq)
-
     def __repr__(self):
         return f"FiniteLattice({self.n} elements, {len(self.covers)} covers)"
 

@@ -1,9 +1,13 @@
 """Exact rational linear algebra over the path basis, sparse throughout.
 
-Vectors are sparse mappings from basis index to ``fractions.Fraction``;
-no approximation ever enters.  Subspaces carry their reduced row-echelon
-basis, which is canonical: two subspaces are equal exactly when their
-bases are identical.
+Vectors are sparse mappings from basis index to an exact coefficient, an
+``int`` or a ``fractions.Fraction`` (always in lowest terms), never a
+float; a vector stores integral input as an ``int``.  The verifier's
+vectors are monomials and differences of two paths, whose reduced bases
+stay integral, so elimination runs in ``int`` arithmetic and builds a
+``Fraction`` only when a pivot is not a unit.  Subspaces carry their
+reduced row-echelon basis, which is canonical: two subspaces are equal
+exactly when their bases are identical.
 """
 
 from __future__ import annotations
@@ -11,6 +15,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 _ONE = Fraction(1)
+
+
+def _exact(c):
+    """``c`` as an exact coefficient: an ``int`` if integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class PathVector:
@@ -22,13 +34,13 @@ class PathVector:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         data = {}
         for i, c in items:
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = _exact(c)
             if c:
                 data[int(i)] = c
         self.coeffs = data
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs.get(i, Fraction(0))
+    def __getitem__(self, i: int):
+        return self.coeffs.get(i, 0)
 
     def __iter__(self):
         return iter(sorted(self.coeffs))
@@ -68,7 +80,7 @@ class PathVector:
         return _wrap(data)
 
     def __mul__(self, scalar) -> "PathVector":
-        scalar = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             return _wrap({})
         return _wrap({i: c * scalar for i, c in self.coeffs.items()})
@@ -98,17 +110,57 @@ def _wrap(data: dict) -> PathVector:
 
 
 def _eliminate(work: dict, rows: dict[int, dict]) -> None:
-    """Subtract pivot rows from ``work`` in place until no pivot index remains."""
-    for p, row in rows.items():
-        c = work.get(p)
-        if not c:
-            continue
-        for i, rc in row.items():
+    """Subtract pivot rows from ``work`` in place until no pivot index remains.
+
+    A reduced row has no entry in any other row's pivot column, so the
+    pivots to clear are exactly those already in ``work``, each with the
+    coefficient ``work`` holds there.
+    """
+    for p in [i for i in work if i in rows]:
+        c = work[p]
+        for i, rc in rows[p].items():
             v = work.get(i, 0) - c * rc
             if v:
                 work[i] = v
             else:
-                work.pop(i, None)
+                del work[i]
+
+
+def _absorb(rows: dict[int, dict], coeffs: dict) -> None:
+    """Add one vector to RREF rows (pivot -> row), keeping them reduced.
+
+    Rows are replaced, never changed in place, so ``rows`` may share its
+    row dicts with the subspace it was copied from.  A unit pivot keeps
+    integer rows integral; only another pivot builds a ``Fraction``.
+    """
+    work = dict(coeffs)
+    _eliminate(work, rows)
+    if not work:
+        return
+    p = min(work)
+    c = work[p]
+    if c == 1:
+        new_row = work
+    elif c == -1:
+        new_row = {i: -x for i, x in work.items()}
+    else:
+        inv = _ONE / c
+        new_row = {i: _exact(x * inv) for i, x in work.items()}
+    for q in [q for q, row in rows.items() if p in row]:
+        row = dict(rows[q])
+        c = row[p]
+        for i, rc in new_row.items():
+            v = row.get(i, 0) - c * rc
+            if v:
+                row[i] = v
+            else:
+                del row[i]
+        rows[q] = row
+    rows[p] = new_row
+
+
+def _from_rows(dim: int, rows: dict[int, dict]) -> "Subspace":
+    return Subspace(dim, tuple(_wrap(rows[p]) for p in sorted(rows)))
 
 
 class Subspace:
@@ -151,20 +203,14 @@ class Subspace:
         return all(self.contains(v) for v in other.basis)
 
     def coordinates_of(self, v: PathVector):
-        """Coefficients of v in the basis (tuple of Fractions), or None."""
+        """Coefficients of v in the basis (ints or Fractions), or None.
+
+        Only basis row k is nonzero at pivot k, so v's coordinate there is
+        its own coefficient at that pivot.
+        """
         work = dict(v.coeffs)
-        coords = []
-        for row in self.basis:
-            c = work.get(row.leading_index(), Fraction(0))
-            coords.append(c)
-            if c:
-                for i, rc in row.coeffs.items():
-                    nv = work.get(i, 0) - c * rc
-                    if nv:
-                        work[i] = nv
-                    else:
-                        work.pop(i, None)
-        return None if work else tuple(coords)
+        _eliminate(work, self._rows)
+        return None if work else tuple(v.coeffs.get(p, 0) for p in self._rows)
 
     def key(self):
         """Canonical hashable form of the basis."""
@@ -200,26 +246,8 @@ def row_reduce(vectors, dim: int) -> Subspace:
         coeffs = v.coeffs if isinstance(v, PathVector) else dict(v)
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= dim):
             raise ValueError("vector index out of range for ambient dimension")
-        work = dict(coeffs)
-        _eliminate(work, rows)
-        if not work:
-            continue
-        p = min(work)
-        inv = _ONE / work[p]
-        new_row = {i: c * inv for i, c in work.items()}
-        for row in rows.values():
-            c = row.get(p)
-            if not c:
-                continue
-            for i, rc in new_row.items():
-                nv = row.get(i, 0) - c * rc
-                if nv:
-                    row[i] = nv
-                else:
-                    row.pop(i, None)
-        rows[p] = new_row
-    basis = tuple(_wrap(dict(rows[p])) for p in sorted(rows))
-    return Subspace(dim, basis)
+        _absorb(rows, coeffs)
+    return _from_rows(dim, rows)
 
 
 def membership(s: Subspace, v: PathVector) -> bool:
@@ -228,9 +256,15 @@ def membership(s: Subspace, v: PathVector) -> bool:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """Sum of two subspaces: the smaller basis absorbed into the larger one's rows."""
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimensions differ")
-    return row_reduce(a.basis + b.basis, a.dim_ambient)
+    if a.dim < b.dim:
+        a, b = b, a
+    rows = dict(a._rows)
+    for v in b.basis:
+        _absorb(rows, v.coeffs)
+    return a if len(rows) == a.dim else _from_rows(a.dim_ambient, rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

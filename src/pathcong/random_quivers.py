@@ -18,8 +18,14 @@ def random_acyclic_quiver(
     Arrows only run forward along the vertex order, so the result is
     acyclic by construction; parallel arrows are allowed.  Draws are
     rejected (and redrawn from the same stream) until the path semigroup
-    fits within ``max_elements``.
+    fits within ``max_elements``.  Raises ``ValueError`` up front on
+    arguments no draw can satisfy: the smallest path semigroup, one vertex
+    plus zero, has 2 elements.
     """
+    if max_vertices < 1 or max_arrows < 0:
+        raise ValueError("need at least 1 vertex and a non-negative arrow count")
+    if max_elements < 2:
+        raise ValueError(f"max_elements must be at least 2, got {max_elements}")
     while True:
         nv = rng.randint(1, max_vertices)
         vertices = [f"v{i}" for i in range(1, nv + 1)]

@@ -132,28 +132,28 @@ def congruence_lattice(s: PathSemigroup, congs=None, max_elements: int = 20) -> 
     return build_lattice(congs, congruence_leq_matrix(congs), J, M, labels=labels)
 
 
-def ideal_leq_matrix(ideals) -> np.ndarray:
+def relation_incidence(ideals, rels) -> np.ndarray:
+    """Boolean matrix: entry [k, r] says whether ideal k contains relation r."""
+    vectors = [r.vectorize() for r in rels]
+    inc = np.zeros((len(ideals), len(vectors)), dtype=bool)
+    for k, ideal in enumerate(ideals):
+        contains = ideal.space.contains
+        inc[k] = [contains(v) for v in vectors]
+    return inc
+
+
+def ideal_leq_matrix(ideals, inc=None) -> np.ndarray:
     """Containment order over ideal spaces, exact.
 
-    A pivot-set bitmask and the dimension prune most pairs before the
-    exact basis reduction runs.
+    A special ideal is generated by the relations it contains, so a <= b
+    exactly when every relation in a lies in b.  ``inc`` is
+    ``relation_incidence`` over all relations of the ideals' quiver,
+    computed here when not given.
     """
-    m = len(ideals)
-    dims = [i.dim for i in ideals]
-    masks = []
-    for ideal in ideals:
-        mask = 0
-        for p in ideal.space.pivots:
-            mask |= 1 << p
-        masks.append(mask)
-    leq = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        space_a, dim_a, mask_a = ideals[a].space, dims[a], masks[a]
-        for b in range(m):
-            if dim_a > dims[b] or (mask_a & ~masks[b]):
-                continue
-            leq[a, b] = ideals[b].space.contains_subspace(space_a)
-    return leq
+    if inc is None:
+        inc = relation_incidence(ideals, all_relations(ideals[0].quiver) if ideals else ())
+    have = inc.astype(np.int64)
+    return (have @ (1 - have).T) == 0
 
 
 def ideal_lattice(q: Quiver, ideals=None, max_elements: int = 20) -> FiniteLattice:
@@ -249,7 +249,9 @@ def check_theorems(q: Quiver, max_elements: int = 20) -> TheoremReport:
     iso_ok = True
     iso_detail = ""
     perm = np.empty(len(congs), dtype=np.intp)
-    leq_i = ideal_leq_matrix(ideals)
+    rels = all_relations(q)
+    inc = relation_incidence(ideals, rels)
+    leq_i = ideal_leq_matrix(ideals, inc)
     lat_i = None
     try:
         if len(congs) != len(ideals):
@@ -327,17 +329,13 @@ def check_theorems(q: Quiver, max_elements: int = 20) -> TheoremReport:
         cover_ok = False
         cover_detail = "skipped: isomorphism check failed"
     else:
-        rels = all_relations(q)
         for lo, hi in lat_i.covers:
             a, b = ideals[lo], ideals[hi]
             if b.dim != a.dim + 1:
                 cover_ok = False
                 cover_detail = f"cover {lo} -> {hi} jumps {a.dim} -> {b.dim}"
                 break
-            fresh = [
-                r for r in rels
-                if b.space.contains(r.vectorize()) and not a.space.contains(r.vectorize())
-            ]
+            fresh = [rels[r] for r in np.flatnonzero(inc[hi] & ~inc[lo])]
             if not fresh:
                 cover_ok = False
                 cover_detail = f"cover {lo} -> {hi} has no new relation"

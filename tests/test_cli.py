@@ -148,3 +148,28 @@ def test_json_outputs_are_deterministic(qfile, capsys):
         assert main(["congruences", path, "--json"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--vertices", "0"],
+        ["--vertices", "-2"],
+        ["--arrows", "-1"],
+        ["--trials", "-1"],
+        ["--max-elements", "0"],
+        ["--max-elements", "-3"],
+        ["--max-elements", "1"],
+    ],
+)
+def test_random_check_rejects_bad_arguments(args, capsys):
+    assert main(["random-check", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "must be at least" in captured.err
+
+
+def test_max_elements_must_be_positive(qfile, capsys):
+    for command in ("congruences", "ideals", "lattice", "check"):
+        assert main([command, "--max-elements", "0", qfile(SINGLE)]) == 2
+        assert "must be at least 1" in capsys.readouterr().err

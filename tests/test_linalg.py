@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcong.linalg import (
     PathVector,
@@ -185,3 +188,104 @@ def test_format_path_vector():
     assert format_path_vector(PathVector(), names) == "0"
     assert format_path_vector(vec(a=1, b=-1, g=1), names) == "alpha - beta + gamma"
     assert format_path_vector(vec(a=-1, g=Fraction(3, 2)), names) == "-alpha + 3/2*gamma"
+
+
+# --- parity of the integer fast path with all-Fraction elimination ---------
+
+_ONE = Fraction(1)
+
+
+def _reference_rows(vectors):
+    """The all-Fraction RREF loop the integer fast path must agree with."""
+    rows = {}
+    for v in vectors:
+        work = {i: Fraction(c) for i, c in v.coeffs.items()}
+        for p, row in rows.items():
+            c = work.get(p)
+            if c:
+                for i, rc in row.items():
+                    nv = work.get(i, 0) - c * rc
+                    if nv:
+                        work[i] = nv
+                    else:
+                        work.pop(i, None)
+        if not work:
+            continue
+        p = min(work)
+        inv = _ONE / work[p]
+        new_row = {i: c * inv for i, c in work.items()}
+        for row in rows.values():
+            c = row.get(p)
+            if c:
+                for i, rc in new_row.items():
+                    nv = row.get(i, 0) - c * rc
+                    if nv:
+                        row[i] = nv
+                    else:
+                        row.pop(i, None)
+        rows[p] = new_row
+    return rows
+
+
+def _reference_key(rows):
+    return tuple(
+        tuple((i, c.numerator, c.denominator) for i, c in sorted(rows[p].items()))
+        for p in sorted(rows)
+    )
+
+
+def _reference_contains(rows, v):
+    return not _reference_rows([PathVector(r) for r in rows.values()] + [v]).keys() - rows.keys()
+
+
+def _reference_intersection_key(a_vectors, b_vectors, d):
+    ra, rb = _reference_rows(a_vectors), _reference_rows(b_vectors)
+    doubled = [PathVector({**u, **{i + d: c for i, c in u.items()}}) for u in ra.values()]
+    big = _reference_rows(doubled + [PathVector(w) for w in rb.values()])
+    inter = [PathVector({i - d: c for i, c in row.items()}) for p, row in big.items() if p >= d]
+    return _reference_key(_reference_rows(inter))
+
+
+def _assert_exact(sub):
+    for v in sub.basis:
+        for c in v.coeffs.values():
+            assert type(c) in (int, Fraction)
+            if type(c) is Fraction:
+                assert c.denominator > 0
+                assert math.gcd(c.numerator, c.denominator) == 1
+
+
+_COEFFS = st.sampled_from([1, -1, 1, -1, 2, -3, Fraction(3, 2), Fraction(-2, 5), Fraction(4, 1)])
+_DIM = 8
+
+
+def _sparse_vectors(max_count):
+    vector = st.dictionaries(st.integers(0, _DIM - 1), _COEFFS, min_size=1, max_size=4)
+    return st.lists(vector.map(PathVector), max_size=max_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_vectors(5), _sparse_vectors(5), _sparse_vectors(3))
+def test_integer_fast_path_matches_fraction_reference(avs, bvs, probes):
+    a, b = row_reduce(avs, _DIM), row_reduce(bvs, _DIM)
+    ra, rb = _reference_rows(avs), _reference_rows(bvs)
+    assert a.key() == _reference_key(ra)
+    assert b.key() == _reference_key(rb)
+    for v in probes + bvs:
+        assert a.contains(v) == _reference_contains(ra, v)
+    total = subspace_sum(a, b)
+    assert total.key() == _reference_key(_reference_rows(avs + bvs))
+    inter = subspace_intersection(a, b)
+    assert inter.key() == _reference_intersection_key(avs, bvs, _DIM)
+    for sub in (a, b, total, inter):
+        _assert_exact(sub)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    v = PathVector({A: Fraction(4, 2), B: Fraction(-3, 1), G: Fraction(1, 2)})
+    assert {i: type(c) for i, c in v.coeffs.items()} == {A: int, B: int, G: Fraction}
+    assert type(v[E1]) is int
+    # a pivot of 2 scales its row to integers, which stay ints
+    sub = row_reduce([vec(a=2, b=4), vec(b=1, g=-1)], 5)
+    assert [[type(c) for c in w.coeffs.values()] for w in sub.basis] == [[int, int], [int, int]]
+    assert sub.basis == (vec(a=1, g=2), vec(b=1, g=-1))

@@ -1,0 +1,29 @@
+"""Every function the traced benchmark wraps must still exist under its name.
+
+``perfbench/tracer.py`` raises when a target has gone, which would only
+show when the benchmark runs; this catches a rename in the test suite.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    targets = _load_tracer().TARGETS
+    assert targets
+    for name, (modname, attr, _) in targets.items():
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{name}: {modname}.{attr} is gone"
+            owner = getattr(owner, part)
+        assert callable(owner), name

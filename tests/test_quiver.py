@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from pathcong import (
     parse_quiver,
     quiver_to_text,
     random_acyclic_quiver,
+    random_suite,
     underlying_graph_is_tree,
 )
 
@@ -220,3 +222,24 @@ def test_connected_components_partition_and_reassemble():
         assert sorted(a.name for a in arrows) == sorted(a.name for a in q.arrows)
         for a in arrows:
             assert a in q.arrows
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_elements": 1}, {"max_elements": 0}, {"max_vertices": 0}, {"max_arrows": -1}],
+)
+def test_random_quiver_rejects_unsatisfiable_caps(kwargs):
+    # max_elements=1 once redrew forever: no path semigroup has under 2 elements
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_acyclic_quiver(rng, **kwargs)
+    assert rng.getstate() == state
+
+
+def test_random_suite_draw_stream_is_pinned():
+    # the benchmark's golden counts are recorded against this exact suite
+    text = "".join(quiver_to_text(q) for q in random_suite(60, 0, max_arrows=4, max_elements=12))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8c4cf39b6d84e42838af53d86407e80cc378238aa3a1f4c1da167ec172d0e40c"
+    )
