@@ -72,6 +72,14 @@ def _as_index_table(n, fn, elements, index_of):
     return table
 
 
+def _bool_square(R: np.ndarray) -> np.ndarray:
+    """Relational composition R;R, exact: [i, j] iff R[i, k] and R[k, j] for some k.
+
+    Row by row, so no n x n x n intermediate is built.
+    """
+    return np.array([R[row].any(axis=0) for row in R], dtype=bool)
+
+
 def _table_from_order(leq: np.ndarray, upper: bool) -> np.ndarray:
     """Join (upper=True) or meet table derived from the order alone.
 
@@ -121,9 +129,7 @@ def build_lattice(elements, leq, join_fn=None, meet_fn=None, labels=None) -> Fin
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])
         raise LatticeError(f"order not antisymmetric: {labels[i]!r} and {labels[j]!r}")
-    Lf = L.astype(np.float32)
-    reach2 = (Lf @ Lf) > 0
-    bad = reach2 & ~L
+    bad = _bool_square(L) & ~L
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise LatticeError(f"order not transitive: {labels[i]!r} .. {labels[j]!r}")
@@ -149,9 +155,7 @@ def build_lattice(elements, leq, join_fn=None, meet_fn=None, labels=None) -> Fin
 
     strict = L.copy()
     np.fill_diagonal(strict, False)
-    sf = strict.astype(np.float32)
-    skips = (sf @ sf) > 0
-    cover_mat = strict & ~skips
+    cover_mat = strict & ~_bool_square(strict)
     covers = tuple(sorted((int(i), int(j)) for i, j in np.argwhere(cover_mat)))
 
     L.flags.writeable = False

@@ -223,37 +223,14 @@ def principal_congruence(s: PathSemigroup, x: int, y: int) -> Congruence:
     return Congruence(s, _kernels.principal_labels(s.table_bytes, s.n, x, y))
 
 
-def _compatibility_closure(labels: bytes, s: PathSemigroup) -> bytes:
-    """Close a partition under left/right multiplication by brute iteration."""
-    n = s.n
-    table = s.table
-    current = labels
-    while True:
-        changed = False
-        merged = list(current)
-        for x in range(n):
-            for y in range(x + 1, n):
-                if merged[x] != merged[y]:
-                    continue
-                for a in range(n):
-                    for u, v in ((table[a][x], table[a][y]), (table[x][a], table[y][a])):
-                        if merged[u] != merged[v]:
-                            lo, hi = sorted((merged[u], merged[v]))
-                            merged = [lo if lab == hi else lab for lab in merged]
-                            changed = True
-        current = _kernels.canonical_labels(merged)
-        if not changed:
-            return current
-
-
 def join_congruences(a: Congruence, b: Congruence) -> Congruence:
     """Least congruence containing both (transitive closure of the union)."""
     s = _require_same_semigroup(a, b)
     labels = _kernels.join_labels(a.labels, b.labels)
-    # The closure of a union of congruences is already compatible; re-close
-    # defensively if that check ever fails.
+    # The transitive closure of a union of congruences is always compatible
+    # with multiplication; a failure here is a kernel bug, not bad input.
     if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
-        labels = _compatibility_closure(labels, s)
+        raise RuntimeError("join of two congruences is not a congruence")
     return Congruence(s, labels)
 
 
@@ -285,21 +262,24 @@ def enumerate_congruences(s: PathSemigroup, max_elements: int = 20) -> list[Cong
     mult = s.table_bytes
     n = s.n
     identity = bytes(range(n))
-    atoms: list[bytes] = []
+    # each distinct principal congruence with one pair (x, y) generating it
+    atoms: list[tuple[int, int, bytes]] = []
     seen_atoms = set()
     for x in range(n):
         for y in range(x + 1, n):
             lab = _kernels.principal_labels(mult, n, x, y)
             if lab not in seen_atoms:
                 seen_atoms.add(lab)
-                atoms.append(lab)
+                atoms.append((x, y, lab))
     seen = {identity}
     frontier = [identity]
     join = _kernels.join_labels
     while frontier:
         fresh = []
         for cur in frontier:
-            for atom in atoms:
+            for x, y, atom in atoms:
+                if cur[x] == cur[y]:
+                    continue  # theta(x, y) <= cur, so the join is cur itself
                 j = join(cur, atom)
                 if j not in seen:
                     seen.add(j)

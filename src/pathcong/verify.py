@@ -23,7 +23,7 @@ from .ideals import (
     enumerate_special_ideals,
     ideal_to_congruence,
 )
-from .lattice import FiniteLattice, build_lattice, lattice_properties
+from .lattice import FiniteLattice, LatticeError, build_lattice, lattice_properties
 from .linalg import format_path_vector, row_reduce, subspace_sum
 from .quiver import (
     CyclicQuiverError,
@@ -113,23 +113,47 @@ def congruence_leq_matrix(congs) -> np.ndarray:
     return leq
 
 
+def _check_on_irreducibles(congs, order, irreducible, table, kernel, kind) -> None:
+    """Require ``kernel(c, g)`` to be ``table[c, g]`` for every irreducible g.
+
+    Pairs with g below c in ``order`` are skipped, since there both sides
+    are c.  Joins pass the refinement order, meets its transpose.
+    """
+    index = {c.labels: k for k, c in enumerate(congs)}
+    for g in np.flatnonzero(irreducible):
+        lg = congs[g].labels
+        for c in np.flatnonzero(~order[g]):
+            if index.get(kernel(congs[c].labels, lg)) != table[c, g]:
+                raise LatticeError(
+                    f"partition {kind} of {congruence_label(congs[c])!r} and "
+                    f"{congruence_label(congs[g])!r} is not their {kind} in the list"
+                )
+
+
 def congruence_lattice(s: PathSemigroup, congs=None, max_elements: int = 20) -> FiniteLattice:
-    """The full congruence lattice as a verified FiniteLattice."""
+    """The full congruence lattice as a verified FiniteLattice.
+
+    The join and meet tables come from the refinement order, and
+    ``build_lattice`` verifies them as bounds.  That they are also the
+    partition join and meet (so the list is closed under both) is checked
+    on irreducibles only: every element of a finite lattice is the join of
+    the join-irreducibles (one lower cover) below it, so by associativity
+    agreement of ``c v g`` for every c and every join-irreducible g gives
+    agreement on all pairs; dually for meets and the meet-irreducibles
+    (one upper cover).  A mismatch raises ``LatticeError`` naming the two
+    congruences.
+    """
     if congs is None:
         congs = enumerate_congruences(s, max_elements)
-    index = {c.labels: k for k, c in enumerate(congs)}
-    m = len(congs)
-    J = np.empty((m, m), dtype=np.intp)
-    M = np.empty((m, m), dtype=np.intp)
-    for a in range(m):
-        la = congs[a].labels
-        J[a, a] = M[a, a] = a
-        for b in range(a + 1, m):
-            lb = congs[b].labels
-            J[a, b] = J[b, a] = index[_kernels.join_labels(la, lb)]
-            M[a, b] = M[b, a] = index[_kernels.meet_labels(la, lb)]
+    leq = congruence_leq_matrix(congs)
     labels = tuple(congruence_label(c) for c in congs)
-    return build_lattice(congs, congruence_leq_matrix(congs), J, M, labels=labels)
+    lat = build_lattice(congs, leq, labels=labels)
+    cover_pairs = np.array(lat.covers, dtype=np.intp).reshape(-1, 2)
+    lower_covers = np.bincount(cover_pairs[:, 1], minlength=lat.n)
+    upper_covers = np.bincount(cover_pairs[:, 0], minlength=lat.n)
+    _check_on_irreducibles(congs, leq, lower_covers == 1, lat.join, _kernels.join_labels, "join")
+    _check_on_irreducibles(congs, leq.T, upper_covers == 1, lat.meet, _kernels.meet_labels, "meet")
+    return lat
 
 
 def relation_incidence(ideals, rels) -> np.ndarray:

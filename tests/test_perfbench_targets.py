@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from pathcong import _kernels, check_theorems
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -27,3 +29,21 @@ def test_every_traced_target_resolves():
             assert hasattr(owner, part), f"{name}: {modname}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_check_theorems_reaches_every_traced_kernel(triple_arrow, monkeypatch):
+    # the benchmark's self-test needs every traced kernel called on a
+    # verifying workload; the three-arrow Kronecker quiver is one
+    calls = dict.fromkeys(_load_tracer().KERNELS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
+    assert check_theorems(triple_arrow).ok
+    assert all(calls.values()), calls

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pathcong import _kernels
 from pathcong import (
     ZERO,
     CapExceeded,
@@ -244,3 +247,17 @@ def test_from_blocks_rejects_non_congruence(s2):
 def test_mismatched_semigroups_rejected(s2, s6):
     with pytest.raises(ValueError):
         join_congruences(identity_congruence(s2), identity_congruence(s6))
+
+
+def test_join_that_is_not_a_congruence_raises(s2, monkeypatch):
+    # blocks {0} {1, 2} {alpha} are not compatible: 1.alpha = alpha but 2.alpha = 0
+    monkeypatch.setattr(_kernels, "join_labels", lambda a, b: bytes([0, 1, 1, 2]))
+    with pytest.raises(RuntimeError):
+        join_congruences(identity_congruence(s2), identity_congruence(s2))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_join_closure_matches_bruteforce_on_random_quivers(seed):
+    s = build_semigroup(random_acyclic_quiver(random.Random(seed), 4, 5, 9))
+    assert enumerate_congruences(s) == enumerate_congruences_bruteforce(s)

@@ -1,20 +1,28 @@
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcong import (
     CyclicQuiverError,
+    LatticeError,
     Quiver,
     build_semigroup,
     check_theorems,
     enumerate_congruences,
     enumerate_special_ideals,
+    parse_quiver,
     predict_properties,
     random_acyclic_quiver,
 )
+from pathcong import _kernels
 from pathcong.verify import (
     congruence_label,
+    congruence_lattice,
     congruence_leq_matrix,
     ideal_leq_matrix,
 )
@@ -112,3 +120,104 @@ def test_congruence_label(single_arrow):
 
     c = principal_congruence(s, s.index_by_name("alpha"), 0)
     assert congruence_label(c) == "{0,alpha} {1} {2}"
+
+
+QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
+
+
+def kronecker(arrows):
+    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
+
+
+def star(leaves):
+    tips = [f"l{i}" for i in range(1, leaves + 1)]
+    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+def pairwise_tables(congs):
+    """Join and meet tables from one kernel call per pair, looked up in the list.
+
+    The reference for ``congruence_lattice``; raises ``KeyError`` when the
+    partition join or meet of two listed congruences is not listed.
+    """
+    index = {c.labels: k for k, c in enumerate(congs)}
+    m = len(congs)
+    J = np.empty((m, m), dtype=np.intp)
+    M = np.empty((m, m), dtype=np.intp)
+    for a in range(m):
+        la = congs[a].labels
+        J[a, a] = M[a, a] = a
+        for b in range(a + 1, m):
+            lb = congs[b].labels
+            J[a, b] = J[b, a] = index[_kernels.join_labels(la, lb)]
+            M[a, b] = M[b, a] = index[_kernels.meet_labels(la, lb)]
+    return J, M
+
+
+def pairwise_covers(congs):
+    """Covers of the refinement order: strict pairs with nothing strictly between."""
+    m = len(congs)
+    strict = np.array([[a.refines(b) and a != b for b in congs] for a in congs])
+    between = strict.astype(np.int64) @ strict.astype(np.int64)
+    return tuple((i, j) for i in range(m) for j in range(m) if strict[i, j] and not between[i, j])
+
+
+def assert_matches_pairwise(q):
+    s = build_semigroup(q)
+    congs = enumerate_congruences(s)
+    lat = congruence_lattice(s, congs)
+    J, M = pairwise_tables(congs)
+    assert (lat.join == J).all()
+    assert (lat.meet == M).all()
+    assert lat.covers == pairwise_covers(congs)
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_congruence_lattice_matches_pairwise_on_shipped_quivers(name):
+    assert_matches_pairwise(parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text()))
+
+
+@pytest.mark.parametrize("q", [kronecker(5), star(5)], ids=["kronecker5", "star5"])
+def test_congruence_lattice_matches_pairwise_on_wide_quivers(q):
+    assert_matches_pairwise(q)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_congruence_lattice_matches_pairwise_on_random_quivers(seed):
+    assert_matches_pairwise(random_acyclic_quiver(random.Random(seed), 4, 5, 12))
+
+
+@pytest.mark.parametrize("q", [kronecker(3), star(3)], ids=["kronecker3", "star3"])
+def test_dropped_congruence_detected_exactly_when_pairwise_loop_fails(q):
+    s = build_semigroup(q)
+    congs = enumerate_congruences(s)
+    detected = 0
+    for k in range(len(congs)):
+        rest = congs[:k] + congs[k + 1:]
+        try:
+            pairwise_tables(rest)
+        except KeyError:
+            with pytest.raises(LatticeError):
+                congruence_lattice(s, rest)
+            detected += 1
+        else:
+            congruence_lattice(s, rest)
+    assert detected
+
+
+def test_unclosed_list_names_its_witness(chain3):
+    # some lists missing one congruence are still lattices under refinement,
+    # with a join or meet that is not the partition one: the irreducible
+    # check names the failing pair and the operation
+    s = build_semigroup(chain3)
+    congs = enumerate_congruences(s)
+    messages = []
+    for k in range(len(congs)):
+        try:
+            congruence_lattice(s, congs[:k] + congs[k + 1:])
+        except LatticeError as exc:
+            messages.append(str(exc))
+    for kind in ("join", "meet"):
+        pattern = f"^partition {kind} of '{{.*}}' and '{{.*}}' is not their {kind} in the list$"
+        assert any(re.match(pattern, m) for m in messages), kind
