@@ -59,6 +59,7 @@ from .quiver import (
     is_acyclic,
     max_parallel_paths,
     parse_quiver,
+    path_counts,
     quiver_to_text,
     underlying_graph_is_tree,
 )

@@ -16,7 +16,7 @@ from .lattice import lattice_properties, lattice_to_dot, lattice_to_json_dict
 from .quiver import QuiverError, is_acyclic, max_parallel_paths, parse_quiver, quiver_to_text
 from .random_quivers import random_acyclic_quiver
 from .semigroup import CapExceeded, build_semigroup, enumerate_congruences
-from .verify import check_theorems, congruence_lattice
+from .verify import check_theorems, congruence_lattice, predict_properties
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -99,6 +99,22 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK
 
 
+def _cmd_predict(args) -> int:
+    q = _load_quiver(args.file)
+    predicted = predict_properties(q)
+    elements = build_semigroup(q).n  # from path counts; nothing is enumerated
+    mpp = max_parallel_paths(q)
+    if args.json:
+        payload = {"elements": elements, "max_parallel_paths": mpp, "predicted": predicted}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(f"elements: {elements}")
+        print(f"max parallel paths: {mpp}")
+        for key, value in predicted.items():
+            print(f"{key}: {'yes' if value else 'no'}")
+    return EXIT_OK
+
+
 def _cmd_check(args) -> int:
     q = _load_quiver(args.file)
     report = check_theorems(q, args.max_elements)
@@ -177,6 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-elements", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_lattice)
+
+    p = sub.add_parser("predict", help="predict lattice properties from path counts alone")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("check", help="run the theorem-verification harness")
     p.add_argument("file")

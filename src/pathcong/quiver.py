@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -196,23 +196,28 @@ def quiver_to_text(q: Quiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_acyclic(q: Quiver) -> bool:
-    """True iff no nontrivial path has equal source and target."""
+def _topological_order(q: Quiver) -> list[str] | None:
+    """The vertices with every arrow running forward, or None if q has a cycle."""
     indeg = {v: 0 for v in q.vertices}
     out = defaultdict(list)
     for a in q.arrows:
         indeg[a.target] += 1
         out[a.source].append(a.target)
     ready = [v for v in q.vertices if indeg[v] == 0]
-    seen = 0
+    order = []
     while ready:
         v = ready.pop()
-        seen += 1
+        order.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
-    return seen == len(q.vertices)
+    return order if len(order) == len(q.vertices) else None
+
+
+def is_acyclic(q: Quiver) -> bool:
+    """True iff no nontrivial path has equal source and target."""
+    return _topological_order(q) is not None
 
 
 def enumerate_paths(q: Quiver) -> list[Path]:
@@ -243,14 +248,40 @@ def enumerate_paths(q: Quiver) -> list[Path]:
     return paths
 
 
+def path_counts(q: Quiver) -> dict[tuple[str, str], int]:
+    """Number of paths per (source, target) pair joined by at least one.
+
+    Trivial paths count, so every (v, v) maps to 1.  Equals a ``Counter``
+    of the endpoints of ``enumerate_paths(q)`` without listing a path:
+    dynamic programming over a topological order with exact ints, in
+    O(|vertices| * (|vertices| + |arrows|)) steps however many paths
+    there are.
+    """
+    order = _topological_order(q)
+    if order is None:
+        raise CyclicQuiverError("path enumeration requires an acyclic quiver")
+    out = defaultdict(list)
+    for a in q.arrows:
+        out[a.source].append(a.target)
+    counts = {}
+    for s in q.vertices:
+        reach = {s: 1}
+        for v in order:
+            c = reach.get(v)
+            if c:
+                counts[s, v] = c
+                for w in out[v]:
+                    reach[w] = reach.get(w, 0) + c
+    return counts
+
+
 def max_parallel_paths(q: Quiver) -> int:
     """Maximum number of distinct paths sharing one (source, target) pair.
 
     Trivial paths count; in an acyclic quiver each (v, v) pair contributes
     exactly one.  Returns 0 for the empty quiver.
     """
-    counts = Counter((p.source, p.target) for p in enumerate_paths(q))
-    return max(counts.values(), default=0)
+    return max(path_counts(q).values(), default=0)
 
 
 def _undirected_reach(q: Quiver) -> list[int]:

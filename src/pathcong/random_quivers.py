@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .quiver import Quiver, enumerate_paths
+from .quiver import Quiver
+from .semigroup import build_semigroup
 
 
 def random_acyclic_quiver(
@@ -18,9 +19,10 @@ def random_acyclic_quiver(
     Arrows only run forward along the vertex order, so the result is
     acyclic by construction; parallel arrows are allowed.  Draws are
     rejected (and redrawn from the same stream) until the path semigroup
-    fits within ``max_elements``.  Raises ``ValueError`` up front on
-    arguments no draw can satisfy: the smallest path semigroup, one vertex
-    plus zero, has 2 elements.
+    fits within ``max_elements``, judged from path counts without listing
+    any path.  Raises ``ValueError`` up front on arguments no draw can
+    satisfy: the smallest path semigroup, one vertex plus zero, has 2
+    elements.
     """
     if max_vertices < 1 or max_arrows < 0:
         raise ValueError("need at least 1 vertex and a non-negative arrow count")
@@ -35,7 +37,7 @@ def random_acyclic_quiver(
                 i, j = sorted(rng.sample(range(nv), 2))
                 arrows.append((f"a{k + 1}", vertices[i], vertices[j]))
         q = Quiver(vertices, arrows)
-        if len(enumerate_paths(q)) + 1 <= max_elements:
+        if build_semigroup(q).n <= max_elements:
             return q
 
 

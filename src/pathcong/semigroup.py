@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import _kernels
-from .quiver import Quiver, enumerate_paths
+from .quiver import Path, Quiver, enumerate_paths, path_counts
 
 
 class CapExceeded(Exception):
@@ -33,19 +33,30 @@ class PathSemigroup:
     Element 0 is the zero; element i >= 1 is ``paths[i-1]`` in path
     enumeration order.  ``table[i][j]`` is the index of the product:
     concatenation when the endpoints meet, zero otherwise.
+
+    Only the element count ``n`` is computed up front, from path counts,
+    so a size cap can refuse a semigroup before any path or table exists.
+    ``paths``, the name index and ``table`` are built on first use.
     """
 
-    __slots__ = ("quiver", "paths", "table", "n", "_table_bytes", "_name_to_index")
+    __slots__ = ("quiver", "n", "_paths", "_name_to_index", "_table", "_table_bytes")
 
-    def __init__(self, quiver: Quiver, paths, table):
+    def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        self.paths = tuple(paths)
-        self.table = table
-        self.n = len(self.paths) + 1
-        self._table_bytes = None
-        self._name_to_index = {"0": 0}
-        for i, p in enumerate(self.paths, start=1):
-            self._name_to_index[p.name] = i
+        self.n = 1 + sum(path_counts(quiver).values())
+        self._paths = self._name_to_index = self._table = self._table_bytes = None
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        if self._paths is None:
+            self._paths = tuple(enumerate_paths(self.quiver))
+        return self._paths
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        if self._table is None:
+            self._table = _product_table(self.paths)
+        return self._table
 
     @property
     def elements(self):
@@ -58,6 +69,9 @@ class PathSemigroup:
         return "0" if i == 0 else self.paths[i - 1].name
 
     def index_by_name(self, name: str) -> int:
+        if self._name_to_index is None:
+            index = {p.name: i for i, p in enumerate(self.paths, start=1)}
+            self._name_to_index = {"0": 0, **index}
         return self._name_to_index[name]
 
     @property
@@ -78,12 +92,8 @@ class PathSemigroup:
         return f"PathSemigroup({self.n} elements)"
 
 
-def build_semigroup(q: Quiver) -> PathSemigroup:
-    """Construct the path semigroup with its full multiplication table.
-
-    Rejects cyclic quivers (the path set would be infinite).
-    """
-    paths = tuple(enumerate_paths(q))
+def _product_table(paths) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table over zero plus ``paths`` (in that index order)."""
     index: dict = {}
     for i, p in enumerate(paths, start=1):
         index[p.base if p.is_trivial else p.arrows] = i
@@ -96,7 +106,15 @@ def build_semigroup(q: Quiver) -> PathSemigroup:
                 continue
             arrows = p.arrows + r.arrows
             row[j] = index[arrows if arrows else p.base]
-    return PathSemigroup(q, paths, tuple(tuple(row) for row in table))
+    return tuple(tuple(row) for row in table)
+
+
+def build_semigroup(q: Quiver) -> PathSemigroup:
+    """The path semigroup of q, sized from path counts; paths and table come on first use.
+
+    Rejects cyclic quivers (the path set would be infinite).
+    """
+    return PathSemigroup(q)
 
 
 class Congruence:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pathcong import check_theorems, parse_quiver
 from pathcong.cli import main
 
 SINGLE = "vertices: 1 2\narrow alpha: 1 -> 2\n"
@@ -173,3 +174,34 @@ def test_max_elements_must_be_positive(qfile, capsys):
     for command in ("congruences", "ideals", "lattice", "check"):
         assert main([command, "--max-elements", "0", qfile(SINGLE)]) == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_predict_text(qfile, capsys):
+    assert main(["predict", qfile(TRIPLE)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "elements: 6",
+        "max parallel paths: 3",
+        "distributive: no",
+        "modular: no",
+        "strong_upper_semimodular: yes",
+        "strong_lower_semimodular: no",
+        "upper_semimodular: yes",
+        "lower_semimodular: no",
+        "all_rees: no",
+    ]
+
+
+def test_predict_json_agrees_with_check(qfile, capsys):
+    assert main(["predict", "--json", qfile(KRONECKER)]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    report = check_theorems(parse_quiver(KRONECKER))
+    assert blob == {
+        "elements": report.quiver_summary["elements"],
+        "max_parallel_paths": report.quiver_summary["max_parallel_paths"],
+        "predicted": report.computed,
+    }
+
+
+def test_predict_cyclic_is_domain_error(qfile, capsys):
+    assert main(["predict", qfile(LOOP)]) == 1
+    assert "acyclic" in capsys.readouterr().err

@@ -1,0 +1,153 @@
+"""Oversize input is refused before any path list or table exists.
+
+The path semigroup knows its element count from path counts alone, so
+every size cap can fire first.  Spies stand in for ``enumerate_paths`` and
+the table builder: a call is recorded and raises, so a regression fails
+at once instead of listing trillions of paths.
+"""
+
+import random
+import sys
+
+import pytest
+
+from pathcong import (
+    CapExceeded,
+    Quiver,
+    build_semigroup,
+    check_theorems,
+    enumerate_special_ideals,
+    quiver_to_text,
+    random_acyclic_quiver,
+)
+from pathcong import ideals, quiver, semigroup
+from pathcong.cli import main
+
+BUILDERS = {
+    "enumerate_paths": quiver.enumerate_paths,
+    "_product_table": semigroup._product_table,
+}
+
+
+def doubled_chain(pairs):
+    vertices = [f"v{i}" for i in range(pairs + 1)]
+    arrows = []
+    for i in range(pairs):
+        arrows.append((f"a{i}", vertices[i], vertices[i + 1]))
+        arrows.append((f"b{i}", vertices[i], vertices[i + 1]))
+    return Quiver(vertices, arrows)
+
+
+def chain_elements(pairs):
+    # 2**(pairs - i + 1) - 1 paths start at v_i; summed over i, plus zero
+    return 2 ** (pairs + 2) - pairs - 2
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """``forbid(*names)`` replaces every pathcong binding of those builders.
+
+    Returns the list of forbidden calls made, which a test expects empty.
+    The semigroup caches of the ideal side are cleared, so a semigroup
+    built by an earlier test cannot hide a call.
+    """
+    calls = []
+    ideals._semigroup_for.cache_clear()
+    ideals.all_relations.cache_clear()
+
+    def install(*names):
+        for name in names:
+            original = BUILDERS[name]
+
+            def refuse(*args, _name=name, **kwargs):
+                calls.append(_name)
+                raise AssertionError(f"{_name} was called")
+
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("pathcong") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+        return calls
+
+    yield install
+    ideals._semigroup_for.cache_clear()
+    ideals.all_relations.cache_clear()
+
+
+def cap_message(pairs):
+    return f"semigroup has {chain_elements(pairs)} elements; enumeration cap is 20"
+
+
+def test_chain_element_formula():
+    for pairs in (1, 2, 3, 6):
+        s = build_semigroup(doubled_chain(pairs))
+        assert s.n == len(s.paths) + 1 == chain_elements(pairs)
+
+
+@pytest.mark.parametrize("pairs", [12, 40])
+def test_check_theorems_refuses_without_building(pairs, forbid):
+    calls = forbid("enumerate_paths", "_product_table")
+    with pytest.raises(CapExceeded) as info:
+        check_theorems(doubled_chain(pairs))
+    assert str(info.value) == cap_message(pairs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("pairs", [12, 40])
+def test_special_ideals_refuse_without_building(pairs, forbid):
+    calls = forbid("enumerate_paths", "_product_table")
+    with pytest.raises(CapExceeded) as info:
+        enumerate_special_ideals(doubled_chain(pairs))
+    assert str(info.value) == cap_message(pairs)
+    assert calls == []
+
+
+def write_chain(tmp_path, pairs):
+    path = tmp_path / f"chain{pairs}.quiver"
+    path.write_text(quiver_to_text(doubled_chain(pairs)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "congruences", "ideals", "lattice"])
+@pytest.mark.parametrize("pairs", [12, 40])
+def test_cli_refuses_without_building(command, pairs, tmp_path, forbid, capsys):
+    calls = forbid("enumerate_paths", "_product_table")
+    assert main([command, write_chain(tmp_path, pairs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cap_message(pairs)}\n"
+    assert calls == []
+
+
+def test_kernel_limit_fires_before_the_table(tmp_path, forbid, capsys):
+    calls = forbid("enumerate_paths", "_product_table")
+    assert main(["check", "--max-elements", "5000", write_chain(tmp_path, 10)]) == 1
+    assert capsys.readouterr().err == (
+        "error: semigroup with 4084 elements exceeds the kernel table limit of 255\n"
+    )
+    assert calls == []
+
+
+def test_paths_lists_every_path_without_the_table(tmp_path, forbid, capsys):
+    expected = [p.name for p in quiver.enumerate_paths(doubled_chain(10))]
+    calls = forbid("_product_table")
+    assert main(["paths", write_chain(tmp_path, 10)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    assert len(expected) == chain_elements(10) - 1
+    assert calls == []
+
+
+def test_predict_on_a_huge_chain(tmp_path, forbid, capsys):
+    calls = forbid("enumerate_paths", "_product_table")
+    assert main(["predict", write_chain(tmp_path, 40)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["elements: 4398046511062", f"max parallel paths: {2**40}"]
+    assert "modular: no" in lines and "strong_upper_semimodular: yes" in lines
+    assert calls == []
+
+
+def test_wide_random_draws_list_no_paths(forbid):
+    # 40 arrows over 6 vertices: most draws are rejected, none is enumerated
+    calls = forbid("enumerate_paths", "_product_table")
+    q = random_acyclic_quiver(random.Random(3), 6, 40, 20)
+    assert build_semigroup(q).n <= 20
+    assert calls == []

@@ -1,7 +1,11 @@
 import hashlib
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcong import (
     CyclicQuiverError,
@@ -13,6 +17,7 @@ from pathcong import (
     is_acyclic,
     max_parallel_paths,
     parse_quiver,
+    path_counts,
     quiver_to_text,
     random_acyclic_quiver,
     random_suite,
@@ -167,6 +172,45 @@ def test_path_count_matches_matrix_power_oracle():
             total = [[total[i][j] + power[i][j] for j in range(n)] for i in range(n)]
         assert sum(map(sum, total)) == len(enumerate_paths(q))
         assert max(map(max, total), default=0) == max_parallel_paths(q)
+
+
+QUIVER_FILES = sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.quiver"))
+
+
+def endpoint_counter(q):
+    return Counter((p.source, p.target) for p in enumerate_paths(q))
+
+
+@pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)
+def test_path_counts_match_enumeration_on_shipped_quivers(path):
+    q = parse_quiver(path.read_text())
+    assert path_counts(q) == endpoint_counter(q)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_path_counts_match_enumeration_on_random_quivers(seed):
+    q = random_acyclic_quiver(random.Random(seed), 6, 10, 400)
+    counts = path_counts(q)
+    assert counts == endpoint_counter(q)
+    assert all(type(c) is int for c in counts.values())
+
+
+def test_path_counts_are_exact_on_a_long_doubled_chain():
+    vertices = [f"v{i}" for i in range(61)]
+    arrows = [(f"{x}{i}", vertices[i], vertices[i + 1]) for i in range(60) for x in "ab"]
+    counts = path_counts(Quiver(vertices, arrows))
+    assert counts["v0", "v60"] == 2**60
+    assert counts["v7", "v7"] == 1 and ("v7", "v6") not in counts
+
+
+def test_path_counts_reject_cycles_like_enumeration():
+    loop = Quiver(["v", "w"], [("a", "v", "w"), ("b", "w", "v")])
+    with pytest.raises(CyclicQuiverError) as counted:
+        path_counts(loop)
+    with pytest.raises(CyclicQuiverError) as listed:
+        enumerate_paths(loop)
+    assert str(counted.value) == str(listed.value)
 
 
 def test_max_parallel_paths(single_arrow, kronecker, triple_arrow):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,12 @@ from pathcong import (
     congruence_from_json,
     enumerate_congruences,
     enumerate_congruences_bruteforce,
+    enumerate_paths,
     identity_congruence,
     is_rees,
     join_congruences,
     meet_congruences,
+    parse_quiver,
     principal_congruence,
     random_acyclic_quiver,
     universal_congruence,
@@ -261,3 +264,61 @@ def test_join_that_is_not_a_congruence_raises(s2, monkeypatch):
 def test_join_closure_matches_bruteforce_on_random_quivers(seed):
     s = build_semigroup(random_acyclic_quiver(random.Random(seed), 4, 5, 9))
     assert enumerate_congruences(s) == enumerate_congruences_bruteforce(s)
+
+
+def eager_semigroup(q):
+    """The builder the lazy semigroup replaced: paths, name index and table up front."""
+    paths = tuple(enumerate_paths(q))
+    index: dict = {}
+    for i, p in enumerate(paths, start=1):
+        index[p.base if p.is_trivial else p.arrows] = i
+    n = len(paths) + 1
+    table = [[0] * n for _ in range(n)]
+    for i, p in enumerate(paths, start=1):
+        row = table[i]
+        for j, r in enumerate(paths, start=1):
+            if p.target != r.source:
+                continue
+            arrows = p.arrows + r.arrows
+            row[j] = index[arrows if arrows else p.base]
+    names = {"0": 0}
+    for i, p in enumerate(paths, start=1):
+        names[p.name] = i
+    return paths, names, tuple(tuple(row) for row in table)
+
+
+def assert_matches_eager(q):
+    paths, names, table = eager_semigroup(q)
+    s = build_semigroup(q)
+    assert s.n == len(paths) + 1
+    assert s.paths == paths
+    assert s.table == table
+    assert s.table_bytes == bytes(v for row in table for v in row)
+    assert {name: s.index_by_name(name) for name in names} == names
+    assert [s.element_name(i) for i in range(s.n)] == list(names)
+
+
+QUIVER_FILES = sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.quiver"))
+
+
+@pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)
+def test_lazy_semigroup_matches_eager_builder(path):
+    assert_matches_eager(parse_quiver(path.read_text()))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_lazy_semigroup_matches_eager_builder_on_random_quivers(seed):
+    assert_matches_eager(random_acyclic_quiver(random.Random(seed), 5, 7, 60))
+
+
+def test_table_bytes_refuses_past_the_kernel_limit_from_the_count():
+    # a chain of 22 vertices has 253 paths: 254 elements fit, 23 vertices (277) do not
+    def chain(k):
+        vs = [str(i) for i in range(k)]
+        return Quiver(vs, [(f"a{i}", vs[i], vs[i + 1]) for i in range(k - 1)])
+
+    assert len(build_semigroup(chain(22)).table_bytes) == 254**2
+    big = build_semigroup(chain(23))
+    with pytest.raises(CapExceeded, match="277 elements exceeds the kernel table limit of 255"):
+        big.table_bytes
