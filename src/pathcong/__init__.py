@@ -8,7 +8,6 @@ exactly, builds the lattices, and decides the structural properties
 paths governs.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .ideals import (
     Relation,
     SpecialIdeal,
@@ -90,3 +89,7 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# The one kernel implementation (``pathcong._kernels``); benchmark records
+# carry it so that runs of different kernels are never compared.
+KERNEL_BACKEND = "pure"

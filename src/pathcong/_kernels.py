@@ -1,17 +1,19 @@
-"""Pure-Python partition kernels.
+"""Integer kernels behind congruence enumeration, in pure Python.
 
 Partitions of range(n) travel as length-n ``bytes`` whose entries are
 block labels in restricted-growth form: element 0 carries label 0 and
 each new label is one more than the running maximum.  Multiplication
 tables travel as row-major ``bytes`` of length n*n, which limits these
 kernels to semigroups with at most 255 elements (far beyond the
-enumeration caps that call them).
-
-The compiled backend in ``_ckern`` implements the same functions; see
-``pathcong._kernels`` for the dispatch.
+enumeration caps that call them).  ``join_labels`` and
+``is_congruence_labels`` work on whole label vectors and tables at once,
+through 256-entry ``bytes.translate`` tables.
 """
 
 from __future__ import annotations
+
+_IDENTITY = bytes(range(256))
+_BYTE = [bytes([v]) for v in range(256)]
 
 
 def canonical_labels(labels) -> bytes:
@@ -35,19 +37,20 @@ def _find(parent: list[int], x: int) -> int:
 
 def join_labels(p: bytes, q: bytes) -> bytes:
     """Smallest common coarsening of two partitions (transitive closure of the union)."""
-    n = len(p)
-    parent = list(range(n))
-    for labels in (p, q):
-        first: dict[int, int] = {}
-        for i in range(n):
-            lab = labels[i]
-            if lab in first:
-                ri, rj = _find(parent, first[lab]), _find(parent, i)
-                if ri != rj:
-                    parent[rj] = ri
-            else:
-                first[lab] = i
-    return canonical_labels([_find(parent, i) for i in range(n)])
+    # merge[l] is the least p-label that p-label l is merged with; merge
+    # stays flat, since a merge rewrites every entry of the dropped label
+    merge = _IDENTITY
+    first: dict[int, int] = {}  # q-label -> p-label of one member
+    for ql, pl in set(zip(q, p)):
+        a = merge[first.setdefault(ql, pl)]
+        b = merge[pl]
+        if a < b:
+            merge = merge.replace(_BYTE[b], _BYTE[a])
+        elif b < a:
+            merge = merge.replace(_BYTE[a], _BYTE[b])
+    labels = p.translate(merge)
+    order = bytes(dict.fromkeys(labels))
+    return labels.translate(bytes.maketrans(order, _IDENTITY[: len(order)]))
 
 
 def meet_labels(p: bytes, q: bytes) -> bytes:
@@ -75,19 +78,17 @@ def principal_labels(mult: bytes, n: int, x: int, y: int) -> bytes:
 
 
 def is_congruence_labels(p, mult: bytes, n: int) -> bool:
-    """Left/right compatibility of a partition with the multiplication table."""
+    """Left/right compatibility of a partition with the multiplication table.
+
+    Every element's row and column of the table, read through p, must
+    equal those of the first member of its block.
+    """
+    image = mult.translate(bytes(p).ljust(256, b"\0"))
+    first: dict[int, tuple[bytes, bytes]] = {}
     for x in range(n):
-        px = p[x]
-        for y in range(x + 1, n):
-            if p[y] != px:
-                continue
-            xn, yn = x * n, y * n
-            for a in range(n):
-                an = a * n
-                if p[mult[an + x]] != p[mult[an + y]]:
-                    return False
-                if p[mult[xn + a]] != p[mult[yn + a]]:
-                    return False
+        key = (image[x * n : x * n + n], image[x::n])
+        if first.setdefault(p[x], key) != key:
+            return False
     return True
 
 

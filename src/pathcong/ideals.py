@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_intersection, subspace_sum
 from .quiver import Quiver
-from .semigroup import CapExceeded, Congruence, PathSemigroup, build_semigroup
+from .semigroup import CapExceeded, Congruence, PathSemigroup, build_semigroup, join_closure
 
 
 @lru_cache(maxsize=None)
@@ -202,13 +202,16 @@ def enumerate_special_ideals(q: Quiver, max_elements: int = 20) -> list[SpecialI
     """Every special ideal, by join-closure over single-relation ideals.
 
     Deduplicated by RREF space; ordered by (dimension, basis), so the
-    zero ideal comes first and the whole path algebra last.
+    zero ideal comes first and the whole path algebra last.  Refuses
+    semigroups above ``max_elements`` or the kernels' table limit, as the
+    congruence side does, before any relation is listed.
     """
     s = _semigroup_for(q)
     if s.n > max_elements:
         raise CapExceeded(
             f"semigroup has {s.n} elements; enumeration cap is {max_elements}"
         )
+    s.check_kernel_limit()
     atoms = []
     seen_atom_keys = set()
     for r in all_relations(q):
@@ -217,22 +220,14 @@ def enumerate_special_ideals(q: Quiver, max_elements: int = 20) -> list[SpecialI
         if k not in seen_atom_keys:
             seen_atom_keys.add(k)
             atoms.append(ideal)
-    zero = zero_ideal(q)
-    found = {zero.space.key(): zero}
-    frontier = [zero]
-    while frontier:
-        fresh = []
-        for cur in frontier:
-            for atom in atoms:
-                if cur.space.contains_subspace(atom.space):
-                    continue  # the join would be cur again
-                joined = ideal_join(cur, atom)
-                k = joined.space.key()
-                if k not in found:
-                    found[k] = joined
-                    fresh.append(joined)
-        frontier = fresh
-    return sorted(found.values(), key=lambda i: (i.dim, i.space.key()))
+    found = join_closure(
+        zero_ideal(q),
+        atoms,
+        below=lambda cur, atom: cur.space.contains_subspace(atom.space),
+        join=ideal_join,
+        key=lambda ideal: ideal.space.key(),
+    )
+    return sorted(found, key=lambda i: (i.dim, i.space.key()))
 
 
 def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:

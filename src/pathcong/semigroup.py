@@ -10,6 +10,10 @@ class CapExceeded(Exception):
     """An enumeration was asked to run past its configured size cap."""
 
 
+# The kernels store table entries and block labels in single bytes.
+KERNEL_TABLE_LIMIT = 255
+
+
 class _Zero:
     """The absorbing zero element; a process-wide singleton."""
 
@@ -74,14 +78,19 @@ class PathSemigroup:
             self._name_to_index = {"0": 0, **index}
         return self._name_to_index[name]
 
+    def check_kernel_limit(self) -> None:
+        """Raise CapExceeded if the kernels' byte table cannot hold this semigroup."""
+        if self.n > KERNEL_TABLE_LIMIT:
+            raise CapExceeded(
+                f"semigroup with {self.n} elements exceeds the kernel table limit"
+                f" of {KERNEL_TABLE_LIMIT}"
+            )
+
     @property
     def table_bytes(self) -> bytes:
-        """Row-major table encoding for the kernels (needs n <= 255)."""
+        """Row-major table encoding for the kernels (needs n <= KERNEL_TABLE_LIMIT)."""
         if self._table_bytes is None:
-            if self.n > 255:
-                raise CapExceeded(
-                    f"semigroup with {self.n} elements exceeds the kernel table limit of 255"
-                )
+            self.check_kernel_limit()
             self._table_bytes = bytes(v for row in self.table for v in row)
         return self._table_bytes
 
@@ -265,6 +274,32 @@ def _sorted_congruences(s: PathSemigroup, label_set) -> list[Congruence]:
     return [Congruence(s, lab) for lab in ordered]
 
 
+def join_closure(seed, atoms, below, join, key) -> list:
+    """Every join of ``seed`` with atoms, found breadth first.
+
+    ``below(x, atom)`` says that atom lies below x, so their join is x and
+    is skipped.  Joins are deduplicated by ``key``; the first element found
+    for a key is kept.  Returns the elements in the order found, seed first.
+    Complete when every element of the lattice is the seed joined with the
+    atoms below it.
+    """
+    found = {key(seed): seed}
+    frontier = [seed]
+    while frontier:
+        fresh = []
+        for cur in frontier:
+            for atom in atoms:
+                if below(cur, atom):
+                    continue
+                joined = join(cur, atom)
+                k = key(joined)
+                if k not in found:
+                    found[k] = joined
+                    fresh.append(joined)
+        frontier = fresh
+    return list(found.values())
+
+
 def enumerate_congruences(s: PathSemigroup, max_elements: int = 20) -> list[Congruence]:
     """Every congruence on s, by join-closure over principal congruences.
 
@@ -279,7 +314,6 @@ def enumerate_congruences(s: PathSemigroup, max_elements: int = 20) -> list[Cong
         )
     mult = s.table_bytes
     n = s.n
-    identity = bytes(range(n))
     # each distinct principal congruence with one pair (x, y) generating it
     atoms: list[tuple[int, int, bytes]] = []
     seen_atoms = set()
@@ -289,21 +323,14 @@ def enumerate_congruences(s: PathSemigroup, max_elements: int = 20) -> list[Cong
             if lab not in seen_atoms:
                 seen_atoms.add(lab)
                 atoms.append((x, y, lab))
-    seen = {identity}
-    frontier = [identity]
-    join = _kernels.join_labels
-    while frontier:
-        fresh = []
-        for cur in frontier:
-            for x, y, atom in atoms:
-                if cur[x] == cur[y]:
-                    continue  # theta(x, y) <= cur, so the join is cur itself
-                j = join(cur, atom)
-                if j not in seen:
-                    seen.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    return _sorted_congruences(s, seen)
+    labels = join_closure(
+        bytes(range(n)),
+        atoms,
+        below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],  # theta(x, y) <= cur
+        join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
+        key=lambda lab: lab,
+    )
+    return _sorted_congruences(s, labels)
 
 
 def enumerate_congruences_bruteforce(s: PathSemigroup, max_elements: int = 10) -> list[Congruence]:

@@ -119,11 +119,15 @@ def test_cli_refuses_without_building(command, pairs, tmp_path, forbid, capsys):
 
 
 def test_kernel_limit_fires_before_the_table(tmp_path, forbid, capsys):
+    # enumerate_special_ideals calls no kernel but refuses at the same limit:
+    # past it a user cap would admit semigroups whose relations take minutes
     calls = forbid("enumerate_paths", "_product_table")
-    assert main(["check", "--max-elements", "5000", write_chain(tmp_path, 10)]) == 1
-    assert capsys.readouterr().err == (
-        "error: semigroup with 4084 elements exceeds the kernel table limit of 255\n"
-    )
+    for command, pairs, cap in [("check", 10, 5000), ("ideals", 7, 600), ("ideals", 10, 5000)]:
+        assert main([command, "--max-elements", str(cap), write_chain(tmp_path, pairs)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: semigroup with {chain_elements(pairs)} elements"
+            " exceeds the kernel table limit of 255\n"
+        )
     assert calls == []
 
 

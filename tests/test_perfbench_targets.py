@@ -6,8 +6,10 @@ show when the benchmark runs; this catches a rename in the test suite.
 
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
+import pathcong
 from pathcong import _kernels, check_theorems
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -29,6 +31,23 @@ def test_every_traced_target_resolves():
             assert hasattr(owner, part), f"{name}: {modname}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_kernel_hooks_the_benchmark_reads():
+    # perfbench/child.py records the backend and perfbench/tracer.py wraps
+    # the kernels by module name; both break if these go
+    assert pathcong.KERNEL_BACKEND == "pure"
+    assert isinstance(_kernels, types.ModuleType)
+    assert _kernels.__name__ == "pathcong._kernels"
+    for name in (
+        "canonical_labels",
+        "join_labels",
+        "meet_labels",
+        "principal_labels",
+        "is_congruence_labels",
+        "congruences_bruteforce",
+    ):
+        assert callable(getattr(_kernels, name)), name
 
 
 def test_check_theorems_reaches_every_traced_kernel(triple_arrow, monkeypatch):
