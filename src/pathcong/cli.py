@@ -16,7 +16,13 @@ from .lattice import lattice_properties, lattice_to_dot, lattice_to_json_dict
 from .quiver import QuiverError, is_acyclic, max_parallel_paths, parse_quiver, quiver_to_text
 from .random_quivers import random_acyclic_quiver
 from .semigroup import CapExceeded, build_semigroup, enumerate_congruences
-from .verify import check_theorems, congruence_lattice, predict_properties
+from .verify import (
+    check_theorems,
+    congruence_label,
+    congruence_lattice,
+    ideal_label,
+    predict_properties,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -28,7 +34,7 @@ def _load_quiver(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QuiverError(f"cannot read {path}: {exc}") from exc
     return parse_quiver(text)
 
@@ -57,15 +63,12 @@ def _cmd_congruences(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"{len(congs)} congruences")
-        name = s.element_name
         for c in congs:
-            print(" ".join("{" + ",".join(name(i) for i in b) + "}" for b in c.blocks))
+            print(congruence_label(c))
     return EXIT_OK
 
 
 def _cmd_ideals(args) -> int:
-    from .verify import ideal_label
-
     q = _load_quiver(args.file)
     s = build_semigroup(q)
     ideals = enumerate_special_ideals(q, args.max_elements)
@@ -86,8 +89,12 @@ def _cmd_lattice(args) -> int:
     congs = enumerate_congruences(s, args.max_elements)
     lat = congruence_lattice(s, congs)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(lattice_to_dot(lat))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(lattice_to_dot(lat))
+        except OSError as exc:
+            print(f"error: cannot write {args.dot}: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
     if args.json:
         print(json.dumps(lattice_to_json_dict(lat), indent=2, sort_keys=True))
     elif not args.dot:

@@ -1,9 +1,11 @@
 """Finite lattices as explicit tables, with the structural predicates.
 
-A lattice is built from its element list plus order/join/meet, which are
-materialized into numpy tables and fully verified at construction: order
-axioms, least-upper/greatest-lower bound laws, absorption, and bounds.
-The cover relation is the transitive reduction of the strict order.
+A lattice is built from its element list, a boolean order matrix, and
+optionally join/meet as binary operations on elements; a missing operation
+is derived from the order.  Everything is materialized into numpy tables
+and fully verified at construction: order axioms, least-upper/greatest-
+lower bound laws, absorption, and bounds.  The cover relation is the
+transitive reduction of the strict order.
 
 Predicates run exhaustive law scans over the tables and return witnesses
 on failure; pentagon and diamond searches are complete scans independent
@@ -42,33 +44,18 @@ class FiniteLattice:
         return f"FiniteLattice({self.n} elements, {len(self.covers)} covers)"
 
 
-def _as_bool_matrix(n, leq, elements):
-    if callable(leq):
-        mat = np.empty((n, n), dtype=bool)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                mat[i, j] = bool(leq(a, b))
-        return mat
-    mat = np.asarray(leq, dtype=bool)
-    if mat.shape != (n, n):
-        raise LatticeError(f"order table has shape {mat.shape}, expected {(n, n)}")
-    return mat
-
-
-def _as_index_table(n, fn, elements, index_of):
-    if fn is None:
-        return None
-    if callable(fn):
-        table = np.empty((n, n), dtype=np.intp)
-        for i, a in enumerate(elements):
-            table[i, i] = i
-            for j in range(i + 1, n):
-                k = index_of[fn(a, elements[j])]
-                table[i, j] = table[j, i] = k
-        return table
-    table = np.asarray(fn, dtype=np.intp)
-    if table.shape != (n, n):
-        raise LatticeError(f"table has shape {table.shape}, expected {(n, n)}")
+def _op_table(fn, elements, labels, kind) -> np.ndarray:
+    """Index table of an idempotent, commutative operation on the elements."""
+    index_of = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    table = np.empty((n, n), dtype=np.intp)
+    for i, a in enumerate(elements):
+        table[i, i] = i
+        for j in range(i + 1, n):
+            k = index_of.get(fn(a, elements[j]))
+            if k is None:
+                raise LatticeError(f"{kind}({labels[i]!r}, {labels[j]!r}) is not in the list")
+            table[i, j] = table[j, i] = k
     return table
 
 
@@ -105,11 +92,10 @@ def _table_from_order(leq: np.ndarray, upper: bool) -> np.ndarray:
 def build_lattice(elements, leq, join_fn=None, meet_fn=None, labels=None) -> FiniteLattice:
     """Materialize and verify a finite lattice.
 
-    ``leq`` is a predicate on element pairs or a precomputed boolean
-    matrix; ``join_fn``/``meet_fn`` are binary operations on elements,
-    precomputed index tables, or None to derive the tables from the
-    order.  Construction fails loudly, with a witness, if any lattice
-    axiom does not hold.
+    ``leq`` is a boolean n x n matrix, ``leq[i, j]`` meaning element i is
+    below element j; ``join_fn``/``meet_fn`` are binary operations on
+    elements, or None to derive the tables from the order.  Construction
+    fails loudly, with a witness, if any lattice axiom does not hold.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -120,7 +106,9 @@ def build_lattice(elements, leq, join_fn=None, meet_fn=None, labels=None) -> Fin
     else:
         labels = tuple(labels)
 
-    L = _as_bool_matrix(n, leq, elements)
+    L = np.asarray(leq, dtype=bool)
+    if L.shape != (n, n):
+        raise LatticeError(f"order table has shape {L.shape}, expected {(n, n)}")
     if not L.diagonal().all():
         i = int(np.flatnonzero(~L.diagonal())[0])
         raise LatticeError(f"order not reflexive at {labels[i]!r}")
@@ -129,18 +117,22 @@ def build_lattice(elements, leq, join_fn=None, meet_fn=None, labels=None) -> Fin
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])
         raise LatticeError(f"order not antisymmetric: {labels[i]!r} and {labels[j]!r}")
-    bad = _bool_square(L) & ~L
+    strict = L.copy()
+    np.fill_diagonal(strict, False)
+    between = _bool_square(strict)  # i < k < j for some k
+    bad = between & ~strict
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise LatticeError(f"order not transitive: {labels[i]!r} .. {labels[j]!r}")
 
-    index_of = {e: i for i, e in enumerate(elements)}
-    J = _as_index_table(n, join_fn, elements, index_of)
-    M = _as_index_table(n, meet_fn, elements, index_of)
-    if J is None:
+    if join_fn is None:
         J = _table_from_order(L, upper=True)
-    if M is None:
+    else:
+        J = _op_table(join_fn, elements, labels, "join")
+    if meet_fn is None:
         M = _table_from_order(L, upper=False)
+    else:
+        M = _op_table(meet_fn, elements, labels, "meet")
 
     ar = np.arange(n)
     _verify_bound_table(L, J, labels, upper=True)
@@ -153,10 +145,7 @@ def build_lattice(elements, leq, join_fn=None, meet_fn=None, labels=None) -> Fin
     if len(bottoms) != 1 or len(tops) != 1:
         raise LatticeError("lattice must have a unique bottom and top")
 
-    strict = L.copy()
-    np.fill_diagonal(strict, False)
-    cover_mat = strict & ~_bool_square(strict)
-    covers = tuple(sorted((int(i), int(j)) for i, j in np.argwhere(cover_mat)))
+    covers = tuple(sorted((int(i), int(j)) for i, j in np.argwhere(strict & ~between)))
 
     L.flags.writeable = False
     J.flags.writeable = False
@@ -385,9 +374,9 @@ def lattice_to_dot(lat: FiniteLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
-def lattice_to_json_dict(lat: FiniteLattice, properties: dict | None = None) -> dict:
+def lattice_to_json_dict(lat: FiniteLattice) -> dict:
     return {
         "elements": list(lat.labels),
         "covers": [[lo, hi] for lo, hi in lat.covers],
-        "properties": lattice_properties(lat) if properties is None else properties,
+        "properties": lattice_properties(lat),
     }

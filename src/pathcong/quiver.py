@@ -94,9 +94,6 @@ class Quiver:
     def vertex_index(self, v: str) -> int:
         return self._vertex_index[v]
 
-    def arrow(self, name: str) -> Arrow:
-        return self._arrow_by_name[name]
-
     def trivial_path(self, v: str) -> Path:
         if v not in self._vertex_index:
             raise QuiverError(f"no vertex {v!r}")

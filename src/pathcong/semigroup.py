@@ -151,24 +151,9 @@ class Congruence:
         return self._blocks
 
     @property
-    def num_blocks(self) -> int:
-        return max(self.labels) + 1
-
-    @property
     def zero_block(self) -> tuple[int, ...]:
         """The block of the zero element (always block 0 in canonical form)."""
         return self.blocks[0]
-
-    def same_block(self, x: int, y: int) -> bool:
-        return self.labels[x] == self.labels[y]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.num_blocks == self.semigroup.n
-
-    @property
-    def is_universal(self) -> bool:
-        return self.num_blocks == 1
 
     def refines(self, other: "Congruence") -> bool:
         """True iff every block of self lies inside one block of other."""

@@ -184,8 +184,9 @@ def ideal_lattice(q: Quiver, ideals=None, max_elements: int = 20) -> FiniteLatti
     """The lattice of special ideals, built directly from the ideal operations.
 
     Join and meet run the genuine ideal computations pair by pair, so keep
-    this to desk-scale inputs; ``check_theorems`` uses the faster
-    bijection-transferred route and re-verifies it.
+    this to desk-scale inputs.  ``check_theorems`` builds no ideal lattice:
+    it verifies that the congruence/ideal bijection preserves and reflects
+    order and takes the ideal covers as the image of the congruence covers.
     """
     from .ideals import _semigroup_for, ideal_join, ideal_meet
 
@@ -276,7 +277,7 @@ def check_theorems(q: Quiver, max_elements: int = 20) -> TheoremReport:
     rels = all_relations(q)
     inc = relation_incidence(ideals, rels)
     leq_i = ideal_leq_matrix(ideals, inc)
-    lat_i = None
+    ideal_covers = None
     try:
         if len(congs) != len(ideals):
             raise AssertionError(f"{len(congs)} congruences vs {len(ideals)} ideals")
@@ -297,16 +298,9 @@ def check_theorems(q: Quiver, max_elements: int = 20) -> TheoremReport:
                 raise AssertionError(f"round trip fails at ideal {k}")
         if not (leq_i[np.ix_(perm, perm)] == lat_c.leq).all():
             raise AssertionError("bijection does not preserve order")
-        # transfer the verified tables and let construction re-verify them
-        J_i = np.empty_like(lat_c.join)
-        M_i = np.empty_like(lat_c.meet)
-        J_i[perm[:, None], perm[None, :]] = perm[lat_c.join]
-        M_i[perm[:, None], perm[None, :]] = perm[lat_c.meet]
-        path_names = [p.name for p in s.paths]
-        lat_i = build_lattice(
-            ideals, leq_i, J_i, M_i,
-            labels=tuple(ideal_label(i, path_names) for i in ideals),
-        )
+        # a bijection that preserves and reflects order is a lattice
+        # isomorphism, so it carries the verified covers onto the ideals'
+        ideal_covers = sorted((int(perm[lo]), int(perm[hi])) for lo, hi in lat_c.covers)
     except AssertionError as exc:
         iso_ok = False
         iso_detail = str(exc)
@@ -349,11 +343,11 @@ def check_theorems(q: Quiver, max_elements: int = 20) -> TheoremReport:
     # 5. cover steps in the ideal lattice
     cover_ok = True
     cover_detail = ""
-    if lat_i is None:
+    if ideal_covers is None:
         cover_ok = False
         cover_detail = "skipped: isomorphism check failed"
     else:
-        for lo, hi in lat_i.covers:
+        for lo, hi in ideal_covers:
             a, b = ideals[lo], ideals[hi]
             if b.dim != a.dim + 1:
                 cover_ok = False

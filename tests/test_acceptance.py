@@ -93,14 +93,9 @@ class QuiverData:
             (self.leq_i[np.ix_(self.perm, self.perm)] == self.leq_c).all()
         )
         self.lat_c = congruence_lattice(self.s, self.congs)
-        J_i = np.empty_like(self.lat_c.join)
-        M_i = np.empty_like(self.lat_c.meet)
-        J_i[self.perm[:, None], self.perm[None, :]] = self.perm[self.lat_c.join]
-        M_i[self.perm[:, None], self.perm[None, :]] = self.perm[self.lat_c.meet]
         names = [p.name for p in self.s.paths]
         self.lat_i = build_lattice(
-            self.ideals, self.leq_i, J_i, M_i,
-            labels=[ideal_label(i, names) for i in self.ideals],
+            self.ideals, self.leq_i, labels=[ideal_label(i, names) for i in self.ideals]
         )
 
 

@@ -43,6 +43,19 @@ def test_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.quiver"
+    path.write_bytes(b"vertices: 1 \xe9\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_lattice_dot_unwritable(qfile, tmp_path, capsys):
+    dot_path = tmp_path / "missing" / "out.dot"
+    assert main(["lattice", qfile(SINGLE), "--dot", str(dot_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {dot_path}: ")
+
+
 def test_paths(qfile, capsys):
     assert main(["paths", qfile(SINGLE)]) == 0
     assert capsys.readouterr().out.splitlines() == ["1", "2", "alpha"]

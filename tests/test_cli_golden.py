@@ -1,8 +1,10 @@
 """Byte-for-byte CLI output on the shipped quivers.
 
-The fixtures under ``tests/fixtures/cli`` were captured from the all-
-``Fraction`` linear algebra; integer coefficients must print exactly as
-integral ``Fraction``s did, in text and in JSON.
+The ``check`` and ``--json`` fixtures under ``tests/fixtures/cli`` were
+captured from the all-``Fraction`` linear algebra; integer coefficients
+must print exactly as integral ``Fraction``s did, in text and in JSON.
+The plain-text listings and ``predict --json`` were captured before the
+CLI took its block formatting from ``verify.congruence_label``.
 """
 
 from pathlib import Path
@@ -19,6 +21,10 @@ COMMANDS = {
     "ideals.json": ["ideals", "--json"],
     "lattice.json": ["lattice", "--json"],
     "congruences.json": ["congruences", "--json"],
+    "congruences.txt": ["congruences"],
+    "ideals.txt": ["ideals"],
+    "lattice.txt": ["lattice"],
+    "predict.json": ["predict", "--json"],
 }
 
 

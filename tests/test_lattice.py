@@ -278,7 +278,12 @@ def test_build_rejects_wrong_join_table(chain_lattice):
     bad = chain_lattice.join.copy()
     bad[0, 1] = bad[1, 0] = 3  # an upper bound, but not the least one
     with pytest.raises(LatticeError):
-        build_lattice(list(range(5)), chain_lattice.leq, bad, chain_lattice.meet)
+        build_lattice(list(range(5)), chain_lattice.leq, lambda a, b: int(bad[a, b]))
+
+
+def test_build_rejects_operation_leaving_the_list(chain_lattice):
+    with pytest.raises(LatticeError, match=r"meet\('0', '1'\) is not in the list"):
+        build_lattice(list(range(5)), chain_lattice.leq, max, lambda a, b: 9)
 
 
 def test_build_rejects_missing_bounds():

@@ -19,11 +19,12 @@ from pathcong import (
     predict_properties,
     random_acyclic_quiver,
 )
-from pathcong import _kernels
+from pathcong import _kernels, verify
 from pathcong.verify import (
     congruence_label,
     congruence_lattice,
     congruence_leq_matrix,
+    ideal_lattice,
     ideal_leq_matrix,
 )
 
@@ -97,6 +98,64 @@ def test_check_theorems_disconnected():
     assert not report.computed["distributive"]
     comp_verdict = [v for v in report.verdicts if "component" in v[0]][0]
     assert comp_verdict[1] and "2 components" in comp_verdict[2]
+
+
+def test_check_builds_one_lattice_per_enumeration(monkeypatch, kronecker):
+    calls = []
+    real = verify.build_lattice
+    monkeypatch.setattr(verify, "build_lattice", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert check_theorems(kronecker).ok
+    assert len(calls) == 1
+    calls.clear()
+    q = Quiver(
+        ["1", "2", "3", "4", "5", "6"],
+        [("alpha", "1", "2"), ("beta", "1", "2"), ("c", "3", "4"), ("d", "5", "6")],
+    )
+    assert check_theorems(q).ok
+    assert len(calls) == 1 + 3
+
+
+def test_cover_verdict_names_first_failing_cover(monkeypatch, triple_arrow):
+    # the covers of the ideal lattice built from the ideal operations alone
+    covers = ideal_lattice(triple_arrow).covers
+    target = covers[-1][1]
+    first = min(c for c in covers if c[1] == target)
+    assert first != covers[-1]
+    space = enumerate_special_ideals(triple_arrow)[target].space
+    real = verify.subspace_sum
+
+    def broken(a, b):
+        out = real(a, b)
+        return a if out == space else out
+
+    monkeypatch.setattr(verify, "subspace_sum", broken)
+    report = check_theorems(triple_arrow)
+    assert report.verdicts[0][1]
+    assert report.verdicts[4] == (
+        "every ideal cover is one new relation's step",
+        False,
+        f"relation does not regenerate cover {first[0]} -> {first[1]}",
+    )
+
+
+def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
+    real = verify.ideal_leq_matrix
+
+    def perturbed(ideals, inc=None):
+        leq = real(ideals, inc).copy()
+        leq[1:, 0] = True  # ideal 0 is no longer the bottom alone
+        return leq
+
+    monkeypatch.setattr(verify, "ideal_leq_matrix", perturbed)
+    report = check_theorems(kronecker)
+    assert report.verdicts[0] == (
+        "congruence/ideal lattice isomorphism", False, "bijection does not preserve order"
+    )
+    assert report.verdicts[4] == (
+        "every ideal cover is one new relation's step",
+        False,
+        "skipped: isomorphism check failed",
+    )
 
 
 def test_check_theorems_rejects_cycles():
