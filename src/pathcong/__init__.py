@@ -37,6 +37,7 @@ from .lattice import (
     lattice_properties,
     lattice_to_dot,
     lattice_to_json_dict,
+    property_witnesses,
 )
 from .linalg import (
     PathVector,

@@ -7,9 +7,9 @@ and fully verified at construction: order axioms, least-upper/greatest-
 lower bound laws, absorption, and bounds.  The cover relation is the
 transitive reduction of the strict order.
 
-Predicates run exhaustive law scans over the tables and return witnesses
-on failure; pentagon and diamond searches are complete scans independent
-of the law verdicts, so the two routes cross-check each other.
+The six properties are decided in one pass over covers and join-
+irreducibles, with witnesses; the pentagon and diamond searches are
+complete scans independent of those verdicts, so they cross-check them.
 """
 
 from __future__ import annotations
@@ -74,13 +74,8 @@ def _table_from_order(leq: np.ndarray, upper: bool) -> np.ndarray:
     common upper bound met when elements are ordered bottom-up.
     """
     n = leq.shape[0]
-    if upper:
-        above = leq  # row a = elements >= a
-        counts = above.sum(axis=1)
-    else:
-        above = leq.T  # row a = elements <= a
-        counts = above.sum(axis=1)
-    order = np.argsort(-counts, kind="stable")
+    above = leq if upper else leq.T  # row a = elements >= a (<= a for the meet)
+    order = np.argsort(-above.sum(axis=1), kind="stable")
     sorted_rows = above[:, order]
     table = np.empty((n, n), dtype=np.intp)
     for a in range(n):
@@ -106,7 +101,7 @@ def build_lattice(elements, leq, join_fn=None, meet_fn=None, labels=None) -> Fin
     else:
         labels = tuple(labels)
 
-    L = np.asarray(leq, dtype=bool)
+    L = np.array(leq, dtype=bool)  # a copy: it is frozen below
     if L.shape != (n, n):
         raise LatticeError(f"order table has shape {L.shape}, expected {(n, n)}")
     if not L.diagonal().all():
@@ -189,63 +184,81 @@ def _first_true(mask: np.ndarray):
     return tuple(map(int, hits[0])) if len(hits) else None
 
 
+PROPERTY_NAMES = (
+    "distributive",
+    "modular",
+    "strong_upper_semimodular",
+    "strong_lower_semimodular",
+    "upper_semimodular",
+    "lower_semimodular",
+)
+
+
+def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
+    """First failure witness of each property in ``PROPERTY_NAMES``, or None where it holds.
+
+    Modular iff upper and lower semimodular (Birkhoff), else a triple (a, b, c), a <= c,
+    breaking the modular law; a modular lattice is distributive iff every join-irreducible
+    j (one lower cover) is join-prime, else (x, y, j) with j <= x v y and j below neither.
+    """
+    C = _cover_matrix(lat)
+    L, J, M = lat.leq, lat.join, lat.meet
+    ar = np.arange(lat.n)
+    ma = C[M, ar[:, None]]  # a covers a ^ b
+    mb = C[M, ar[None, :]]  # b covers a ^ b
+    ja = C[ar[:, None], J]  # a v b covers a
+    jb = C[ar[None, :], J]  # a v b covers b
+    upper = _first_true(ma & mb & ~(ja & jb))
+    lower = _first_true(ja & jb & ~(ma & mb))
+
+    modular = None
+    if upper:  # x v y does not cover x, so an upper cover of x lies strictly below it
+        x, y = upper[::-1] if ja[upper] else upper
+        modular = (x, y, int(np.flatnonzero(C[x] & L[:, J[x, y]])[0]))
+    elif lower:  # x does not cover x ^ y, so a lower cover of x lies strictly above it
+        x, y = lower[::-1] if ma[lower] else lower
+        modular = (int(np.flatnonzero(C[:, x] & L[M[x, y]])[0]), y, x)
+
+    distributive = modular
+    if modular is None:
+        for j in np.flatnonzero(C.sum(axis=0) == 1):
+            if hit := _first_true(L[j][J] & ~L[j][:, None] & ~L[j][None, :]):
+                distributive = (*hit, int(j))
+                break
+
+    strong = _first_true(ma & ~jb), _first_true(ja & ~mb)
+    return dict(zip(PROPERTY_NAMES, (distributive, modular, *strong, upper, lower)))
+
+
+def _verdict(lat: FiniteLattice, name: str):
+    witness = property_witnesses(lat)[name]
+    return witness is None, witness
+
+
 def is_distributive(lat: FiniteLattice):
-    """Exhaustive check of (a v b) ^ c == (a ^ c) v (b ^ c); witness on failure."""
-    J, M = lat.join, lat.meet
-    for a in range(lat.n):
-        lhs = M[J[a]]
-        rhs = J[M[a][None, :], M]
-        hit = _first_true(lhs != rhs)
-        if hit:
-            return False, (a, hit[0], hit[1])
-    return True, None
+    """(a v b) ^ c == (a ^ c) v (b ^ c) for all a, b, c; on failure a triple breaking it."""
+    return _verdict(lat, "distributive")
 
 
 def is_modular(lat: FiniteLattice):
-    """Exhaustive check of a <= c implying (a v b) ^ c == a v (b ^ c)."""
-    J, M, L = lat.join, lat.meet, lat.leq
-    for a in range(lat.n):
-        lhs = M[J[a]]
-        rhs = J[a, M]
-        hit = _first_true((lhs != rhs) & L[a][None, :])
-        if hit:
-            return False, (a, hit[0], hit[1])
-    return True, None
-
-
-def _semimodularity_parts(lat: FiniteLattice):
-    C = _cover_matrix(lat)
-    J, M = lat.join, lat.meet
-    ar = np.arange(lat.n)
-    meet_under_a = C[M, ar[:, None]]  # a covers a ^ b
-    meet_under_b = C[M, ar[None, :]]  # b covers a ^ b
-    join_over_a = C[ar[:, None], J]  # a v b covers a
-    join_over_b = C[ar[None, :], J]  # a v b covers b
-    return meet_under_a, meet_under_b, join_over_a, join_over_b
+    """a <= c implies (a v b) ^ c == a v (b ^ c); on failure a triple (a, b, c) breaking it."""
+    return _verdict(lat, "modular")
 
 
 def is_strong_upper_semimodular(lat: FiniteLattice):
-    ma, _, _, jb = _semimodularity_parts(lat)
-    hit = _first_true(ma & ~jb)
-    return (False, hit) if hit else (True, None)
+    return _verdict(lat, "strong_upper_semimodular")
 
 
 def is_strong_lower_semimodular(lat: FiniteLattice):
-    _, mb, ja, _ = _semimodularity_parts(lat)
-    hit = _first_true(ja & ~mb)
-    return (False, hit) if hit else (True, None)
+    return _verdict(lat, "strong_lower_semimodular")
 
 
 def is_upper_semimodular(lat: FiniteLattice):
-    ma, mb, ja, jb = _semimodularity_parts(lat)
-    hit = _first_true((ma & mb) & ~(ja & jb))
-    return (False, hit) if hit else (True, None)
+    return _verdict(lat, "upper_semimodular")
 
 
 def is_lower_semimodular(lat: FiniteLattice):
-    ma, mb, ja, jb = _semimodularity_parts(lat)
-    hit = _first_true((ja & jb) & ~(ma & mb))
-    return (False, hit) if hit else (True, None)
+    return _verdict(lat, "lower_semimodular")
 
 
 def is_pentagon_sublattice(lat: FiniteLattice, elems) -> bool:
@@ -340,26 +353,9 @@ def find_diamond(lat: FiniteLattice):
     return None
 
 
-PROPERTY_NAMES = (
-    "distributive",
-    "modular",
-    "strong_upper_semimodular",
-    "strong_lower_semimodular",
-    "upper_semimodular",
-    "lower_semimodular",
-)
-
-
 def lattice_properties(lat: FiniteLattice) -> dict[str, bool]:
-    """All six structural predicates, witnesses dropped."""
-    return {
-        "distributive": is_distributive(lat)[0],
-        "modular": is_modular(lat)[0],
-        "strong_upper_semimodular": is_strong_upper_semimodular(lat)[0],
-        "strong_lower_semimodular": is_strong_lower_semimodular(lat)[0],
-        "upper_semimodular": is_upper_semimodular(lat)[0],
-        "lower_semimodular": is_lower_semimodular(lat)[0],
-    }
+    """All six structural properties, witnesses dropped."""
+    return {name: witness is None for name, witness in property_witnesses(lat).items()}
 
 
 def lattice_to_dot(lat: FiniteLattice) -> str:

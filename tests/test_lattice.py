@@ -1,10 +1,14 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcong import (
     LatticeError,
+    Quiver,
     build_lattice,
     build_semigroup,
     commutative_relation,
@@ -25,10 +29,18 @@ from pathcong import (
     lattice_to_dot,
     lattice_to_json_dict,
     monomial_relation,
+    parse_quiver,
+    property_witnesses,
     random_acyclic_quiver,
     zero_ideal,
 )
-from pathcong.lattice import is_diamond_sublattice, is_pentagon_sublattice
+from pathcong import lattice
+from pathcong.lattice import (
+    PROPERTY_NAMES,
+    _first_true,
+    is_diamond_sublattice,
+    is_pentagon_sublattice,
+)
 from pathcong.verify import congruence_lattice
 
 
@@ -311,3 +323,146 @@ def test_json_output(kronecker):
     assert len(blob["elements"]) == 8
     assert sorted(map(tuple, blob["covers"])) == sorted(lat.covers)
     assert blob["properties"]["modular"] is True
+
+
+def test_build_copies_the_callers_order():
+    leq = np.array([[True, True], [False, True]])
+    before = leq.copy()
+    lat = build_lattice([0, 1], leq)
+    assert leq.flags.writeable
+    assert (leq == before).all()
+    assert not lat.leq.flags.writeable
+
+
+# The reference for ``property_witnesses``: the exhaustive O(m^3) law
+# scans, and one cover mask per semimodularity property.
+
+
+def law_distributive(lat):
+    """Exhaustive check of (a v b) ^ c == (a ^ c) v (b ^ c); witness on failure."""
+    J, M = lat.join, lat.meet
+    for a in range(lat.n):
+        lhs = M[J[a]]
+        rhs = J[M[a][None, :], M]
+        hit = _first_true(lhs != rhs)
+        if hit:
+            return False, (a, hit[0], hit[1])
+    return True, None
+
+
+def law_modular(lat):
+    """Exhaustive check of a <= c implying (a v b) ^ c == a v (b ^ c)."""
+    J, M, L = lat.join, lat.meet, lat.leq
+    for a in range(lat.n):
+        lhs = M[J[a]]
+        rhs = J[a, M]
+        hit = _first_true((lhs != rhs) & L[a][None, :])
+        if hit:
+            return False, (a, hit[0], hit[1])
+    return True, None
+
+
+def semimodularity_masks(lat):
+    C = np.zeros((lat.n, lat.n), dtype=bool)
+    for i, j in lat.covers:
+        C[i, j] = True
+    J, M = lat.join, lat.meet
+    ar = np.arange(lat.n)
+    ma = C[M, ar[:, None]]  # a covers a ^ b
+    mb = C[M, ar[None, :]]  # b covers a ^ b
+    ja = C[ar[:, None], J]  # a v b covers a
+    jb = C[ar[None, :], J]  # a v b covers b
+    return {
+        "strong_upper_semimodular": _first_true(ma & ~jb),
+        "strong_lower_semimodular": _first_true(ja & ~mb),
+        "upper_semimodular": _first_true((ma & mb) & ~(ja & jb)),
+        "lower_semimodular": _first_true((ja & jb) & ~(ma & mb)),
+    }
+
+
+def assert_matches_law_scans(lat):
+    w = property_witnesses(lat)
+    assert tuple(w) == PROPERTY_NAMES
+    assert (w["distributive"] is None) == law_distributive(lat)[0]
+    assert (w["modular"] is None) == law_modular(lat)[0]
+    J, M, L = lat.join, lat.meet, lat.leq
+    if w["distributive"] is not None:
+        a, b, c = w["distributive"]
+        assert M[J[a, b], c] != J[M[a, c], M[b, c]]
+    if w["modular"] is not None:
+        a, b, c = w["modular"]
+        assert L[a, c] and M[J[a, b], c] != J[a, M[b, c]]
+    assert {k: w[k] for k in PROPERTY_NAMES[2:]} == semimodularity_masks(lat)
+    assert lattice_properties(lat) == {k: v is None for k, v in w.items()}
+
+
+def test_properties_match_law_scans_on_small_lattices(
+    pentagon_lattice, diamond_lattice, chain_lattice
+):
+    for lat in (pentagon_lattice, diamond_lattice, chain_lattice):
+        assert_matches_law_scans(lat)
+
+
+QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_properties_match_law_scans_on_shipped_quivers(name):
+    q = parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text())
+    s = build_semigroup(q)
+    assert_matches_law_scans(congruence_lattice(s, enumerate_congruences(s)))
+    assert_matches_law_scans(ideal_lattice(q))
+
+
+def kronecker_quiver(arrows):
+    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
+
+
+def star_quiver(leaves):
+    tips = [f"l{i}" for i in range(1, leaves + 1)]
+    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+@pytest.mark.parametrize("q", [kronecker_quiver(5), star_quiver(5)], ids=["kronecker5", "star5"])
+def test_properties_match_law_scans_on_wide_quivers(q):
+    s = build_semigroup(q)
+    assert_matches_law_scans(congruence_lattice(s, enumerate_congruences(s)))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_properties_match_law_scans_on_random_quivers(seed):
+    s = build_semigroup(random_acyclic_quiver(random.Random(seed), 4, 5, 12))
+    assert_matches_law_scans(congruence_lattice(s, enumerate_congruences(s)))
+
+
+@st.composite
+def closure_systems(draw):
+    """Subsets of at most 6 points closed under intersection, with the full set, by inclusion.
+
+    Every finite lattice with at most six join-irreducibles is one of
+    these, so they reach shapes that no path semigroup's congruence
+    lattice takes.
+    """
+    full = (1 << draw(st.integers(0, 6))) - 1
+    family = {full, *draw(st.lists(st.integers(0, full), max_size=12))}
+    while fresh := {a & b for a in family for b in family} - family:
+        family |= fresh
+    sets = sorted(family)
+    return build_lattice(sets, np.array([[a & b == a for b in sets] for a in sets]))
+
+
+@given(closure_systems())
+@settings(max_examples=200, deadline=None)
+def test_properties_match_law_scans_on_closure_systems(lat):
+    assert_matches_law_scans(lat)
+
+
+def test_lattice_properties_builds_the_cover_matrix_once(monkeypatch, kronecker):
+    s = build_semigroup(kronecker)
+    lat = congruence_lattice(s, enumerate_congruences(s))
+    calls = []
+    real = lattice._cover_matrix
+    monkeypatch.setattr(lattice, "_cover_matrix", lambda lat: calls.append(1) or real(lat))
+    lattice_properties(lat)
+    assert len(calls) == 1

@@ -265,6 +265,22 @@ def test_dropped_congruence_detected_exactly_when_pairwise_loop_fails(q):
     assert detected
 
 
+def test_property_mismatch_names_its_witness(monkeypatch):
+    q = kronecker(3)
+    real = verify.predict_properties
+    monkeypatch.setattr(verify, "predict_properties", lambda q: {**real(q), "modular": True})
+    name, ok, detail = check_theorems(q).verdicts[1]
+    assert name == "predicted properties match computed" and not ok
+    assert detail.startswith("modular (witness ")
+    labels = re.findall(r"'([^']*)'", detail)
+    assert len(labels) == 3
+    s = build_semigroup(q)
+    lat = congruence_lattice(s, enumerate_congruences(s))
+    a, b, c = (lat.labels.index(label) for label in labels)
+    J, M, L = lat.join, lat.meet, lat.leq
+    assert L[a, c] and M[J[a, b], c] != J[a, M[b, c]]
+
+
 def test_unclosed_list_names_its_witness(chain3):
     # some lists missing one congruence are still lattices under refinement,
     # with a join or meet that is not the partition one: the irreducible
