@@ -19,7 +19,9 @@ from .quiver import Quiver
 from .semigroup import CapExceeded, Congruence, PathSemigroup, build_semigroup, join_closure
 
 
-@lru_cache(maxsize=None)
+# This cache and all_relations' are bounded, so a long run over many
+# quivers does not keep every semigroup and relation list alive.
+@lru_cache(maxsize=256)
 def _semigroup_for(q: Quiver) -> PathSemigroup:
     return build_semigroup(q)
 
@@ -75,7 +77,7 @@ def _validate_relation(r: Relation, s: PathSemigroup) -> None:
             raise ValueError("invalid relation: paths are not parallel")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def all_relations(q: Quiver) -> tuple[Relation, ...]:
     """Every relation: one monomial per path plus one commutative relation
     per unordered pair of distinct parallel paths."""
@@ -234,18 +236,15 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     """The special ideal a congruence determines.
 
     Nonzero elements of the zero block contribute monomial generators;
-    every pair inside any other block contributes a commutative relation.
+    every other element of a block, its difference with the block's least
+    element.  These span all differences inside the block, so the ideal is
+    the one every pair would generate, from k - 1 generators, not k(k-1)/2.
     """
     if c.semigroup is not s:
         raise ValueError("congruence does not live on this semigroup")
-    gens: list[Relation] = []
-    for e in c.zero_block:
-        if e != 0:
-            gens.append(Relation(e - 1))
-    for block in c.blocks[1:]:
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                gens.append(commutative_relation(block[i] - 1, block[j] - 1))
+    gens = [Relation(e - 1) for e in c.zero_block if e != 0]
+    for least, *rest in c.blocks[1:]:
+        gens.extend(Relation(least - 1, e - 1) for e in rest)
     return generate_ideal(s.quiver, gens)
 
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +19,14 @@ from pathcong import (
     ideal_to_congruence,
     identity_congruence,
     monomial_relation,
+    parse_quiver,
     random_acyclic_quiver,
     row_reduce,
     subspace_intersection,
     universal_congruence,
     zero_ideal,
 )
+from pathcong import ideals as ideals_module
 from pathcong.semigroup import CapExceeded
 
 
@@ -240,3 +243,41 @@ def test_ideal_json_shape(kronecker):
         "generators": ["alpha - beta"],
         "basis": [{"alpha": "1", "beta": "-1"}],
     }
+
+
+def all_pairs_generators(c):
+    """The earlier generators of ``congruence_to_ideal``: every pair inside a nonzero block."""
+    gens = [monomial_relation(e - 1) for e in c.zero_block if e != 0]
+    for block in c.blocks[1:]:
+        for i in range(len(block)):
+            for j in range(i + 1, len(block)):
+                gens.append(commutative_relation(block[i] - 1, block[j] - 1))
+    return gens
+
+
+def assert_spanning_generators_match_all_pairs(q):
+    s = build_semigroup(q)
+    for c in enumerate_congruences(s):
+        assert congruence_to_ideal(s, c).space == generate_ideal(q, all_pairs_generators(c)).space
+
+
+QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_spanning_generators_match_all_pairs_on_shipped_quivers(name):
+    assert_spanning_generators_match_all_pairs(
+        parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text())
+    )
+
+
+def test_spanning_generators_match_all_pairs_on_random_quivers():
+    rng = random.Random(83)
+    for _ in range(40):
+        assert_spanning_generators_match_all_pairs(random_acyclic_quiver(rng, 4, 5, 12))
+
+
+def test_quiver_caches_are_bounded():
+    for cached in (ideals_module._semigroup_for, all_relations):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0

@@ -466,3 +466,145 @@ def test_lattice_properties_builds_the_cover_matrix_once(monkeypatch, kronecker)
     monkeypatch.setattr(lattice, "_cover_matrix", lambda lat: calls.append(1) or real(lat))
     lattice_properties(lat)
     assert len(calls) == 1
+
+
+# The reference for ``_bound_table``: the earlier two-pass code, which
+# derived each table by a first-common-bound scan per row and then checked
+# it as a common bound and as extremal against every element.
+
+
+def table_from_order(leq, upper):
+    """Join (upper=True) or meet table: the first common bound in a linear extension."""
+    n = leq.shape[0]
+    above = leq if upper else leq.T
+    order = np.argsort(-above.sum(axis=1), kind="stable")
+    sorted_rows = above[:, order]
+    table = np.empty((n, n), dtype=np.intp)
+    for a in range(n):
+        common = sorted_rows[a][None, :] & sorted_rows
+        table[a] = order[np.argmax(common, axis=1)]
+    return table
+
+
+def verify_bound_table(L, T, labels, upper):
+    """Raise LatticeError unless T[a, b] is the least upper (greatest lower) bound."""
+    n = L.shape[0]
+    ar = np.arange(n)
+    kind = "join" if upper else "meet"
+    rel = L if upper else L.T
+    ok = rel[ar[:, None], T] & rel[ar[None, :], T]
+    if not ok.all():
+        a, b = map(int, np.argwhere(~ok)[0])
+        raise LatticeError(f"{kind}({labels[a]!r}, {labels[b]!r}) is not a common bound")
+    for c in range(n):
+        inside = np.flatnonzero(rel[:, c])
+        good = rel[T[np.ix_(inside, inside)].ravel(), c]
+        if not good.all():
+            flat = int(np.flatnonzero(~good)[0])
+            a, b = int(inside[flat // len(inside)]), int(inside[flat % len(inside)])
+            raise LatticeError(f"{kind}({labels[a]!r}, {labels[b]!r}) is not extremal")
+
+
+def oracle_raises(fn, *args):
+    try:
+        fn(*args)
+    except LatticeError:
+        return True
+    return False
+
+
+def assert_tables_match_oracle(lat):
+    for upper, table in ((True, lat.join), (False, lat.meet)):
+        expected = table_from_order(lat.leq, upper)
+        verify_bound_table(lat.leq, expected, lat.labels, upper)
+        assert (table == expected).all()
+
+
+def test_tables_match_oracle_on_small_lattices(pentagon_lattice, diamond_lattice, chain_lattice):
+    for lat in (pentagon_lattice, diamond_lattice, chain_lattice):
+        assert_tables_match_oracle(lat)
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_tables_match_oracle_on_shipped_quivers(name):
+    q = parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text())
+    s = build_semigroup(q)
+    assert_tables_match_oracle(congruence_lattice(s, enumerate_congruences(s)))
+    assert_tables_match_oracle(ideal_lattice(q))
+
+
+@pytest.mark.parametrize("q", [kronecker_quiver(5), star_quiver(5)], ids=["kronecker5", "star5"])
+def test_tables_match_oracle_on_wide_quivers(q):
+    s = build_semigroup(q)
+    assert_tables_match_oracle(congruence_lattice(s, enumerate_congruences(s)))
+
+
+@given(closure_systems())
+@settings(max_examples=100, deadline=None)
+def test_tables_match_oracle_on_closure_systems(lat):
+    assert_tables_match_oracle(lat)
+
+
+@st.composite
+def partial_orders(draw):
+    """A random partial order on at most 9 points, as a transitively closed boolean matrix.
+
+    Edges run from lower to higher index, then the points are shuffled, so
+    the order need not be a lattice and index order is not an extension.
+    """
+    n = draw(st.integers(1, 9))
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[i, j] = draw(st.booleans())
+    for k in range(n):
+        leq[leq[:, k]] |= leq[k]
+    perm = np.array(draw(st.permutations(range(n))))
+    return leq[np.ix_(perm, perm)]
+
+
+@given(partial_orders(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_derived_table_rejected_exactly_when_oracle_rejects(leq, upper):
+    labels = [str(i) for i in range(len(leq))]
+    expected = table_from_order(leq, upper)
+    rejected = oracle_raises(verify_bound_table, leq, expected, labels, upper)
+    try:
+        table = lattice._bound_table(leq, labels, upper)
+    except LatticeError:
+        assert rejected
+    else:
+        assert not rejected and (table == expected).all()
+
+
+@given(partial_orders(), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_supplied_table_with_one_wrong_cell_rejected_like_oracle(leq, upper, data):
+    n = len(leq)
+    labels = [f"x{i}" for i in range(n)]
+    table = table_from_order(leq, upper)
+    is_lattice = not oracle_raises(verify_bound_table, leq, table, labels, upper)
+    a, b, t = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    table[a, b] = t
+    rejected = oracle_raises(verify_bound_table, leq, table, labels, upper)
+    try:
+        lattice._bound_table(leq, labels, upper, table)
+    except LatticeError as exc:
+        assert rejected
+        if is_lattice:  # only the changed cell is wrong, and the error names it
+            assert f"('x{a}', 'x{b}') = 'x{t}' is wrong" in str(exc)
+    else:
+        assert not rejected
+
+
+def test_one_row_blocks_give_the_same_tables_and_name_the_pair(monkeypatch):
+    s = build_semigroup(kronecker_quiver(4))
+    lat = congruence_lattice(s, enumerate_congruences(s))
+    monkeypatch.setattr(lattice, "BLOCK_BYTES", 1)  # every row is its own block
+    assert_tables_match_oracle(build_lattice(lat.elements, lat.leq, labels=lat.labels))
+    a, b = lat.n - 2, 1
+    wrong = lat.join.copy()
+    wrong[a, b] = lat.top if lat.join[a, b] != lat.top else lat.bottom
+    with pytest.raises(LatticeError) as info:
+        lattice._bound_table(lat.leq, lat.labels, True, wrong)
+    assert str(info.value).startswith(f"join({lat.labels[a]!r}, {lat.labels[b]!r}) = ")

@@ -80,6 +80,13 @@ def test_parse_roundtrip(kronecker):
     assert parse_quiver(quiver_to_text(kronecker)) == kronecker
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_parse_undoes_quiver_to_text_on_random_quivers(seed):
+    q = random_acyclic_quiver(random.Random(seed), 6, 10, 400)
+    assert parse_quiver(quiver_to_text(q)) == q
+
+
 def test_constructor_validation():
     with pytest.raises(QuiverError):
         Quiver(["1", "1"])

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from pathcong import (
     Quiver,
     build_semigroup,
     check_theorems,
+    congruence_to_ideal,
     enumerate_congruences,
     enumerate_special_ideals,
     parse_quiver,
+    identity_congruence,
     predict_properties,
     random_acyclic_quiver,
 )
@@ -296,3 +299,88 @@ def test_unclosed_list_names_its_witness(chain3):
     for kind in ("join", "meet"):
         pattern = f"^partition {kind} of '{{.*}}' and '{{.*}}' is not their {kind} in the list$"
         assert any(re.match(pattern, m) for m in messages), kind
+
+
+def three_components():
+    return Quiver(
+        ["1", "2", "3", "4", "5", "6"],
+        [("alpha", "1", "2"), ("beta", "1", "2"), ("c", "3", "4"), ("d", "5", "6")],
+    )
+
+
+@pytest.mark.parametrize("q", [kronecker(3), three_components()], ids=["kronecker3", "3-components"])
+def test_bijection_maps_each_congruence_once_each_way(monkeypatch, q):
+    calls = {"congruence_to_ideal": 0, "ideal_to_congruence": 0}
+    for name in calls:
+        real = getattr(verify, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    report = check_theorems(q)
+    assert report.ok, report.format()
+    m = report.quiver_summary["congruences"]
+    assert calls == {"congruence_to_ideal": m, "ideal_to_congruence": m}
+
+
+def test_wrong_ideal_to_congruence_fails_the_round_trip(monkeypatch):
+    q = kronecker(3)
+    s = build_semigroup(q)
+    k = 5
+    target = congruence_to_ideal(s, enumerate_congruences(s)[k]).space
+    real = verify.ideal_to_congruence
+
+    def wrong_at_target(s, ideal):
+        return identity_congruence(s) if ideal.space == target else real(s, ideal)
+
+    monkeypatch.setattr(verify, "ideal_to_congruence", wrong_at_target)
+    assert check_theorems(q).verdicts[0] == (
+        "congruence/ideal lattice isomorphism", False, f"round trip fails at congruence {k}"
+    )
+
+
+def test_congruence_lattice_memory_stays_small():
+    # numpy reports its buffers to tracemalloc; the join/meet tables are
+    # 0.6 MB each at m = 275, so this bounds the blocks of packed up-sets
+    s = build_semigroup(star(5))
+    congs = enumerate_congruences(s)
+    tracemalloc.start()
+    try:
+        lat = congruence_lattice(s, congs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.n == 275
+    assert peak < 4 * 2**20
+
+
+def bell(n):
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_kronecker_family_count_on_both_routes(k):
+    # {0, arrows} is a null ideal, so every partition of it is a congruence;
+    # a class touching a vertex idempotent forces one of 3 collapses
+    q = kronecker(k)
+    expected = bell(k + 1) + 3
+    assert len(enumerate_congruences(build_semigroup(q))) == expected
+    assert len(enumerate_special_ideals(q)) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_star_family_count_on_both_routes(k):
+    # distributive, so every congruence is Rees: 2^k ideals contain the
+    # centre and 3^k do not
+    q = star(k)
+    expected = 3**k + 2**k
+    assert len(enumerate_congruences(build_semigroup(q))) == expected
+    assert len(enumerate_special_ideals(q)) == expected
