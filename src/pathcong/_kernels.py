@@ -62,12 +62,15 @@ def principal_labels(mult: bytes, n: int, x: int, y: int) -> bytes:
     """Least congruence containing (x, y): closure of all pairs (a*x*b, a*y*b).
 
     The factors a and b range over the semigroup plus a formal identity,
-    so products with either factor absent are included.
+    so products with either factor absent are included.  A left factor
+    with a*x == a*y is skipped: every a*x*b then equals a*y*b.
     """
     parent = list(range(n))
     for a in range(n + 1):
         ax = x if a == n else mult[a * n + x]
         ay = y if a == n else mult[a * n + y]
+        if ax == ay:
+            continue
         for b in range(n + 1):
             u = ax if b == n else mult[ax * n + b]
             v = ay if b == n else mult[ay * n + b]

@@ -49,6 +49,7 @@ def _cmd_validate(args) -> int:
 def _cmd_paths(args) -> int:
     q = _load_quiver(args.file)
     s = build_semigroup(q)
+    s.check_element_cap(args.max_elements)  # from path counts, before any path is listed
     for p in s.paths:
         print(p.name)
     return EXIT_OK
@@ -180,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="list all paths in canonical order")
     p.add_argument("file")
+    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("congruences", help="enumerate all congruences")

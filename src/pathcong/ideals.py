@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_intersection, subspace_sum
 from .quiver import Quiver
-from .semigroup import CapExceeded, Congruence, PathSemigroup, build_semigroup, join_closure
+from .semigroup import Congruence, PathSemigroup, build_semigroup, join_closure
 
 
 # This cache and all_relations' are bounded, so a long run over many
@@ -209,10 +209,7 @@ def enumerate_special_ideals(q: Quiver, max_elements: int = 20) -> list[SpecialI
     congruence side does, before any relation is listed.
     """
     s = _semigroup_for(q)
-    if s.n > max_elements:
-        raise CapExceeded(
-            f"semigroup has {s.n} elements; enumeration cap is {max_elements}"
-        )
+    s.check_element_cap(max_elements)
     s.check_kernel_limit()
     atoms = []
     seen_atom_keys = set()

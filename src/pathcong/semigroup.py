@@ -78,6 +78,13 @@ class PathSemigroup:
             self._name_to_index = {"0": 0, **index}
         return self._name_to_index[name]
 
+    def check_element_cap(self, max_elements: int) -> None:
+        """Raise CapExceeded if this semigroup has more than ``max_elements`` elements."""
+        if self.n > max_elements:
+            raise CapExceeded(
+                f"semigroup has {self.n} elements; enumeration cap is {max_elements}"
+            )
+
     def check_kernel_limit(self) -> None:
         """Raise CapExceeded if the kernels' byte table cannot hold this semigroup."""
         if self.n > KERNEL_TABLE_LIMIT:
@@ -286,36 +293,53 @@ def join_closure(seed, atoms, below, join, key) -> list:
 
 
 def enumerate_congruences(s: PathSemigroup, max_elements: int = 20) -> list[Congruence]:
-    """Every congruence on s, by join-closure over principal congruences.
+    """Every congruence on s, by join-closure over join-irreducible principal congruences.
 
-    Seeds with the identity and repeatedly joins with principal
-    congruences of all pairs until nothing new appears; complete because
-    every congruence is the join of the principal congruences it
-    contains.  Refuses semigroups above ``max_elements``.
+    Seeds with the identity and repeatedly joins with generators until
+    nothing new appears.  Every congruence is the join of the principal
+    congruences it contains, so every join-irreducible congruence is
+    principal; and in a finite lattice every element is the join of the
+    join-irreducibles below it.  The join-irreducible principals are
+    therefore enough generators.  A principal congruence theta(x, y) is
+    join-irreducible exactly when the join of the principals strictly
+    below it leaves x and y apart: that join is the join of everything
+    strictly below theta(x, y), which is theta(x, y) itself as soon as it
+    identifies x and y.  The test uses partition joins only, nothing from
+    the ideal side.  Refuses semigroups above ``max_elements``.
     """
-    if s.n > max_elements:
-        raise CapExceeded(
-            f"semigroup has {s.n} elements; enumeration cap is {max_elements}"
-        )
+    s.check_element_cap(max_elements)
     mult = s.table_bytes
     n = s.n
     # each distinct principal congruence with one pair (x, y) generating it
-    atoms: list[tuple[int, int, bytes]] = []
-    seen_atoms = set()
+    principals: list[tuple[int, int, bytes]] = []
+    seen = set()
     for x in range(n):
         for y in range(x + 1, n):
             lab = _kernels.principal_labels(mult, n, x, y)
-            if lab not in seen_atoms:
-                seen_atoms.add(lab)
-                atoms.append((x, y, lab))
+            if lab not in seen:
+                seen.add(lab)
+                principals.append((x, y, lab))
     labels = join_closure(
         bytes(range(n)),
-        atoms,
+        [p for p in principals if _join_irreducible(p, principals)],
         below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],  # theta(x, y) <= cur
         join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
         key=lambda lab: lab,
     )
     return _sorted_congruences(s, labels)
+
+
+def _join_irreducible(principal, principals) -> bool:
+    """True iff the principals strictly below theta(x, y) do not identify x and y."""
+    x, y, lab = principal
+    acc = bytes(range(len(lab)))
+    for bx, by, blab in principals:
+        # theta(bx, by) < theta(x, y), and not already below the accumulated join
+        if lab[bx] == lab[by] and acc[bx] != acc[by] and blab != lab:
+            acc = _kernels.join_labels(acc, blab)
+            if acc[x] == acc[y]:
+                return False
+    return True
 
 
 def enumerate_congruences_bruteforce(s: PathSemigroup, max_elements: int = 10) -> list[Congruence]:

@@ -134,9 +134,20 @@ def test_kernel_limit_fires_before_the_table(tmp_path, forbid, capsys):
 def test_paths_lists_every_path_without_the_table(tmp_path, forbid, capsys):
     expected = [p.name for p in quiver.enumerate_paths(doubled_chain(10))]
     calls = forbid("_product_table")
-    assert main(["paths", write_chain(tmp_path, 10)]) == 0
+    assert main(["paths", "--max-elements", "5000", write_chain(tmp_path, 10)]) == 0
     assert capsys.readouterr().out.splitlines() == expected
     assert len(expected) == chain_elements(10) - 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("pairs", [10, 30])
+def test_paths_refuses_without_listing(pairs, tmp_path, forbid, capsys):
+    # 30 pairs: 4,294,967,264 elements, counted without listing a path
+    calls = forbid("enumerate_paths", "_product_table")
+    assert main(["paths", write_chain(tmp_path, pairs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cap_message(pairs)}\n"
     assert calls == []
 
 

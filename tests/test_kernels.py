@@ -99,24 +99,40 @@ def test_meet_matches_naive(kern):
         assert got == want
 
 
+def naive_principal(mult, n, x, y):
+    """theta(x, y) by the definition: merge every pair (a*x*b, a*y*b), a and b possibly absent."""
+    pairs = set()
+    for a in range(n + 1):
+        ax = x if a == n else mult[a * n + x]
+        ay = y if a == n else mult[a * n + y]
+        for b in range(n + 1):
+            u = ax if b == n else mult[ax * n + b]
+            v = ay if b == n else mult[ay * n + b]
+            pairs.add((u, v))
+    labels = list(range(n))
+    for u, v in pairs:
+        lu, lv = labels[u], labels[v]
+        if lu != lv:
+            labels = [lu if lab == lv else lab for lab in labels]
+    return _kernels.canonical_labels(labels)
+
+
 @pytest.mark.parametrize("kern", KERNELS)
 def test_principal_matches_naive_closure(kern, chain_table):
     mult, n, _ = chain_table
     for x, y in itertools.combinations(range(n), 2):
-        pairs = set()
-        for a in range(n + 1):
-            ax = x if a == n else mult[a * n + x]
-            ay = y if a == n else mult[a * n + y]
-            for b in range(n + 1):
-                u = ax if b == n else mult[ax * n + b]
-                v = ay if b == n else mult[ay * n + b]
-                pairs.add((u, v))
-        labels = list(range(n))
-        for u, v in pairs:
-            lu, lv = labels[u], labels[v]
-            if lu != lv:
-                labels = [lu if lab == lv else lab for lab in labels]
-        assert kern.principal_labels(mult, n, x, y) == kern.canonical_labels(labels)
+        assert kern.principal_labels(mult, n, x, y) == naive_principal(mult, n, x, y)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_principal_matches_naive_closure_on_random_quivers(seed):
+    mult, n, _ = semigroup_table(random_acyclic_quiver(random.Random(seed), 4, 5, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    for x, y in pairs:
+        assert _kernels.principal_labels(mult, n, x, y) == naive_principal(mult, n, x, y)
+    # with two vertices or more, some nonzero left factor a has a*x == a*y
+    assert n < 3 or any(mult[a * n + x] == mult[a * n + y] for x, y in pairs for a in range(1, n))
 
 
 @pytest.mark.parametrize("kern", KERNELS)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcong import _kernels
+from pathcong import _kernels, semigroup
 from pathcong import (
     ZERO,
     CapExceeded,
@@ -26,6 +26,7 @@ from pathcong import (
     random_acyclic_quiver,
     universal_congruence,
 )
+from pathcong.verify import congruence_lattice
 
 
 @pytest.fixture
@@ -322,3 +323,88 @@ def test_table_bytes_refuses_past_the_kernel_limit_from_the_count():
     big = build_semigroup(chain(23))
     with pytest.raises(CapExceeded, match="277 elements exceeds the kernel table limit of 255"):
         big.table_bytes
+
+
+# Enumeration joins only the join-irreducible principal congruences.  The
+# reference is the closure it replaced, over every distinct principal.
+
+
+def all_principal_closure(s):
+    """Every congruence as label bytes: the join-closure over all distinct principals."""
+    n = s.n
+    principals = {}
+    for x, y in itertools.combinations(range(n), 2):
+        principals.setdefault(_kernels.principal_labels(s.table_bytes, n, x, y), (x, y))
+    return semigroup.join_closure(
+        bytes(range(n)),
+        [(x, y, lab) for lab, (x, y) in principals.items()],
+        below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],
+        join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
+        key=lambda lab: lab,
+    )
+
+
+def enumerate_with_generators(s):
+    """enumerate_congruences(s) and the generators it passed to join_closure."""
+    generators = []
+    real = semigroup.join_closure
+
+    def spy(seed, atoms, **kwargs):
+        generators.extend(atoms)
+        return real(seed, atoms, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "join_closure", spy)
+        congs = enumerate_congruences(s)
+    return congs, generators
+
+
+def assert_generators_are_join_irreducible(q):
+    s = build_semigroup(q)
+    congs, generators = enumerate_with_generators(s)
+    expected = all_principal_closure(s)
+    assert len(congs) == len(expected)
+    assert {c.labels for c in congs} == set(expected)
+    lat = congruence_lattice(s, congs)
+    lower_covers = [0] * lat.n
+    for _, hi in lat.covers:
+        lower_covers[hi] += 1
+    irreducible = {lat.elements[i].labels for i in range(lat.n) if lower_covers[i] == 1}
+    kept = [lab for _, _, lab in generators]
+    assert len(set(kept)) == len(kept)
+    assert set(kept) == irreducible
+    for x, y, lab in generators:
+        assert _kernels.principal_labels(s.table_bytes, s.n, x, y) == lab
+
+
+def kronecker_quiver(arrows):
+    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
+
+
+def star_quiver(leaves):
+    tips = [f"l{i}" for i in range(1, leaves + 1)]
+    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+@pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)
+def test_generators_are_join_irreducible_on_quiver_files(path):
+    assert_generators_are_join_irreducible(parse_quiver(path.read_text()))
+
+
+@pytest.mark.parametrize("q", [kronecker_quiver(5), star_quiver(5)], ids=["kronecker5", "star5"])
+def test_generators_are_join_irreducible_on_wide_quivers(q):
+    assert_generators_are_join_irreducible(q)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_generators_are_join_irreducible_on_random_quivers(seed):
+    assert_generators_are_join_irreducible(random_acyclic_quiver(random.Random(seed), 4, 5, 12))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_star_keeps_2k_plus_1_generators(k):
+    # every congruence is Rees; the join-irreducibles collapse the principal
+    # ideals of the centre c, of each tip l_i and of each arrow a_i
+    _, generators = enumerate_with_generators(build_semigroup(star_quiver(k)))
+    assert len(generators) == 2 * k + 1

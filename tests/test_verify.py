@@ -384,3 +384,17 @@ def test_star_family_count_on_both_routes(k):
     expected = 3**k + 2**k
     assert len(enumerate_congruences(build_semigroup(q))) == expected
     assert len(enumerate_special_ideals(q)) == expected
+
+
+# The congruence route alone reaches further: enumeration joins only the
+# join-irreducible principals, while the ideal route stays at k <= 6.
+
+
+@pytest.mark.parametrize("k", [7])
+def test_kronecker_family_count_on_the_congruence_route(k):
+    assert len(enumerate_congruences(build_semigroup(kronecker(k)))) == bell(k + 1) + 3
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_star_family_count_on_the_congruence_route(k):
+    assert len(enumerate_congruences(build_semigroup(star(k)))) == 3**k + 2**k
