@@ -42,7 +42,6 @@ from .lattice import (
 from .linalg import (
     PathVector,
     Subspace,
-    membership,
     row_reduce,
     subspace_intersection,
     subspace_sum,

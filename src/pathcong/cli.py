@@ -15,7 +15,7 @@ from .ideals import enumerate_special_ideals
 from .lattice import lattice_properties, lattice_to_dot, lattice_to_json_dict
 from .quiver import QuiverError, is_acyclic, max_parallel_paths, parse_quiver, quiver_to_text
 from .random_quivers import random_acyclic_quiver
-from .semigroup import CapExceeded, build_semigroup, enumerate_congruences
+from .semigroup import DEFAULT_MAX_ELEMENTS, CapExceeded, build_semigroup, enumerate_congruences
 from .verify import (
     check_theorems,
     congruence_label,
@@ -181,26 +181,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="list all paths in canonical order")
     p.add_argument("file")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("congruences", help="enumerate all congruences")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
     p.set_defaults(func=_cmd_congruences)
 
     p = sub.add_parser("ideals", help="enumerate all special ideals")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
     p.set_defaults(func=_cmd_ideals)
 
     p = sub.add_parser("lattice", help="build the congruence lattice")
     p.add_argument("file")
     p.add_argument("--dot", metavar="PATH", help="write a DOT rendering to PATH")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("predict", help="predict lattice properties from path counts alone")
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the theorem-verification harness")
     p.add_argument("file")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=20)
+    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("random-check", help="verify the theorems on random quivers")
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_int_at_least(1), default=10)
     # one vertex plus zero: no path semigroup has fewer than 2 elements
-    p.add_argument("--max-elements", type=_int_at_least(2), default=20)
+    p.add_argument("--max-elements", type=_int_at_least(2), default=DEFAULT_MAX_ELEMENTS)
     p.set_defaults(func=_cmd_random_check)
 
     return parser

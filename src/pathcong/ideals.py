@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_intersection, subspace_sum
 from .quiver import Quiver
-from .semigroup import Congruence, PathSemigroup, build_semigroup, join_closure
+from .semigroup import DEFAULT_MAX_ELEMENTS, Congruence, PathSemigroup, build_semigroup, join_closure
 
 
 # This cache and all_relations' are bounded, so a long run over many
@@ -200,7 +200,9 @@ def ideal_meet(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
     return generate_ideal(q, rels)
 
 
-def enumerate_special_ideals(q: Quiver, max_elements: int = 20) -> list[SpecialIdeal]:
+def enumerate_special_ideals(
+    q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> list[SpecialIdeal]:
     """Every special ideal, by join-closure over single-relation ideals.
 
     Deduplicated by RREF space; ordered by (dimension, basis), so the
@@ -250,7 +252,8 @@ def ideal_to_congruence(s: PathSemigroup, ideal: SpecialIdeal) -> Congruence:
 
     The zero element vectorizes as the zero vector.  Elements are grouped
     by their residues against the ideal's basis (equal residues mean the
-    difference reduces to zero).
+    difference reduces to zero); an ``int`` and a ``Fraction`` of equal
+    value compare and hash equal, so the residue items are the key.
     """
     if s.quiver != ideal.quiver:
         raise ValueError("ideal lives over a different quiver")
@@ -258,7 +261,7 @@ def ideal_to_congruence(s: PathSemigroup, ideal: SpecialIdeal) -> Congruence:
     residues = []
     for e in range(s.n):
         vec = PathVector() if e == 0 else PathVector({e - 1: 1})
-        residues.append(tuple((i, c.numerator, c.denominator) for i, c in space.reduce(vec).items()))
+        residues.append(tuple(space.reduce(vec).items()))
     labels = _kernels.canonical_labels(residues)
     if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
         raise RuntimeError("residue partition is not a congruence; ideal is not special")

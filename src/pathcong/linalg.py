@@ -5,9 +5,10 @@ Vectors are sparse mappings from basis index to an exact coefficient, an
 float; a vector stores integral input as an ``int``.  The verifier's
 vectors are monomials and differences of two paths, whose reduced bases
 stay integral, so elimination runs in ``int`` arithmetic and builds a
-``Fraction`` only when a pivot is not a unit.  Subspaces carry their
-reduced row-echelon basis, which is canonical: two subspaces are equal
-exactly when their bases are identical.
+``Fraction`` only when a pivot is not a unit.  A subspace is stored
+once, as its reduced row-echelon pivot -> row map, which is canonical:
+two subspaces are equal exactly when their row maps are identical.  Its
+basis, pivots and hashable key are derived from that map.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class PathVector:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_index(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
 
     def __add__(self, other: "PathVector") -> "PathVector":
         data = dict(self.coeffs)
@@ -109,13 +107,15 @@ def _wrap(data: dict) -> PathVector:
     return v
 
 
-def _eliminate(work: dict, rows: dict[int, dict]) -> None:
-    """Subtract pivot rows from ``work`` in place until no pivot index remains.
+def _residue(coeffs: dict, rows: dict[int, dict]) -> dict:
+    """A copy of ``coeffs`` with every pivot of the RREF ``rows`` eliminated.
 
     A reduced row has no entry in any other row's pivot column, so the
-    pivots to clear are exactly those already in ``work``, each with the
-    coefficient ``work`` holds there.
+    pivots to clear are exactly those already in the copy, each with the
+    coefficient it holds there.  The result is empty iff ``coeffs`` lies
+    in the span of ``rows``.
     """
+    work = dict(coeffs)
     for p in [i for i in work if i in rows]:
         c = work[p]
         for i, rc in rows[p].items():
@@ -124,6 +124,7 @@ def _eliminate(work: dict, rows: dict[int, dict]) -> None:
                 work[i] = v
             else:
                 del work[i]
+    return work
 
 
 def _absorb(rows: dict[int, dict], coeffs: dict) -> None:
@@ -133,8 +134,7 @@ def _absorb(rows: dict[int, dict], coeffs: dict) -> None:
     row dicts with the subspace it was copied from.  A unit pivot keeps
     integer rows integral; only another pivot builds a ``Fraction``.
     """
-    work = dict(coeffs)
-    _eliminate(work, rows)
+    work = _residue(coeffs, rows)
     if not work:
         return
     p = min(work)
@@ -159,48 +159,46 @@ def _absorb(rows: dict[int, dict], coeffs: dict) -> None:
     rows[p] = new_row
 
 
-def _from_rows(dim: int, rows: dict[int, dict]) -> "Subspace":
-    return Subspace(dim, tuple(_wrap(rows[p]) for p in sorted(rows)))
-
-
 class Subspace:
-    """A subspace of the ambient coordinate space, held as an RREF basis.
+    """A subspace of the ambient coordinate space, held as its RREF rows.
 
-    Pivot columns strictly increase, pivots equal 1, and pivot columns
-    vanish in every other basis row, so equal spans have identical bases.
+    The rows map each pivot column to its row: the pivot entry is 1 and
+    every other row vanishes in that column, so equal spans have
+    identical row maps.  The rows are kept in increasing pivot order and
+    are never changed in place.
     """
 
-    __slots__ = ("dim_ambient", "basis", "_rows", "_key")
+    __slots__ = ("dim_ambient", "_rows", "_key")
 
-    def __init__(self, dim_ambient: int, basis: tuple[PathVector, ...]):
+    def __init__(self, dim_ambient: int, rows: dict[int, dict]):
         self.dim_ambient = dim_ambient
-        self.basis = basis
-        self._rows = {v.leading_index(): v.coeffs for v in basis}
+        self._rows = dict(sorted(rows.items()))
         self._key = None
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(v.leading_index() for v in self.basis)
+        return tuple(self._rows)
+
+    @property
+    def basis(self) -> tuple[PathVector, ...]:
+        return tuple(_wrap(row) for row in self._rows.values())
 
     def reduce(self, v: PathVector) -> PathVector:
         """Residual of v after eliminating every pivot; zero iff v lies in the span."""
-        work = dict(v.coeffs)
-        _eliminate(work, self._rows)
-        return _wrap(work)
+        return _wrap(_residue(v.coeffs, self._rows))
 
     def contains(self, v: PathVector) -> bool:
-        work = dict(v.coeffs)
-        _eliminate(work, self._rows)
-        return not work
+        return not _residue(v.coeffs, self._rows)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if other.dim > self.dim:
+        rows = self._rows
+        if len(other._rows) > len(rows):
             return False
-        return all(self.contains(v) for v in other.basis)
+        return not any(_residue(row, rows) for row in other._rows.values())
 
     def coordinates_of(self, v: PathVector):
         """Coefficients of v in the basis (ints or Fractions), or None.
@@ -208,16 +206,16 @@ class Subspace:
         Only basis row k is nonzero at pivot k, so v's coordinate there is
         its own coefficient at that pivot.
         """
-        work = dict(v.coeffs)
-        _eliminate(work, self._rows)
-        return None if work else tuple(v.coeffs.get(p, 0) for p in self._rows)
+        if _residue(v.coeffs, self._rows):
+            return None
+        return tuple(v.coeffs.get(p, 0) for p in self._rows)
 
     def key(self):
-        """Canonical hashable form of the basis."""
+        """Canonical hashable form of the rows: ``(index, numerator, denominator)`` per entry."""
         if self._key is None:
             self._key = tuple(
-                tuple((i, c.numerator, c.denominator) for i, c in v.items())
-                for v in self.basis
+                tuple((i, c.numerator, c.denominator) for i, c in sorted(row.items()))
+                for row in self._rows.values()
             )
         return self._key
 
@@ -236,10 +234,10 @@ class Subspace:
 
 
 def row_reduce(vectors, dim: int) -> Subspace:
-    """RREF basis of the span of the given vectors, exactly.
+    """RREF of the span of the given vectors, exactly.
 
     Idempotent and order-independent: any spanning set of the same space
-    produces the identical basis.
+    produces the identical rows.
     """
     rows: dict[int, dict] = {}
     for v in vectors:
@@ -247,48 +245,39 @@ def row_reduce(vectors, dim: int) -> Subspace:
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= dim):
             raise ValueError("vector index out of range for ambient dimension")
         _absorb(rows, coeffs)
-    return _from_rows(dim, rows)
-
-
-def membership(s: Subspace, v: PathVector) -> bool:
-    """True iff v reduces to zero against the basis of s."""
-    return s.contains(v)
+    return Subspace(dim, rows)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces: the smaller basis absorbed into the larger one's rows."""
+    """Sum of two subspaces: the smaller one's rows absorbed into the larger one's."""
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimensions differ")
     if a.dim < b.dim:
         a, b = b, a
     rows = dict(a._rows)
-    for v in b.basis:
-        _absorb(rows, v.coeffs)
-    return a if len(rows) == a.dim else _from_rows(a.dim_ambient, rows)
+    for row in b._rows.values():
+        _absorb(rows, row)
+    return a if len(rows) == a.dim else Subspace(a.dim_ambient, rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by the kernel (Zassenhaus) method.
 
     Row-reduce the block rows (u|u) for u in a and (w|0) for w in b; the
-    reduced rows supported entirely in the right block span a ∩ b.
+    reduced rows supported entirely in the right block are already the
+    RREF rows of a ∩ b, shifted by the ambient dimension.
     """
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimensions differ")
     d = a.dim_ambient
-    rows = []
-    for u in a.basis:
-        data = dict(u.coeffs)
-        data.update({i + d: c for i, c in u.coeffs.items()})
-        rows.append(_wrap(data))
-    rows.extend(b.basis)
-    big = row_reduce(rows, 2 * d)
-    inter = [
-        _wrap({i - d: c for i, c in v.coeffs.items()})
-        for v in big.basis
-        if v.leading_index() >= d
-    ]
-    return row_reduce(inter, d)
+    rows: dict[int, dict] = {}
+    for u in a._rows.values():
+        _absorb(rows, {**u, **{i + d: c for i, c in u.items()}})
+    for w in b._rows.values():
+        _absorb(rows, w)
+    return Subspace(
+        d, {p - d: {i - d: c for i, c in row.items()} for p, row in rows.items() if p >= d}
+    )
 
 
 def format_path_vector(v: PathVector, names) -> str:
@@ -317,6 +306,3 @@ def path_vector_to_json(v: PathVector, names) -> dict:
     """JSON form {"path-name": "num/den", ...}; fractions in lowest terms."""
     return {names[i]: str(c) for i, c in v.items()}
 
-
-def path_vector_from_json(obj: dict, index_by_name) -> PathVector:
-    return PathVector({index_by_name[name]: Fraction(val) for name, val in obj.items()})

@@ -5,14 +5,14 @@ from __future__ import annotations
 import random
 
 from .quiver import Quiver
-from .semigroup import build_semigroup
+from .semigroup import DEFAULT_MAX_ELEMENTS, build_semigroup
 
 
 def random_acyclic_quiver(
     rng: random.Random,
     max_vertices: int = 4,
     max_arrows: int = 5,
-    max_elements: int = 20,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> Quiver:
     """Draw a uniform DAG over a fixed topological order.
 
@@ -46,7 +46,7 @@ def random_suite(
     seed: int = 0,
     max_vertices: int = 4,
     max_arrows: int = 5,
-    max_elements: int = 20,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> list[Quiver]:
     """A reproducible list of random quivers from one seeded stream."""
     rng = random.Random(seed)

@@ -13,6 +13,9 @@ class CapExceeded(Exception):
 # The kernels store table entries and block labels in single bytes.
 KERNEL_TABLE_LIMIT = 255
 
+# The element cap every enumeration and CLI command defaults to.
+DEFAULT_MAX_ELEMENTS = 20
+
 
 class _Zero:
     """The absorbing zero element; a process-wide singleton."""
@@ -194,11 +197,13 @@ class Congruence:
         return hash(self.labels)
 
     def __repr__(self):
-        name = self.semigroup.element_name
-        body = " ".join(
-            "{" + ",".join(name(i) for i in block) + "}" for block in self.blocks
-        )
-        return f"Congruence({body})"
+        return f"Congruence({congruence_label(self)})"
+
+
+def congruence_label(c: Congruence) -> str:
+    """The blocks of ``c`` by element name, like ``{0,alpha} {1} {2}``."""
+    name = c.semigroup.element_name
+    return " ".join("{" + ",".join(name(i) for i in b) + "}" for b in c.blocks)
 
 
 def _require_same_semigroup(a: Congruence, b: Congruence) -> PathSemigroup:
@@ -292,7 +297,9 @@ def join_closure(seed, atoms, below, join, key) -> list:
     return list(found.values())
 
 
-def enumerate_congruences(s: PathSemigroup, max_elements: int = 20) -> list[Congruence]:
+def enumerate_congruences(
+    s: PathSemigroup, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> list[Congruence]:
     """Every congruence on s, by join-closure over join-irreducible principal congruences.
 
     Seeds with the identity and repeatedly joins with generators until

@@ -41,9 +41,10 @@ from .quiver import (
     underlying_graph_is_tree,
 )
 from .semigroup import (
-    Congruence,
+    DEFAULT_MAX_ELEMENTS,
     PathSemigroup,
     build_semigroup,
+    congruence_label,
     enumerate_congruences,
     is_rees,
 )
@@ -73,11 +74,6 @@ def predict_properties(q: Quiver) -> dict[str, bool]:
         "lower_semimodular": at_most_two,
         "all_rees": at_most_one,
     }
-
-
-def congruence_label(c: Congruence) -> str:
-    name = c.semigroup.element_name
-    return " ".join("{" + ",".join(name(i) for i in b) + "}" for b in c.blocks)
 
 
 def ideal_label(ideal: SpecialIdeal, names) -> str:
@@ -129,7 +125,7 @@ def _check_on_irreducibles(congs, order, irreducible, table, kernel, kind) -> No
                 )
 
 
-def congruence_lattice(s: PathSemigroup, congs=None, max_elements: int = 20) -> FiniteLattice:
+def congruence_lattice(s: PathSemigroup, congs) -> FiniteLattice:
     """The full congruence lattice as a verified FiniteLattice.
 
     The join and meet tables come from the refinement order, and
@@ -142,8 +138,6 @@ def congruence_lattice(s: PathSemigroup, congs=None, max_elements: int = 20) -> 
     (one upper cover).  A mismatch raises ``LatticeError`` naming the two
     congruences.
     """
-    if congs is None:
-        congs = enumerate_congruences(s, max_elements)
     leq = congruence_leq_matrix(congs)
     labels = tuple(congruence_label(c) for c in congs)
     lat = build_lattice(congs, leq, labels=labels)
@@ -179,7 +173,7 @@ def ideal_leq_matrix(ideals, inc=None) -> np.ndarray:
     return (have @ (1 - have).T) == 0
 
 
-def ideal_lattice(q: Quiver, ideals=None, max_elements: int = 20) -> FiniteLattice:
+def ideal_lattice(q: Quiver, ideals=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
     """The lattice of special ideals, built directly from the ideal operations.
 
     Join and meet run the genuine ideal computations pair by pair, so keep
@@ -236,7 +230,7 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def check_theorems(q: Quiver, max_elements: int = 20) -> TheoremReport:
+def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TheoremReport:
     """Run the full two-route verification on one acyclic quiver.
 
     Enumerates congruences and special ideals independently, checks the

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from pathcong.linalg import (
     PathVector,
     format_path_vector,
-    membership,
-    path_vector_from_json,
     path_vector_to_json,
     row_reduce,
     subspace_intersection,
@@ -63,12 +61,12 @@ def test_row_reduce_rejects_bad_index():
 
 def test_membership_examples():
     span = row_reduce([vec(a=1), vec(b=1, g=-1)], 5)
-    assert membership(span, vec(a=1, b=-1, g=1))
+    assert span.contains(vec(a=1, b=-1, g=1))
     zero = row_reduce([], 5)
-    assert not membership(zero, vec(a=1))
+    assert not zero.contains(vec(a=1))
     span2 = row_reduce([vec(a=1, b=-1), vec(b=1, g=-1)], 5)
-    assert membership(span2, vec(a=1, g=-1))
-    assert not membership(span2, vec(a=1))
+    assert span2.contains(vec(a=1, g=-1))
+    assert not span2.contains(vec(a=1))
 
 
 def test_sum_and_intersection_disjoint():
@@ -179,8 +177,6 @@ def test_json_roundtrip():
     v = PathVector({A: Fraction(3, 2), B: -1})
     blob = path_vector_to_json(v, names)
     assert blob == {"alpha": "3/2", "beta": "-1"}
-    back = path_vector_from_json(blob, {n: i for i, n in enumerate(names)})
-    assert back == v
 
 
 def test_format_path_vector():
@@ -273,12 +269,18 @@ def test_integer_fast_path_matches_fraction_reference(avs, bvs, probes):
     assert b.key() == _reference_key(rb)
     for v in probes + bvs:
         assert a.contains(v) == _reference_contains(ra, v)
+        assert a.reduce(v).is_zero == a.contains(v)
+    assert a.contains_subspace(b) == all(_reference_contains(ra, PathVector(w)) for w in rb.values())
+    assert b.contains_subspace(a) == all(_reference_contains(rb, PathVector(w)) for w in ra.values())
     total = subspace_sum(a, b)
     assert total.key() == _reference_key(_reference_rows(avs + bvs))
     inter = subspace_intersection(a, b)
     assert inter.key() == _reference_intersection_key(avs, bvs, _DIM)
-    for sub in (a, b, total, inter):
+    inside = row_reduce([v for v in probes + bvs + avs[1:] if a.contains(v)], _DIM)
+    assert subspace_sum(a, inside) is a
+    for sub in (a, b, total, inter, inside):
         _assert_exact(sub)
+        assert sub.pivots == tuple(min(v.coeffs) for v in sub.basis)
 
 
 def test_integral_coefficients_are_stored_as_int():

@@ -26,7 +26,7 @@ from pathcong import (
     random_acyclic_quiver,
     universal_congruence,
 )
-from pathcong.verify import congruence_lattice
+from pathcong.verify import congruence_label, congruence_lattice
 
 
 @pytest.fixture
@@ -238,6 +238,11 @@ def test_congruence_json_shape(s2):
     alpha = s2.index_by_name("alpha")
     c = principal_congruence(s2, alpha, 0)
     assert c.to_json_dict() == {"blocks": [["0", "alpha"], ["1"], ["2"]]}
+
+
+def test_congruence_repr_is_its_label(s6):
+    for c in enumerate_congruences(s6):
+        assert repr(c) == f"Congruence({congruence_label(c)})"
 
 
 def test_from_blocks_rejects_non_congruence(s2):
