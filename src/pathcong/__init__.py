@@ -26,14 +26,6 @@ from .lattice import (
     FiniteLattice,
     LatticeError,
     build_lattice,
-    find_diamond,
-    find_pentagon,
-    is_distributive,
-    is_lower_semimodular,
-    is_modular,
-    is_strong_lower_semimodular,
-    is_strong_upper_semimodular,
-    is_upper_semimodular,
     lattice_properties,
     lattice_to_dot,
     lattice_to_json_dict,
@@ -84,7 +76,6 @@ from .verify import (
     TheoremReport,
     check_theorems,
     congruence_lattice,
-    ideal_lattice,
     predict_properties,
 )
 

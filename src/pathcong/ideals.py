@@ -221,7 +221,7 @@ def enumerate_special_ideals(
         if k not in seen_atom_keys:
             seen_atom_keys.add(k)
             atoms.append(ideal)
-    found = join_closure(
+    found, _ = join_closure(
         zero_ideal(q),
         atoms,
         below=lambda cur, atom: cur.space.contains_subspace(atom.space),

@@ -271,50 +271,61 @@ def _sorted_congruences(s: PathSemigroup, label_set) -> list[Congruence]:
     return [Congruence(s, lab) for lab in ordered]
 
 
-def join_closure(seed, atoms, below, join, key) -> list:
-    """Every join of ``seed`` with atoms, found breadth first.
+def join_closure(seed, atoms, below, join, key):
+    """Every join of ``seed`` with atoms, found breadth first, and their join table.
 
     ``below(x, atom)`` says that atom lies below x, so their join is x and
     is skipped.  Joins are deduplicated by ``key``; the first element found
-    for a key is kept.  Returns the elements in the order found, seed first.
-    Complete when every element of the lattice is the seed joined with the
-    atoms below it.
+    for a key is kept.  Returns the elements in the order found, seed first,
+    and one row per element giving, for each atom, the index of the
+    element's join with it.  Complete when every element of the lattice is
+    the seed joined with the atoms below it.
     """
-    found = {key(seed): seed}
-    frontier = [seed]
-    while frontier:
-        fresh = []
-        for cur in frontier:
-            for atom in atoms:
-                if below(cur, atom):
-                    continue
-                joined = join(cur, atom)
-                k = key(joined)
-                if k not in found:
-                    found[k] = joined
-                    fresh.append(joined)
-        frontier = fresh
-    return list(found.values())
+    found = {key(seed): 0}
+    elements = [seed]
+    succ = []
+    for i, cur in enumerate(elements):  # visits the elements appended below, in order
+        row = []
+        for atom in atoms:
+            if below(cur, atom):
+                row.append(i)
+                continue
+            joined = join(cur, atom)
+            k = key(joined)
+            j = found.get(k)
+            if j is None:
+                j = found[k] = len(elements)
+                elements.append(joined)
+            row.append(j)
+        succ.append(row)
+    return elements, succ
 
 
 def enumerate_congruences(
     s: PathSemigroup, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> list[Congruence]:
-    """Every congruence on s, by join-closure over join-irreducible principal congruences.
+    """Every congruence on s, from ``congruence_join_closure``, finest first.
 
-    Seeds with the identity and repeatedly joins with generators until
-    nothing new appears.  Every congruence is the join of the principal
-    congruences it contains, so every join-irreducible congruence is
-    principal; and in a finite lattice every element is the join of the
-    join-irreducibles below it.  The join-irreducible principals are
-    therefore enough generators.  A principal congruence theta(x, y) is
-    join-irreducible exactly when the join of the principals strictly
-    below it leaves x and y apart: that join is the join of everything
-    strictly below theta(x, y), which is theta(x, y) itself as soon as it
-    identifies x and y.  The test uses partition joins only, nothing from
-    the ideal side.  Refuses semigroups above ``max_elements``.
+    Refuses semigroups above ``max_elements``.
     """
     s.check_element_cap(max_elements)
+    return _sorted_congruences(s, congruence_join_closure(s)[0])
+
+
+def congruence_join_closure(s: PathSemigroup):
+    """``join_closure`` of the identity over the join-irreducible principal congruences.
+
+    Every congruence is the join of the principal congruences it contains,
+    so every join-irreducible congruence is principal; and in a finite
+    lattice every element is the join of the join-irreducibles below it.
+    The join-irreducible principals are therefore enough generators.  A
+    principal congruence theta(x, y) is join-irreducible exactly when the
+    join of the principals strictly below it leaves x and y apart: that
+    join is the join of everything strictly below theta(x, y), which is
+    theta(x, y) itself as soon as it identifies x and y.  The test uses
+    partition joins only, nothing from the ideal side.  Returns the label
+    vectors in closure order and their join table with the generators.
+    """
     mult = s.table_bytes
     n = s.n
     # each distinct principal congruence with one pair (x, y) generating it
@@ -326,14 +337,13 @@ def enumerate_congruences(
             if lab not in seen:
                 seen.add(lab)
                 principals.append((x, y, lab))
-    labels = join_closure(
+    return join_closure(
         bytes(range(n)),
         [p for p in principals if _join_irreducible(p, principals)],
         below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],  # theta(x, y) <= cur
         join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
         key=lambda lab: lab,
     )
-    return _sorted_congruences(s, labels)
 
 
 def _join_irreducible(principal, principals) -> bool:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .ideals import (
     SpecialIdeal,
     all_relations,
@@ -42,11 +41,14 @@ from .quiver import (
 )
 from .semigroup import (
     DEFAULT_MAX_ELEMENTS,
+    Congruence,
     PathSemigroup,
     build_semigroup,
+    congruence_join_closure,
     congruence_label,
     enumerate_congruences,
     is_rees,
+    meet_congruences,
 )
 
 PREDICTED_KEYS = PROPERTY_NAMES + ("all_rees",)
@@ -108,45 +110,37 @@ def congruence_leq_matrix(congs) -> np.ndarray:
     return leq
 
 
-def _check_on_irreducibles(congs, order, irreducible, table, kernel, kind) -> None:
-    """Require ``kernel(c, g)`` to be ``table[c, g]`` for every irreducible g.
-
-    Pairs with g below c in ``order`` are skipped, since there both sides
-    are c.  Joins pass the refinement order, meets its transpose.
-    """
-    index = {c.labels: k for k, c in enumerate(congs)}
-    for g in np.flatnonzero(irreducible):
-        lg = congs[g].labels
-        for c in np.flatnonzero(~order[g]):
-            if index.get(kernel(congs[c].labels, lg)) != table[c, g]:
-                raise LatticeError(
-                    f"partition {kind} of {congruence_label(congs[c])!r} and "
-                    f"{congruence_label(congs[g])!r} is not their {kind} in the list"
-                )
-
-
 def congruence_lattice(s: PathSemigroup, congs) -> FiniteLattice:
-    """The full congruence lattice as a verified FiniteLattice.
+    """The lattice of the congruence list ``congs``, checked to be every congruence.
 
-    The join and meet tables come from the refinement order, and
-    ``build_lattice`` verifies them as bounds.  That they are also the
-    partition join and meet (so the list is closed under both) is checked
-    on irreducibles only: every element of a finite lattice is the join of
-    the join-irreducibles (one lower cover) below it, so by associativity
-    agreement of ``c v g`` for every c and every join-irreducible g gives
-    agreement on all pairs; dually for meets and the meet-irreducibles
-    (one upper cover).  A mismatch raises ``LatticeError`` naming the two
-    congruences.
+    ``congruence_join_closure`` runs again and gives S[c, k], the index of
+    c v g_k for each join-irreducible principal congruence g_k.  Its
+    elements must be exactly the list, else ``LatticeError`` names a
+    congruence the list lacks or adds.  The list then holds the identity,
+    is closed under joins with every generator, and each member is a join
+    of generators, so it is closed under partition joins: a finite
+    join-closed family with a bottom, hence a lattice whose join is the
+    partition join.  Its meet is the partition meet, which is a congruence
+    and so in the list; ``property_witnesses`` checks each meet it takes.
     """
-    leq = congruence_leq_matrix(congs)
+    found, succ = congruence_join_closure(s)
+    index = {c.labels: k for k, c in enumerate(congs)}
+    pos = np.empty(len(found), dtype=np.intp)
+    for i, lab in enumerate(found):
+        if lab not in index:
+            lacked = congruence_label(Congruence(s, lab))
+            raise LatticeError(f"the list lacks the congruence {lacked!r}")
+        pos[i] = index[lab]
+    if len(found) != len(congs):  # a congruence outside the closure, or listed twice
+        listed = np.zeros(len(congs), dtype=bool)
+        listed[pos] = True
+        added = congruence_label(congs[int(np.argmin(listed))])
+        raise LatticeError(f"the list adds the congruence {added!r}")
+    succ = np.array(succ, dtype=np.intp)
+    S = np.empty_like(succ)
+    S[pos] = pos[succ]
     labels = tuple(congruence_label(c) for c in congs)
-    lat = build_lattice(congs, leq, labels=labels)
-    cover_pairs = np.array(lat.covers, dtype=np.intp).reshape(-1, 2)
-    lower_covers = np.bincount(cover_pairs[:, 1], minlength=lat.n)
-    upper_covers = np.bincount(cover_pairs[:, 0], minlength=lat.n)
-    _check_on_irreducibles(congs, leq, lower_covers == 1, lat.join, _kernels.join_labels, "join")
-    _check_on_irreducibles(congs, leq.T, upper_covers == 1, lat.meet, _kernels.meet_labels, "meet")
-    return lat
+    return build_lattice(congs, S, meet_congruences, labels=labels)
 
 
 def relation_incidence(ideals, rels) -> np.ndarray:
@@ -169,25 +163,7 @@ def ideal_leq_matrix(ideals, inc=None) -> np.ndarray:
     """
     if inc is None:
         inc = relation_incidence(ideals, all_relations(ideals[0].quiver) if ideals else ())
-    have = inc.astype(np.int64)
-    return (have @ (1 - have).T) == 0
-
-
-def ideal_lattice(q: Quiver, ideals=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
-    """The lattice of special ideals, built directly from the ideal operations.
-
-    Join and meet run the genuine ideal computations pair by pair, so keep
-    this to desk-scale inputs.  ``check_theorems`` builds no ideal lattice:
-    it verifies that the congruence/ideal bijection preserves and reflects
-    order and takes the ideal covers as the image of the congruence covers.
-    """
-    from .ideals import _semigroup_for, ideal_join, ideal_meet
-
-    if ideals is None:
-        ideals = enumerate_special_ideals(q, max_elements)
-    path_names = [p.name for p in _semigroup_for(q).paths]
-    labels = tuple(ideal_label(i, path_names) for i in ideals)
-    return build_lattice(ideals, ideal_leq_matrix(ideals), ideal_join, ideal_meet, labels=labels)
+    return ~(inc @ ~inc.T)  # boolean product: some relation of a is not in b
 
 
 @dataclass
@@ -290,7 +266,7 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
         # ideal I is the image of exactly one c.  ideal_to_congruence reads
         # only the RREF space, which I shares with that image, so
         # ideal_to_congruence(I) == c and congruence_to_ideal of it is I.
-        if not (leq_i[np.ix_(perm, perm)] == lat_c.leq).all():
+        if not (leq_i[np.ix_(perm, perm)] == congruence_leq_matrix(congs)).all():
             raise AssertionError("bijection does not preserve order")
         # a bijection that preserves and reflects order is a lattice
         # isomorphism, so it carries the verified covers onto the ideals'

@@ -6,11 +6,12 @@ show when the benchmark runs; this catches a rename in the test suite.
 
 import importlib
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
 import pathcong
-from pathcong import _kernels, check_theorems
+from pathcong import _kernels
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -51,18 +52,28 @@ def test_kernel_hooks_the_benchmark_reads():
 
 
 def test_check_theorems_reaches_every_traced_kernel(triple_arrow, monkeypatch):
-    # the benchmark's self-test needs every traced kernel called on a
-    # verifying workload; the three-arrow Kronecker quiver is one
-    calls = dict.fromkeys(_load_tracer().KERNELS, 0)
+    # the benchmark's self-test needs every traced function called on a
+    # verifying workload; the three-arrow Kronecker quiver is one.  Like the
+    # tracer, replace every binding of a function and a method on its class.
+    calls = dict.fromkeys(_load_tracer().TARGETS, 0)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "pathcong"]
+    for name, (modname, attr, _) in _load_tracer().TARGETS.items():
+        owner = importlib.import_module(modname)
+        *cls, fname = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        original = getattr(owner, fname)
 
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(_kernels, name, counting(name, getattr(_kernels, name)))
-    assert check_theorems(triple_arrow).ok
-    assert all(calls.values()), calls
+        if cls:
+            monkeypatch.setattr(owner, fname, counting)
+            continue
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    assert pathcong.check_theorems(triple_arrow).ok  # the patched binding
+    assert all(calls.values()), [name for name, n in calls.items() if not n]

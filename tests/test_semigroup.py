@@ -346,7 +346,7 @@ def all_principal_closure(s):
         below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],
         join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
         key=lambda lab: lab,
-    )
+    )[0]
 
 
 def enumerate_with_generators(s):
@@ -389,6 +389,25 @@ def kronecker_quiver(arrows):
 def star_quiver(leaves):
     tips = [f"l{i}" for i in range(1, leaves + 1)]
     return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+@pytest.mark.parametrize("q", [kronecker_quiver(4), star_quiver(4)], ids=["kronecker4", "star4"])
+def test_join_closure_table_records_each_join(q):
+    # row i, column k is the index of element i joined with atom k, also
+    # where the atom lies below and no join is formed
+    s = build_semigroup(q)
+    pairs = [(0, 3), (3, 4), (1, 2)]
+    atoms = [(x, y, _kernels.principal_labels(s.table_bytes, s.n, x, y)) for x, y in pairs]
+    found, succ = semigroup.join_closure(
+        bytes(range(s.n)),
+        atoms,
+        below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],
+        join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
+        key=lambda lab: lab,
+    )
+    assert len(set(found)) == len(found) == len(succ)
+    for cur, row in zip(found, succ):
+        assert [found[j] for j in row] == [_kernels.join_labels(cur, lab) for _, _, lab in atoms]
 
 
 @pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)

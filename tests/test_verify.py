@@ -22,12 +22,12 @@ from pathcong import (
     predict_properties,
     random_acyclic_quiver,
 )
+from lattice_oracles import congruence_table, ideal_lattice, transitive_reduction
 from pathcong import _kernels, verify
 from pathcong.verify import (
     congruence_label,
     congruence_lattice,
     congruence_leq_matrix,
-    ideal_lattice,
     ideal_leq_matrix,
 )
 
@@ -72,6 +72,14 @@ def test_ideal_leq_matrix_matches_subset(triple_arrow):
     for i, a in enumerate(ideals):
         for j, b in enumerate(ideals):
             assert leq[i, j] == a.subset_of(b)
+
+
+@given(st.integers(1, 40), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_ideal_leq_matrix_matches_the_integer_product(m, r, seed):
+    inc = np.random.default_rng(seed).random((m, r)) < 0.5
+    have = inc.astype(np.int64)
+    assert (ideal_leq_matrix([None] * m, inc) == ((have @ (1 - have).T) == 0)).all()
 
 
 def test_check_theorems_paper_quivers(single_arrow, kronecker, triple_arrow):
@@ -196,42 +204,17 @@ def star(leaves):
     return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
 
 
-def pairwise_tables(congs):
-    """Join and meet tables from one kernel call per pair, looked up in the list.
-
-    The reference for ``congruence_lattice``; raises ``KeyError`` when the
-    partition join or meet of two listed congruences is not listed.
-    """
-    index = {c.labels: k for k, c in enumerate(congs)}
-    m = len(congs)
-    J = np.empty((m, m), dtype=np.intp)
-    M = np.empty((m, m), dtype=np.intp)
-    for a in range(m):
-        la = congs[a].labels
-        J[a, a] = M[a, a] = a
-        for b in range(a + 1, m):
-            lb = congs[b].labels
-            J[a, b] = J[b, a] = index[_kernels.join_labels(la, lb)]
-            M[a, b] = M[b, a] = index[_kernels.meet_labels(la, lb)]
-    return J, M
-
-
-def pairwise_covers(congs):
-    """Covers of the refinement order: strict pairs with nothing strictly between."""
-    m = len(congs)
-    strict = np.array([[a.refines(b) and a != b for b in congs] for a in congs])
-    between = strict.astype(np.int64) @ strict.astype(np.int64)
-    return tuple((i, j) for i in range(m) for j in range(m) if strict[i, j] and not between[i, j])
-
-
 def assert_matches_pairwise(q):
+    """Lindig covers are the transitive reduction of the refinement order, and
+    each join-table entry is one partition-join kernel call, looked up in the list."""
     s = build_semigroup(q)
     congs = enumerate_congruences(s)
     lat = congruence_lattice(s, congs)
-    J, M = pairwise_tables(congs)
-    assert (lat.join == J).all()
-    assert (lat.meet == M).all()
-    assert lat.covers == pairwise_covers(congs)
+    assert lat.covers == transitive_reduction(congruence_leq_matrix(congs))
+    index = {c.labels: k for k, c in enumerate(congs)}
+    generators = [congs[g].labels for g in lat.succ[0]]  # congs[0] is the identity
+    for c, row in zip(congs, lat.succ):
+        assert [index[_kernels.join_labels(c.labels, g)] for g in generators] == row.tolist()
 
 
 @pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
@@ -251,21 +234,13 @@ def test_congruence_lattice_matches_pairwise_on_random_quivers(seed):
 
 
 @pytest.mark.parametrize("q", [kronecker(3), star(3)], ids=["kronecker3", "star3"])
-def test_dropped_congruence_detected_exactly_when_pairwise_loop_fails(q):
+def test_dropped_congruence_is_named(q):
     s = build_semigroup(q)
     congs = enumerate_congruences(s)
-    detected = 0
-    for k in range(len(congs)):
-        rest = congs[:k] + congs[k + 1:]
-        try:
-            pairwise_tables(rest)
-        except KeyError:
-            with pytest.raises(LatticeError):
-                congruence_lattice(s, rest)
-            detected += 1
-        else:
-            congruence_lattice(s, rest)
-    assert detected
+    for k, c in enumerate(congs):
+        label = re.escape(repr(congruence_label(c)))
+        with pytest.raises(LatticeError, match=f"^the list lacks the congruence {label}$"):
+            congruence_lattice(s, congs[:k] + congs[k + 1:])
 
 
 def test_property_mismatch_names_its_witness(monkeypatch):
@@ -277,28 +252,23 @@ def test_property_mismatch_names_its_witness(monkeypatch):
     assert detail.startswith("modular (witness ")
     labels = re.findall(r"'([^']*)'", detail)
     assert len(labels) == 3
-    s = build_semigroup(q)
-    lat = congruence_lattice(s, enumerate_congruences(s))
-    a, b, c = (lat.labels.index(label) for label in labels)
-    J, M, L = lat.join, lat.meet, lat.leq
+    table = congruence_table(enumerate_congruences(build_semigroup(q)))
+    a, b, c = (table.labels.index(label) for label in labels)
+    J, M, L = table.join, table.meet, table.leq
     assert L[a, c] and M[J[a, b], c] != J[a, M[b, c]]
 
 
-def test_unclosed_list_names_its_witness(chain3):
-    # some lists missing one congruence are still lattices under refinement,
-    # with a join or meet that is not the partition one: the irreducible
-    # check names the failing pair and the operation
+def test_unclosed_list_names_its_witness(chain3, kronecker):
+    # a list must be exactly the join-closure: one it lacks or one it adds,
+    # twice listed or from another semigroup, is named
     s = build_semigroup(chain3)
     congs = enumerate_congruences(s)
-    messages = []
-    for k in range(len(congs)):
-        try:
-            congruence_lattice(s, congs[:k] + congs[k + 1:])
-        except LatticeError as exc:
-            messages.append(str(exc))
-    for kind in ("join", "meet"):
-        pattern = f"^partition {kind} of '{{.*}}' and '{{.*}}' is not their {kind} in the list$"
-        assert any(re.match(pattern, m) for m in messages), kind
+    with pytest.raises(LatticeError, match=r"^the list lacks the congruence '\{0\} .*'$"):
+        congruence_lattice(s, congs[1:])
+    for extra in (congs[3], enumerate_congruences(build_semigroup(kronecker))[1]):
+        label = re.escape(repr(congruence_label(extra)))
+        with pytest.raises(LatticeError, match=f"^the list adds the congruence {label}$"):
+            congruence_lattice(s, congs + [extra])
 
 
 def three_components():
@@ -342,18 +312,19 @@ def test_wrong_ideal_to_congruence_fails_the_round_trip(monkeypatch):
 
 
 def test_congruence_lattice_memory_stays_small():
-    # numpy reports its buffers to tracemalloc; the join/meet tables are
-    # 0.6 MB each at m = 275, so this bounds the blocks of packed up-sets
-    s = build_semigroup(star(5))
-    congs = enumerate_congruences(s)
-    tracemalloc.start()
-    try:
-        lat = congruence_lattice(s, congs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert lat.n == 275
-    assert peak < 4 * 2**20
+    # numpy reports its buffers to tracemalloc; the peak includes the
+    # re-run closure, and one m x m int64 table would be 6.2 MB at m = 880
+    for q, m, mib in ((star(5), 275, 4), (kronecker(6), 880, 8)):
+        s = build_semigroup(q)
+        congs = enumerate_congruences(s)
+        tracemalloc.start()
+        try:
+            lat = congruence_lattice(s, congs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lat.n == m
+        assert peak < mib * 2**20
 
 
 def bell(n):
