@@ -86,9 +86,7 @@ def _cmd_ideals(args) -> int:
 
 def _cmd_lattice(args) -> int:
     q = _load_quiver(args.file)
-    s = build_semigroup(q)
-    congs = enumerate_congruences(s, args.max_elements)
-    lat = congruence_lattice(s, congs)
+    lat = congruence_lattice(build_semigroup(q), args.max_elements)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

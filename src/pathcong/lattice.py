@@ -20,20 +20,24 @@ class LatticeError(ValueError):
 
 
 class FiniteLattice:
-    """Elements with their generator join table, covers, and meet operation."""
+    """Elements with their generator join table, its cover mask, covers, and meet operation."""
 
-    __slots__ = ("elements", "labels", "succ", "covers", "meet")
+    __slots__ = ("elements", "succ", "cover_mask", "covers", "meet")
 
-    def __init__(self, elements, labels, succ, covers, meet):
+    def __init__(self, elements, succ, cover_mask, covers, meet):
         self.elements = elements
-        self.labels = labels
         self.succ = succ
+        self.cover_mask = cover_mask
         self.covers = covers
         self.meet = meet
 
     @property
     def n(self) -> int:
         return len(self.elements)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(str, self.elements))
 
     def __repr__(self):
         return f"FiniteLattice({self.n} elements, {len(self.covers)} covers)"
@@ -56,7 +60,7 @@ def _cover_mask(S: np.ndarray) -> np.ndarray:
     return mask
 
 
-def build_lattice(elements, succ, meet, labels=None) -> FiniteLattice:
+def build_lattice(elements, succ, meet) -> FiniteLattice:
     """A finite lattice from its generator join table.
 
     ``succ[c, k]`` is the index of the join of element c with generator k.
@@ -68,14 +72,14 @@ def build_lattice(elements, succ, meet, labels=None) -> FiniteLattice:
     n = len(elements)
     if n == 0:
         raise LatticeError("a lattice needs at least one element")
-    labels = tuple(str(e) for e in elements) if labels is None else tuple(labels)
     S = np.array(succ, dtype=np.intp)  # a copy: it is frozen below
     if S.ndim != 2 or len(S) != n or S.size and not 0 <= S.min() <= S.max() < n:
         raise LatticeError(f"join table of shape {S.shape} does not index {n} elements")
-    S.flags.writeable = False
-    lo, k = np.nonzero(_cover_mask(S))
+    C = _cover_mask(S)
+    S.flags.writeable = C.flags.writeable = False
+    lo, k = np.nonzero(C)
     covers = tuple(sorted(set(zip(lo.tolist(), S[lo, k].tolist()))))
-    return FiniteLattice(elements, labels, S, covers, meet)
+    return FiniteLattice(elements, S, C, covers, meet)
 
 
 def _between(S: np.ndarray, lo: int, hi: int) -> int:
@@ -115,8 +119,7 @@ def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
     cover-preserving diamond M3.  Else a triple (a, b, c) breaking
     (a v b) ^ c == (a ^ c) v (b ^ c).
     """
-    S = lat.succ
-    C = _cover_mask(S)
+    S, C = lat.succ, lat.cover_mask
     upper = modular = None
     for k in range(S.shape[1]):  # b = c v g_k; a v b = a v g_k = S[a, k]
         b = S[:, k, None]

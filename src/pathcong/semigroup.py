@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import _kernels
 from .quiver import Path, Quiver, enumerate_paths, path_counts
 
@@ -43,15 +45,16 @@ class PathSemigroup:
 
     Only the element count ``n`` is computed up front, from path counts,
     so a size cap can refuse a semigroup before any path or table exists.
-    ``paths``, the name index and ``table`` are built on first use.
+    ``paths``, the name index, ``table`` and ``congruence_closure`` are
+    built on first use.
     """
 
-    __slots__ = ("quiver", "n", "_paths", "_name_to_index", "_table", "_table_bytes")
+    __slots__ = ("quiver", "n", "_paths", "_name_to_index", "_table", "_table_bytes", "_closure")
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
         self.n = 1 + sum(path_counts(quiver).values())
-        self._paths = self._name_to_index = self._table = self._table_bytes = None
+        self._paths = self._name_to_index = self._table = self._table_bytes = self._closure = None
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -64,6 +67,13 @@ class PathSemigroup:
         if self._table is None:
             self._table = _product_table(self.paths)
         return self._table
+
+    @property
+    def congruence_closure(self) -> tuple[tuple[bytes, ...], np.ndarray]:
+        """``congruence_join_closure`` of this semigroup: every congruence and its join table."""
+        if self._closure is None:
+            self._closure = congruence_join_closure(self)
+        return self._closure
 
     @property
     def elements(self):
@@ -196,8 +206,11 @@ class Congruence:
     def __hash__(self):
         return hash(self.labels)
 
+    def __str__(self):
+        return congruence_label(self)
+
     def __repr__(self):
-        return f"Congruence({congruence_label(self)})"
+        return f"Congruence({self})"
 
 
 def congruence_label(c: Congruence) -> str:
@@ -264,11 +277,10 @@ def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
     return Congruence(s, _kernels.meet_labels(a.labels, b.labels))
 
 
-def _sorted_congruences(s: PathSemigroup, label_set) -> list[Congruence]:
+def _finest_first(lab: bytes):
     # finest partitions first, ties in label order: identity lands at index 0,
     # the universal congruence last
-    ordered = sorted(label_set, key=lambda lab: (s.n - (max(lab) + 1), lab))
-    return [Congruence(s, lab) for lab in ordered]
+    return -max(lab), lab
 
 
 def join_closure(seed, atoms, below, join, key):
@@ -304,12 +316,12 @@ def join_closure(seed, atoms, below, join, key):
 def enumerate_congruences(
     s: PathSemigroup, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> list[Congruence]:
-    """Every congruence on s, from ``congruence_join_closure``, finest first.
+    """Every congruence on s, from its cached ``congruence_closure``, finest first.
 
     Refuses semigroups above ``max_elements``.
     """
     s.check_element_cap(max_elements)
-    return _sorted_congruences(s, congruence_join_closure(s)[0])
+    return [Congruence(s, lab) for lab in s.congruence_closure[0]]
 
 
 def congruence_join_closure(s: PathSemigroup):
@@ -324,7 +336,8 @@ def congruence_join_closure(s: PathSemigroup):
     join is the join of everything strictly below theta(x, y), which is
     theta(x, y) itself as soon as it identifies x and y.  The test uses
     partition joins only, nothing from the ideal side.  Returns the label
-    vectors in closure order and their join table with the generators.
+    vectors finest first and their m x K join table with the generators,
+    re-indexed to that order.
     """
     mult = s.table_bytes
     n = s.n
@@ -337,13 +350,17 @@ def congruence_join_closure(s: PathSemigroup):
             if lab not in seen:
                 seen.add(lab)
                 principals.append((x, y, lab))
-    return join_closure(
+    found, succ = join_closure(
         bytes(range(n)),
         [p for p in principals if _join_irreducible(p, principals)],
         below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],  # theta(x, y) <= cur
         join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
         key=lambda lab: lab,
     )
+    order = sorted(range(len(found)), key=lambda i: _finest_first(found[i]))
+    S = np.argsort(order)[np.array(succ, dtype=np.intp)[order]]  # argsort inverts order
+    S.flags.writeable = False  # cached on the semigroup, so shared by every caller
+    return tuple(found[i] for i in order), S
 
 
 def _join_irreducible(principal, principals) -> bool:
@@ -370,7 +387,7 @@ def enumerate_congruences_bruteforce(s: PathSemigroup, max_elements: int = 10) -
             f"semigroup has {s.n} elements; brute-force cap is {max_elements}"
         )
     labels = _kernels.congruences_bruteforce(s.table_bytes, s.n)
-    return _sorted_congruences(s, labels)
+    return [Congruence(s, lab) for lab in sorted(labels, key=_finest_first)]
 
 
 def is_rees(c: Congruence) -> bool:

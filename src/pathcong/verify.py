@@ -25,7 +25,6 @@ from .ideals import (
 from .lattice import (
     PROPERTY_NAMES,
     FiniteLattice,
-    LatticeError,
     build_lattice,
     lattice_properties,
     property_witnesses,
@@ -41,10 +40,8 @@ from .quiver import (
 )
 from .semigroup import (
     DEFAULT_MAX_ELEMENTS,
-    Congruence,
     PathSemigroup,
     build_semigroup,
-    congruence_join_closure,
     congruence_label,
     enumerate_congruences,
     is_rees,
@@ -85,62 +82,37 @@ def ideal_label(ideal: SpecialIdeal, names) -> str:
     return "span{" + body + "}"
 
 
+def _containment(marks: np.ndarray) -> np.ndarray:
+    """[a, b] says that every mark of row a is a mark of row b."""
+    return ~(marks @ ~marks.T)  # boolean product: some mark of a is missing from b
+
+
 def congruence_leq_matrix(congs) -> np.ndarray:
-    """Refinement order over a list of congruences, vectorized.
+    """Refinement order over a list of congruences, as pair containment.
 
-    c_i <= c_j iff the labels of c_j are constant on every block of c_i,
-    i.e. every element agrees with its block representative under c_j.
+    c_i <= c_j iff every pair of elements that c_i identifies, c_j identifies too.
     """
-    m = len(congs)
-    n = len(congs[0].labels)
-    P = np.frombuffer(b"".join(c.labels for c in congs), dtype=np.uint8).reshape(m, n)
-    reps = np.empty((m, n), dtype=np.intp)
-    for k, c in enumerate(congs):
-        first: dict[int, int] = {}
-        row = reps[k]
-        for x, lab in enumerate(c.labels):
-            if lab in first:
-                row[x] = first[lab]
-            else:
-                first[lab] = x
-                row[x] = x
-    leq = np.empty((m, m), dtype=bool)
-    for k in range(m):
-        leq[k] = (P[:, reps[k]] == P).all(axis=1)
-    return leq
+    L = np.frombuffer(b"".join(c.labels for c in congs), dtype=np.uint8).reshape(len(congs), -1)
+    x, y = np.triu_indices(L.shape[1], 1)
+    return _containment(L[:, x] == L[:, y])
 
 
-def congruence_lattice(s: PathSemigroup, congs) -> FiniteLattice:
-    """The lattice of the congruence list ``congs``, checked to be every congruence.
+def congruence_lattice(
+    s: PathSemigroup, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> FiniteLattice:
+    """The lattice of every congruence on s, finest first, from its cached closure.
 
-    ``congruence_join_closure`` runs again and gives S[c, k], the index of
-    c v g_k for each join-irreducible principal congruence g_k.  Its
-    elements must be exactly the list, else ``LatticeError`` names a
-    congruence the list lacks or adds.  The list then holds the identity,
-    is closed under joins with every generator, and each member is a join
-    of generators, so it is closed under partition joins: a finite
-    join-closed family with a bottom, hence a lattice whose join is the
-    partition join.  Its meet is the partition meet, which is a congruence
-    and so in the list; ``property_witnesses`` checks each meet it takes.
+    ``s.congruence_closure`` gives S[c, k], the index of c v g_k for each
+    join-irreducible principal congruence g_k.  The closure holds the
+    identity, is closed under joins with every generator, and each member
+    is a join of generators, so it is closed under partition joins: a
+    finite join-closed family with a bottom, hence a lattice whose join is
+    the partition join.  Its meet is the partition meet, which is a
+    congruence and so in the list; ``property_witnesses`` checks each meet
+    it takes.  Refuses semigroups above ``max_elements``.
     """
-    found, succ = congruence_join_closure(s)
-    index = {c.labels: k for k, c in enumerate(congs)}
-    pos = np.empty(len(found), dtype=np.intp)
-    for i, lab in enumerate(found):
-        if lab not in index:
-            lacked = congruence_label(Congruence(s, lab))
-            raise LatticeError(f"the list lacks the congruence {lacked!r}")
-        pos[i] = index[lab]
-    if len(found) != len(congs):  # a congruence outside the closure, or listed twice
-        listed = np.zeros(len(congs), dtype=bool)
-        listed[pos] = True
-        added = congruence_label(congs[int(np.argmin(listed))])
-        raise LatticeError(f"the list adds the congruence {added!r}")
-    succ = np.array(succ, dtype=np.intp)
-    S = np.empty_like(succ)
-    S[pos] = pos[succ]
-    labels = tuple(congruence_label(c) for c in congs)
-    return build_lattice(congs, S, meet_congruences, labels=labels)
+    congs = enumerate_congruences(s, max_elements)
+    return build_lattice(congs, s.congruence_closure[1], meet_congruences)
 
 
 def relation_incidence(ideals, rels) -> np.ndarray:
@@ -163,7 +135,7 @@ def ideal_leq_matrix(ideals, inc=None) -> np.ndarray:
     """
     if inc is None:
         inc = relation_incidence(ideals, all_relations(ideals[0].quiver) if ideals else ())
-    return ~(inc @ ~inc.T)  # boolean product: some relation of a is not in b
+    return _containment(inc)
 
 
 @dataclass
@@ -219,7 +191,8 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
         raise CyclicQuiverError("theorem checks require an acyclic quiver")
 
     s = build_semigroup(q)
-    congs = enumerate_congruences(s, max_elements)
+    lat_c = congruence_lattice(s, max_elements)
+    congs = lat_c.elements
     ideals = enumerate_special_ideals(q, max_elements)
     npaths = len(s.paths)
 
@@ -237,7 +210,6 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
     }
 
     verdicts: list[tuple[str, bool, str]] = []
-    lat_c = congruence_lattice(s, congs)
 
     # 1. bijection and lattice isomorphism
     iso_ok = True
@@ -287,7 +259,7 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
     for key in mismatches:
         witness = witnesses.get(key)
         if witness is not None:
-            key += " (witness " + ", ".join(repr(lat_c.labels[i]) for i in witness) + ")"
+            key += " (witness " + ", ".join(repr(congruence_label(congs[i])) for i in witness) + ")"
         details.append(key)
     verdicts.append(("predicted properties match computed", not mismatches, ", ".join(details)))
 
@@ -304,8 +276,7 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
     if len(comps) > 1:
         comp_props = []
         for comp in comps:
-            cs = build_semigroup(comp)
-            comp_lat = congruence_lattice(cs, enumerate_congruences(cs, max_elements))
+            comp_lat = congruence_lattice(build_semigroup(comp), max_elements)
             comp_props.append(lattice_properties(comp_lat))
         for key in ("modular", "distributive"):
             if computed[key] != all(p[key] for p in comp_props):

@@ -57,7 +57,7 @@ class TableLattice:
     def lattice(self, generators=None):
         """The same lattice as a ``FiniteLattice`` generated by ``generators`` (default all)."""
         columns = range(self.n) if generators is None else generators
-        return build_lattice(self.elements, self.join[:, list(columns)], self.meet_fn, self.labels)
+        return build_lattice(self.elements, self.join[:, list(columns)], self.meet_fn)
 
 
 def closure_lattice(sets):

@@ -96,7 +96,7 @@ class QuiverData:
         self.order_preserved = bool(
             (self.leq_i[np.ix_(self.perm, self.perm)] == self.leq_c).all()
         )
-        self.lat_c = congruence_lattice(self.s, self.congs)
+        self.lat_c = congruence_lattice(self.s)
         self.ideal_covers = transitive_reduction(self.leq_i)
 
 
@@ -126,7 +126,7 @@ def test_criterion_1_single_arrow_everything():
             span(3, {1: 1}, {2: 1}),
             span(3, {0: 1}, {1: 1}, {2: 1}),
         }
-        lat = congruence_lattice(s, congs)
+        lat = congruence_lattice(s)
         idx = {c.blocks: k for k, c in enumerate(congs)}
         rho = [
             ((0,), (1,), (2,), (3,)),
@@ -182,7 +182,7 @@ def test_criterion_3_kronecker_lattice():
         s = build_semigroup(q)
         congs = enumerate_congruences(s)
         assert len(congs) == 8
-        lat = congruence_lattice(s, congs)
+        lat = congruence_lattice(s)
         idx = {c.blocks: k for k, c in enumerate(congs)}
         alpha, beta = s.index_by_name("alpha"), s.index_by_name("beta")
         rho = {

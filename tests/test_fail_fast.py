@@ -22,6 +22,7 @@ from pathcong import (
 )
 from pathcong import ideals, quiver, semigroup
 from pathcong.cli import main
+from pathcong.verify import congruence_lattice
 
 BUILDERS = {
     "enumerate_paths": quiver.enumerate_paths,
@@ -89,6 +90,15 @@ def test_check_theorems_refuses_without_building(pairs, forbid):
     with pytest.raises(CapExceeded) as info:
         check_theorems(doubled_chain(pairs))
     assert str(info.value) == cap_message(pairs)
+    assert calls == []
+
+
+def test_congruence_lattice_refuses_without_building(forbid):
+    # 248 elements: within the kernel limit, so only the element cap stops it
+    calls = forbid("_product_table")
+    with pytest.raises(CapExceeded) as info:
+        congruence_lattice(build_semigroup(doubled_chain(6)))
+    assert str(info.value) == cap_message(6)
     assert calls == []
 
 

@@ -95,7 +95,7 @@ def test_diamond_lattice_properties(diamond_lattice):
 def test_single_arrow_lattice_matches_expected_covers(single_arrow):
     s = build_semigroup(single_arrow)
     congs = enumerate_congruences(s)
-    lat = congruence_lattice(s, congs)
+    lat = congruence_lattice(s)
     idx = {c.blocks: k for k, c in enumerate(congs)}
     rho = [
         ((0,), (1,), (2,), (3,)),
@@ -121,7 +121,7 @@ def test_single_arrow_lattice_matches_expected_covers(single_arrow):
 def test_kronecker_lattice_matches_expected_covers(kronecker):
     s = build_semigroup(kronecker)
     congs = enumerate_congruences(s)
-    lat = congruence_lattice(s, congs)
+    lat = congruence_lattice(s)
     idx = {c.blocks: k for k, c in enumerate(congs)}
     alpha, beta = s.index_by_name("alpha"), s.index_by_name("beta")
     rho = {
@@ -201,7 +201,7 @@ def test_cover_soundness_oracle(kronecker, triple_arrow):
     for q in (kronecker, triple_arrow):
         s = build_semigroup(q)
         congs = enumerate_congruences(s)
-        lat = congruence_lattice(s, congs)
+        lat = congruence_lattice(s)
         leq = congruence_leq_matrix(congs)
         n = lat.n
         expected = set()
@@ -219,7 +219,7 @@ def test_hierarchy_of_properties():
     for _ in range(8):
         q = random_acyclic_quiver(rng, max_elements=12)
         s = build_semigroup(q)
-        lat = congruence_lattice(s, enumerate_congruences(s))
+        lat = congruence_lattice(s)
         p = lattice_properties(lat)
         if p["distributive"]:
             assert p["modular"]
@@ -237,7 +237,7 @@ def test_forbidden_sublattice_cross_checks():
         q = random_acyclic_quiver(rng, max_elements=12)
         s = build_semigroup(q)
         congs = enumerate_congruences(s)
-        p = lattice_properties(congruence_lattice(s, congs))
+        p = lattice_properties(congruence_lattice(s))
         table = congruence_table(congs)
         pentagon = find_pentagon(table)
         diamond = find_diamond(table)
@@ -247,7 +247,7 @@ def test_forbidden_sublattice_cross_checks():
 
 def test_distributive_witness_is_a_cover_preserving_diamond(diamond_lattice, kronecker):
     s = build_semigroup(kronecker)
-    for lat in (diamond_lattice.lattice(), congruence_lattice(s, enumerate_congruences(s))):
+    for lat in (diamond_lattice.lattice(), congruence_lattice(s)):
         a, b, c = property_witnesses(lat)["distributive"]
         covers = set(lat.covers)
         (bottom,) = {lo for lo, hi in covers if hi == a} & {lo for lo, hi in covers if hi == b}
@@ -279,18 +279,18 @@ def test_build_rejects_missing_bounds(chain_lattice):
 
 def test_dot_output(single_arrow):
     s = build_semigroup(single_arrow)
-    lat = congruence_lattice(s, enumerate_congruences(s))
+    lat = congruence_lattice(s)
     dot = lattice_to_dot(lat)
     assert dot.startswith("digraph lattice {")
     assert "rankdir=BT;" in dot
     assert dot.count("label=") == 5
     assert dot.count(" -> ") == 5
-    assert dot == lattice_to_dot(congruence_lattice(s, enumerate_congruences(s)))
+    assert dot == lattice_to_dot(congruence_lattice(s))
 
 
 def test_json_output(kronecker):
     s = build_semigroup(kronecker)
-    lat = congruence_lattice(s, enumerate_congruences(s))
+    lat = congruence_lattice(s)
     blob = lattice_to_json_dict(lat)
     assert set(blob) == {"elements", "covers", "properties"}
     assert len(blob["elements"]) == 8
@@ -353,7 +353,7 @@ QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
 def assert_congruence_lattice_matches_law_scans(q):
     s = build_semigroup(q)
     congs = enumerate_congruences(s)
-    assert_matches_law_scans(congruence_table(congs), congruence_lattice(s, congs))
+    assert_matches_law_scans(congruence_table(congs), congruence_lattice(s))
 
 
 @pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
@@ -420,12 +420,10 @@ def test_distributive_iff_join_irreducibles_count_the_length(t):
 
 
 def test_lattice_properties_builds_the_cover_matrix_once(monkeypatch, kronecker):
-    s = build_semigroup(kronecker)
-    lat = congruence_lattice(s, enumerate_congruences(s))
     calls = []
     real = lattice._cover_mask
     monkeypatch.setattr(lattice, "_cover_mask", lambda S: calls.append(1) or real(S))
-    lattice_properties(lat)
+    lattice_properties(congruence_lattice(build_semigroup(kronecker)))
     assert len(calls) == 1
 
 
@@ -450,7 +448,7 @@ def test_tables_match_oracle_on_small_lattices(pentagon_lattice, diamond_lattice
 def assert_congruence_tables_match_oracle(q):
     s = build_semigroup(q)
     congs = enumerate_congruences(s)
-    assert_tables_match_oracle(congruence_table(congs), congruence_lattice(s, congs))
+    assert_tables_match_oracle(congruence_table(congs), congruence_lattice(s))
 
 
 @pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])

@@ -370,7 +370,7 @@ def assert_generators_are_join_irreducible(q):
     expected = all_principal_closure(s)
     assert len(congs) == len(expected)
     assert {c.labels for c in congs} == set(expected)
-    lat = congruence_lattice(s, congs)
+    lat = congruence_lattice(s)
     lower_covers = [0] * lat.n
     for _, hi in lat.covers:
         lower_covers[hi] += 1
