@@ -35,9 +35,12 @@ class PathVector:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         data = {}
         for i, c in items:
+            k = int(i)
+            if k != i:
+                raise ValueError(f"path index {i!r} is not an integer")
             c = _exact(c)
             if c:
-                data[int(i)] = c
+                data[k] = c
         self.coeffs = data
 
     def __getitem__(self, i: int):
@@ -211,19 +214,16 @@ class Subspace:
         return tuple(v.coeffs.get(p, 0) for p in self._rows)
 
     def key(self):
-        """Canonical hashable form of the rows: ``(index, numerator, denominator)`` per entry."""
+        """Canonical hashable form of the rows: ``(index, coefficient)`` pairs per row."""
         if self._key is None:
-            self._key = tuple(
-                tuple((i, c.numerator, c.denominator) for i, c in sorted(row.items()))
-                for row in self._rows.values()
-            )
+            self._key = tuple(tuple(sorted(row.items())) for row in self._rows.values())
         return self._key
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.dim_ambient == other.dim_ambient
-            and self.key() == other.key()
+            and self._rows == other._rows
         )
 
     def __hash__(self):
@@ -241,7 +241,7 @@ def row_reduce(vectors, dim: int) -> Subspace:
     """
     rows: dict[int, dict] = {}
     for v in vectors:
-        coeffs = v.coeffs if isinstance(v, PathVector) else dict(v)
+        coeffs = (v if isinstance(v, PathVector) else PathVector(v)).coeffs
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= dim):
             raise ValueError("vector index out of range for ambient dimension")
         _absorb(rows, coeffs)

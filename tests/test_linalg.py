@@ -59,6 +59,25 @@ def test_row_reduce_rejects_bad_index():
         row_reduce([PathVector({7: 1})], 5)
 
 
+def test_vector_rejects_non_integral_index():
+    with pytest.raises(ValueError):
+        PathVector({1.5: 1})
+    assert PathVector({2.0: 1}).coeffs == {2: 1}
+
+
+def test_row_reduce_makes_mapping_input_exact():
+    sub = row_reduce([{A: 1, B: 0.5}], 5)
+    assert sub == row_reduce([vec(a=2, b=1)], 5)
+    assert sub.key() == (((A, 1), (B, Fraction(1, 2))),)
+    _assert_exact(sub)
+
+
+def test_row_reduce_drops_zeros_of_mapping_input():
+    sub = row_reduce([{A: 1, B: 0}], 5)
+    assert sub == row_reduce([vec(a=1)], 5)
+    assert sub.key() == row_reduce([vec(a=1)], 5).key()
+
+
 def test_membership_examples():
     span = row_reduce([vec(a=1), vec(b=1, g=-1)], 5)
     assert span.contains(vec(a=1, b=-1, g=1))
@@ -126,8 +145,10 @@ def test_rref_canonical_under_shuffle():
         rng.shuffle(shuffled)
         # extra vectors from the same span must not change the basis
         extras = [sum(( v * rng.randint(-3, 3) for v in vs), PathVector())]
-        assert row_reduce(shuffled + extras, dim) == sub
-        assert row_reduce(sub.basis, dim) == sub
+        for same in (row_reduce(shuffled + extras, dim), row_reduce(sub.basis, dim)):
+            assert same == sub
+            assert same.key() == sub.key()
+            assert hash(same) == hash(sub)
 
 
 def test_rref_shape_invariants():
@@ -224,10 +245,7 @@ def _reference_rows(vectors):
 
 
 def _reference_key(rows):
-    return tuple(
-        tuple((i, c.numerator, c.denominator) for i, c in sorted(rows[p].items()))
-        for p in sorted(rows)
-    )
+    return tuple(tuple(sorted(rows[p].items())) for p in sorted(rows))
 
 
 def _reference_contains(rows, v):

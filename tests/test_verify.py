@@ -19,11 +19,14 @@ from pathcong import (
     enumerate_special_ideals,
     parse_quiver,
     identity_congruence,
+    max_parallel_paths,
     predict_properties,
     random_acyclic_quiver,
+    underlying_graph_is_tree,
 )
 from lattice_oracles import congruence_table, ideal_lattice, transitive_reduction
-from pathcong import _kernels, semigroup, verify
+from pathcong import _kernels, ideals, linalg, semigroup, verify
+from pathcong.ideals import SpecialIdeal
 from pathcong.cli import main
 from pathcong.verify import (
     congruence_label,
@@ -66,6 +69,27 @@ def test_predict_triple_arrow(triple_arrow):
     assert not p["modular"]
     assert not p["lower_semimodular"] and not p["strong_lower_semimodular"]
     assert not p["distributive"]
+
+
+@st.composite
+def oriented_trees(draw):
+    """A tree on up to 12 vertices, each new vertex hung off an earlier one
+    by an arrow of either direction."""
+    n = draw(st.integers(1, 12))
+    arrows = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        ends = (u, v) if draw(st.booleans()) else (v, u)
+        arrows.append((f"a{v}", *map(str, ends)))
+    return Quiver([str(v) for v in range(n)], arrows)
+
+
+@given(oriented_trees())
+@settings(max_examples=60, deadline=None)
+def test_tree_predicts_distributive_by_path_count(q):
+    assert underlying_graph_is_tree(q)
+    assert max_parallel_paths(q) <= 1
+    assert predict_properties(q)["distributive"]
 
 
 def test_predict_rejects_cycles():
@@ -176,14 +200,13 @@ def test_cover_verdict_names_first_failing_cover(monkeypatch, triple_arrow):
     target = covers[-1][1]
     first = min(c for c in covers if c[1] == target)
     assert first != covers[-1]
-    space = enumerate_special_ideals(triple_arrow)[target].space
-    real = verify.subspace_sum
+    upper = enumerate_special_ideals(triple_arrow)[target]
+    real = SpecialIdeal.subset_of
 
-    def broken(a, b):
-        out = real(a, b)
-        return a if out == space else out
+    def broken(self, other):
+        return other != upper and real(self, other)
 
-    monkeypatch.setattr(verify, "subspace_sum", broken)
+    monkeypatch.setattr(SpecialIdeal, "subset_of", broken)
     report = check_theorems(triple_arrow)
     assert report.verdicts[0][1]
     assert report.verdicts[4] == (
@@ -191,6 +214,20 @@ def test_cover_verdict_names_first_failing_cover(monkeypatch, triple_arrow):
         False,
         f"relation does not regenerate cover {first[0]} -> {first[1]}",
     )
+
+
+def test_cover_verdict_builds_no_subspace(monkeypatch, triple_arrow):
+    # every row reduction is an ideal's generation and every subspace sum
+    # an ideal join: the cover verdict only compares ideals already built
+    reductions = count_calls(monkeypatch, linalg, "row_reduce")
+    generations = count_calls(monkeypatch, ideals, "generate_ideal")
+    sums = count_calls(monkeypatch, linalg, "subspace_sum")
+    joins = count_calls(monkeypatch, ideals, "ideal_join")
+    for q in (triple_arrow, three_components()):
+        assert check_theorems(q).ok
+        assert generations and joins
+        assert len(reductions) == len(generations)
+        assert len(sums) == len(joins)
 
 
 def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
