@@ -97,19 +97,30 @@ class SpecialIdeal:
     """An ideal generated by relations, with its vector space in RREF form.
 
     Two ideals are equal exactly when their spaces are; the recorded
-    generating set is one of possibly many.
+    generating set is one of possibly many.  An ideal is generated by the
+    relations it contains, so ``relations`` describes it fully.
     """
 
-    __slots__ = ("quiver", "generators", "space")
+    __slots__ = ("quiver", "generators", "space", "_relations")
 
     def __init__(self, quiver: Quiver, generators: frozenset[Relation], space: Subspace):
         self.quiver = quiver
         self.generators = generators
         self.space = space
+        self._relations = None
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @property
+    def relations(self) -> bytes:
+        """One byte per relation of ``all_relations(quiver)``: 1 where the
+        ideal contains it, else 0.  Computed on first read and kept."""
+        if self._relations is None:
+            contains = self.space.contains
+            self._relations = bytes(contains(r.vectorize()) for r in all_relations(self.quiver))
+        return self._relations
 
     def contains_relation(self, r: Relation) -> bool:
         return self.space.contains(r.vectorize())
@@ -213,19 +224,18 @@ def enumerate_special_ideals(
     s = _semigroup_for(q)
     s.check_element_cap(max_elements)
     s.check_kernel_limit()
-    atoms = []
-    seen_atom_keys = set()
-    for r in all_relations(q):
+    # each atom keeps the index of the first relation r generating it; a
+    # two-sided ideal contains (r) exactly when it contains r, so the
+    # below-test is one byte of the current ideal's relation row
+    atoms = {}
+    for i, r in enumerate(all_relations(q)):
         ideal = generate_ideal(q, (r,))
-        k = ideal.space.key()
-        if k not in seen_atom_keys:
-            seen_atom_keys.add(k)
-            atoms.append(ideal)
+        atoms.setdefault(ideal.space.key(), (i, ideal))
     found, _ = join_closure(
         zero_ideal(q),
-        atoms,
-        below=lambda cur, atom: cur.space.contains_subspace(atom.space),
-        join=ideal_join,
+        list(atoms.values()),
+        below=lambda cur, atom: cur.relations[atom[0]],
+        join=lambda cur, atom: ideal_join(cur, atom[1]),
         key=lambda ideal: ideal.space.key(),
     )
     return sorted(found, key=lambda i: (i.dim, i.space.key()))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .ideals import (
     SpecialIdeal,
-    all_relations,
     congruence_to_ideal,
     enumerate_special_ideals,
     ideal_to_congruence,
@@ -88,12 +87,18 @@ def _containment(marks: np.ndarray) -> np.ndarray:
     return ~(marks @ ~marks.T)  # boolean product: some mark of a is missing from b
 
 
+def _stack(rows, dtype) -> np.ndarray:
+    """Equally long byte strings as the rows of a matrix; no rows give shape (0, 0)."""
+    width = len(rows[0]) if rows else 0
+    return np.frombuffer(b"".join(rows), dtype=dtype).reshape(len(rows), width)
+
+
 def congruence_leq_matrix(congs) -> np.ndarray:
     """Refinement order over a list of congruences, as pair containment.
 
     c_i <= c_j iff every pair of elements that c_i identifies, c_j identifies too.
     """
-    L = np.frombuffer(b"".join(c.labels for c in congs), dtype=np.uint8).reshape(len(congs), -1)
+    L = _stack([c.labels for c in congs], np.uint8)
     x, y = np.triu_indices(L.shape[1], 1)
     return _containment(L[:, x] == L[:, y])
 
@@ -116,27 +121,13 @@ def congruence_lattice(
     return build_lattice(congs, s.congruence_closure[1], meet_congruences)
 
 
-def relation_incidence(ideals, rels) -> np.ndarray:
-    """Boolean matrix: entry [k, r] says whether ideal k contains relation r."""
-    vectors = [r.vectorize() for r in rels]
-    inc = np.zeros((len(ideals), len(vectors)), dtype=bool)
-    for k, ideal in enumerate(ideals):
-        contains = ideal.space.contains
-        inc[k] = [contains(v) for v in vectors]
-    return inc
-
-
-def ideal_leq_matrix(ideals, inc=None) -> np.ndarray:
+def ideal_leq_matrix(ideals) -> np.ndarray:
     """Containment order over ideal spaces, exact.
 
     A special ideal is generated by the relations it contains, so a <= b
-    exactly when every relation in a lies in b.  ``inc`` is
-    ``relation_incidence`` over all relations of the ideals' quiver,
-    computed here when not given.
+    exactly when every relation in a lies in b: its ``relations`` row.
     """
-    if inc is None:
-        inc = relation_incidence(ideals, all_relations(ideals[0].quiver) if ideals else ())
-    return _containment(inc)
+    return _containment(_stack([i.relations for i in ideals], bool))
 
 
 @dataclass
@@ -216,9 +207,7 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
     iso_ok = True
     iso_detail = ""
     perm = np.empty(len(congs), dtype=np.intp)
-    rels = all_relations(q)
-    inc = relation_incidence(ideals, rels)
-    leq_i = ideal_leq_matrix(ideals, inc)
+    leq_i = ideal_leq_matrix(ideals)
     ideal_covers = None
     try:
         if len(congs) != len(ideals):
@@ -297,7 +286,7 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
             a, b = ideals[lo], ideals[hi]
             if b.dim != a.dim + 1:
                 cover_detail = f"cover {lo} -> {hi} jumps {a.dim} -> {b.dim}"
-            elif not (inc[hi] & ~inc[lo]).any():
+            elif not any(new > old for new, old in zip(b.relations, a.relations)):
                 cover_detail = f"cover {lo} -> {hi} has no new relation"
             elif not a.subset_of(b):
                 cover_detail = f"relation does not regenerate cover {lo} -> {hi}"

@@ -2,6 +2,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcong import (
     PathVector,
@@ -275,6 +277,26 @@ def test_spanning_generators_match_all_pairs_on_random_quivers():
     rng = random.Random(83)
     for _ in range(40):
         assert_spanning_generators_match_all_pairs(random_acyclic_quiver(rng, 4, 5, 12))
+
+
+def assert_relation_rows_match_contains(q):
+    rels = all_relations(q)
+    ideals = enumerate_special_ideals(q)
+    for ideal in ideals:
+        assert ideal.relations == bytes(ideal.space.contains(r.vectorize()) for r in rels)
+    assert ideals[0].relations == bytes(len(rels))
+    assert ideals[-1].relations == b"\x01" * len(rels)
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_relation_rows_match_contains_on_shipped_quivers(name):
+    assert_relation_rows_match_contains(parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text()))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_relation_rows_match_contains_on_random_quivers(seed):
+    assert_relation_rows_match_contains(random_acyclic_quiver(random.Random(seed), 4, 5, 12))
 
 
 def test_quiver_caches_are_bounded():

@@ -119,19 +119,26 @@ def test_congruence_leq_matrix_matches_refines_on_random_quivers(seed):
 
 
 def test_ideal_leq_matrix_matches_subset(triple_arrow):
-    ideals = enumerate_special_ideals(triple_arrow)
-    leq = ideal_leq_matrix(ideals)
-    for i, a in enumerate(ideals):
-        for j, b in enumerate(ideals):
-            assert leq[i, j] == a.subset_of(b)
+    rng = random.Random(0)
+    for q in (triple_arrow, *(random_acyclic_quiver(rng, 4, 5, 12) for _ in range(8))):
+        ideals = enumerate_special_ideals(q)
+        leq = ideal_leq_matrix(ideals)
+        for i, a in enumerate(ideals):
+            for j, b in enumerate(ideals):
+                assert leq[i, j] == a.subset_of(b)
+
+
+@pytest.mark.parametrize("leq_matrix", [congruence_leq_matrix, ideal_leq_matrix])
+def test_leq_matrix_of_no_elements_is_empty(leq_matrix):
+    assert leq_matrix([]).shape == (0, 0)
 
 
 @given(st.integers(1, 40), st.integers(0, 12), st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
-def test_ideal_leq_matrix_matches_the_integer_product(m, r, seed):
+def test_containment_matches_the_integer_product(m, r, seed):
     inc = np.random.default_rng(seed).random((m, r)) < 0.5
     have = inc.astype(np.int64)
-    assert (ideal_leq_matrix([None] * m, inc) == ((have @ (1 - have).T) == 0)).all()
+    assert (verify._containment(inc) == ((have @ (1 - have).T) == 0)).all()
 
 
 def test_check_theorems_paper_quivers(single_arrow, kronecker, triple_arrow):
@@ -163,15 +170,17 @@ def test_check_theorems_disconnected():
     assert comp_verdict[1] and "2 components" in comp_verdict[2]
 
 
-def count_calls(monkeypatch, module, name):
-    """Wrap every pathcong binding of ``module.name`` to record each call; returns the record.
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` and every pathcong binding of it to record each call; returns the record.
 
-    A ``from`` import binds the function in the importing module too.
+    ``owner`` is a module or a class.  A ``from`` import binds the function
+    in the importing module too.
     """
     calls = []
-    real = getattr(module, name)
-    for modname, mod in list(sys.modules.items()):
-        if modname.startswith("pathcong") and getattr(mod, name, None) is real:
+    real = getattr(owner, name)
+    bindings = [mod for modname, mod in sys.modules.items() if modname.startswith("pathcong")]
+    for mod in (owner, *bindings):
+        if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
     return calls
 
@@ -230,11 +239,22 @@ def test_cover_verdict_builds_no_subspace(monkeypatch, triple_arrow):
         assert len(sums) == len(joins)
 
 
+def test_check_path_tests_subspace_containment_once_per_cover(monkeypatch, triple_arrow):
+    # the closure and the order read the ideals' relation rows; only the
+    # cover verdict's subset_of compares two subspaces
+    for q in (triple_arrow, three_components()):
+        ncovers = len(congruence_lattice(build_semigroup(q)).covers)
+        with monkeypatch.context() as patch:
+            containments = count_calls(patch, linalg.Subspace, "contains_subspace")
+            assert check_theorems(q).ok
+        assert len(containments) == ncovers > 0
+
+
 def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
     real = verify.ideal_leq_matrix
 
-    def perturbed(ideals, inc=None):
-        leq = real(ideals, inc).copy()
+    def perturbed(ideals):
+        leq = real(ideals).copy()
         leq[1:, 0] = True  # ideal 0 is no longer the bottom alone
         return leq
 
@@ -248,6 +268,14 @@ def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
         False,
         "skipped: isomorphism check failed",
     )
+
+
+def test_check_theorems_on_the_quiver_with_no_vertices():
+    q = Quiver([])
+    report = check_theorems(q)
+    assert report.ok, report.format()
+    assert report.quiver_summary["congruences"] == report.quiver_summary["ideals"] == 1
+    assert [ideal.relations for ideal in enumerate_special_ideals(q)] == [b""]
 
 
 def test_check_theorems_rejects_cycles():
