@@ -242,36 +242,43 @@ def enumerate_special_ideals(
 
 
 def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
-    """The special ideal a congruence determines.
+    """The special ideal a congruence determines: the span of every x - y
+    with x and y in one block, the zero element standing for 0.
 
-    Nonzero elements of the zero block contribute monomial generators;
-    every other element of a block, its difference with the block's least
-    element.  These span all differences inside the block, so the ideal is
-    the one every pair would generate, from k - 1 generators, not k(k-1)/2.
+    That span is already an ideal, since x ~ y gives u*x*v ~ u*y*v, so
+    its RREF rows are written straight from the blocks: a nonzero element
+    z of the zero block gives the row z, and every element b of another
+    block but its greatest, b_k, gives the row b - b_k.  Each row's pivot
+    has entry 1 and its one other column, b_k, is no pivot, so the rows
+    are reduced.  The recorded generators are k - 1 per block: monomials
+    for the zero block, each other element less the block's least one.
+    Raises ``ValueError`` if the partition is not a congruence.
     """
     if c.semigroup is not s:
         raise ValueError("congruence does not live on this semigroup")
+    if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
+        raise ValueError("partition is not a congruence")
     gens = [Relation(e - 1) for e in c.zero_block if e != 0]
-    for least, *rest in c.blocks[1:]:
-        gens.extend(Relation(least - 1, e - 1) for e in rest)
-    return generate_ideal(s.quiver, gens)
+    rows = {e - 1: {e - 1: 1} for e in c.zero_block if e != 0}
+    for block in c.blocks[1:]:
+        least, last = block[0] - 1, block[-1] - 1
+        for e in block[:-1]:
+            rows[e - 1] = {e - 1: 1, last: -1}
+        gens.extend(Relation(least, e - 1) for e in block[1:])
+    return SpecialIdeal(s.quiver, frozenset(gens), Subspace(len(s.paths), rows))
 
 
 def ideal_to_congruence(s: PathSemigroup, ideal: SpecialIdeal) -> Congruence:
     """The congruence an ideal determines: x ~ y iff their difference lies in it.
 
-    The zero element vectorizes as the zero vector.  Elements are grouped
-    by their residues against the ideal's basis (equal residues mean the
-    difference reduces to zero); an ``int`` and a ``Fraction`` of equal
-    value compare and hash equal, so the residue items are the key.
+    The zero element vectorizes as the zero vector and path element e as
+    the unit vector of path e - 1.  Elements are grouped by their residues
+    against the ideal's rows (equal residues mean the difference reduces
+    to zero), read off the rows by ``Subspace.unit_residues``.
     """
     if s.quiver != ideal.quiver:
         raise ValueError("ideal lives over a different quiver")
-    space = ideal.space
-    residues = []
-    for e in range(s.n):
-        vec = PathVector() if e == 0 else PathVector({e - 1: 1})
-        residues.append(tuple(space.reduce(vec).items()))
+    residues = [()] + ideal.space.unit_residues()
     labels = _kernels.canonical_labels(residues)
     if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
         raise RuntimeError("residue partition is not a congruence; ideal is not special")

@@ -194,6 +194,19 @@ class Subspace:
         """Residual of v after eliminating every pivot; zero iff v lies in the span."""
         return _wrap(_residue(v.coeffs, self._rows))
 
+    def unit_residues(self) -> list[tuple]:
+        """The residue of each unit vector e_i, as sorted ``(index, coefficient)`` pairs.
+
+        A non-pivot e_i is its own residue.  At a pivot i the row has
+        entry 1, so e_i reduces to minus the rest of row i, which no other
+        pivot column touches.
+        """
+        rows = self._rows
+        return [
+            tuple(sorted((j, -c) for j, c in rows[i].items() if j != i)) if i in rows else ((i, 1),)
+            for i in range(self.dim_ambient)
+        ]
+
     def contains(self, v: PathVector) -> bool:
         return not _residue(v.coeffs, self._rows)
 

@@ -214,20 +214,23 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
             raise AssertionError(f"{len(congs)} congruences vs {len(ideals)} ideals")
         ideal_index = {ideal.space.key(): k for k, ideal in enumerate(ideals)}
         for k, c in enumerate(congs):
+            # the image is written from c's blocks, not generated; only a
+            # true ideal can match one of the independently enumerated ones
             image = congruence_to_ideal(s, c)
             key = image.space.key()
             if key not in ideal_index:
                 raise AssertionError(f"image of congruence {k} is not an enumerated ideal")
             perm[k] = ideal_index[key]
-            if ideal_to_congruence(s, image) != c:
+            # the enumerated ideal, not the image, so that the round trip
+            # does not read back the rows congruence_to_ideal just wrote
+            if ideal_to_congruence(s, ideals[perm[k]]) != c:
                 raise AssertionError(f"round trip fails at congruence {k}")
         if len(set(perm.tolist())) != len(congs):
             raise AssertionError("congruence-to-ideal map is not injective")
         # No round trip from the ideal side is needed: perm is injective
-        # between lists of equal length, so it is a bijection and every
-        # ideal I is the image of exactly one c.  ideal_to_congruence reads
-        # only the RREF space, which I shares with that image, so
-        # ideal_to_congruence(I) == c and congruence_to_ideal of it is I.
+        # between lists of equal length, so it is a bijection, and the loop
+        # has mapped every enumerated ideal I back to the one c whose image
+        # is I, so ideal_to_congruence(I) == c and congruence_to_ideal of it is I.
         if not (leq_i[np.ix_(perm, perm)] == congruence_leq_matrix(congs)).all():
             raise AssertionError("bijection does not preserve order")
         # a bijection that preserves and reflects order is a lattice

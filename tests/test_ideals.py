@@ -29,7 +29,10 @@ from pathcong import (
     zero_ideal,
 )
 from pathcong import ideals as ideals_module
-from pathcong.semigroup import CapExceeded
+from pathcong.semigroup import CapExceeded, Congruence
+
+
+QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def span(dim, *coeff_dicts):
@@ -156,6 +159,20 @@ def test_congruence_to_ideal_kronecker_pair(kronecker):
     assert ideal.space == span(4, {2: 1, 3: -1})
 
 
+@pytest.mark.parametrize(
+    "name, labels",
+    [
+        ("kronecker", bytes([0, 0, 1, 2, 3])),  # {0, e1} {e2} {alpha} {beta}
+        ("single_arrow", bytes([0, 1, 1, 2])),  # {0} {e1, e2} {alpha}
+    ],
+    ids=["kronecker", "single_arrow"],
+)
+def test_congruence_to_ideal_rejects_a_partition_that_is_not_a_congruence(name, labels):
+    s = build_semigroup(parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text()))
+    with pytest.raises(ValueError, match="partition is not a congruence"):
+        congruence_to_ideal(s, Congruence(s, labels))
+
+
 def test_ideal_to_congruence_bounds(single_arrow):
     s = build_semigroup(single_arrow)
     assert ideal_to_congruence(s, zero_ideal(single_arrow)) == identity_congruence(s)
@@ -263,9 +280,6 @@ def assert_spanning_generators_match_all_pairs(q):
         assert congruence_to_ideal(s, c).space == generate_ideal(q, all_pairs_generators(c)).space
 
 
-QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
-
-
 @pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
 def test_spanning_generators_match_all_pairs_on_shipped_quivers(name):
     assert_spanning_generators_match_all_pairs(
@@ -277,6 +291,15 @@ def test_spanning_generators_match_all_pairs_on_random_quivers():
     rng = random.Random(83)
     for _ in range(40):
         assert_spanning_generators_match_all_pairs(random_acyclic_quiver(rng, 4, 5, 12))
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_recorded_generators_generate_the_written_space(name):
+    q = parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text())
+    s = build_semigroup(q)
+    for c in enumerate_congruences(s):
+        image = congruence_to_ideal(s, c)
+        assert generate_ideal(q, image.generators).space == image.space
 
 
 def assert_relation_rows_match_contains(q):

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcong import enumerate_special_ideals, parse_quiver
 from pathcong.linalg import (
     PathVector,
     format_path_vector,
@@ -14,6 +16,8 @@ from pathcong.linalg import (
     subspace_intersection,
     subspace_sum,
 )
+
+QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
 
 # coordinates 0..4 standing for the path basis e1, e2, alpha, beta, gamma
 E1, E2, A, B, G = range(5)
@@ -299,6 +303,26 @@ def test_integer_fast_path_matches_fraction_reference(avs, bvs, probes):
     for sub in (a, b, total, inter, inside):
         _assert_exact(sub)
         assert sub.pivots == tuple(min(v.coeffs) for v in sub.basis)
+
+
+def assert_unit_residues_match_reduce(sp):
+    residues = sp.unit_residues()
+    assert len(residues) == sp.dim_ambient
+    for i, residue in enumerate(residues):
+        assert residue == tuple(sp.reduce(PathVector({i: 1})).items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_vectors(6))
+def test_unit_residues_match_reduce(vs):
+    assert_unit_residues_match_reduce(row_reduce(vs, _DIM))
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_unit_residues_match_reduce_on_shipped_quivers(name):
+    q = parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text())
+    for ideal in enumerate_special_ideals(q):
+        assert_unit_residues_match_reduce(ideal.space)
 
 
 def test_integral_coefficients_are_stored_as_int():

@@ -227,16 +227,43 @@ def test_cover_verdict_names_first_failing_cover(monkeypatch, triple_arrow):
 
 def test_cover_verdict_builds_no_subspace(monkeypatch, triple_arrow):
     # every row reduction is an ideal's generation and every subspace sum
-    # an ideal join: the cover verdict only compares ideals already built
+    # an ideal join: the cover verdict only compares ideals already built,
+    # and only the ideal route generates ideals, one per relation atom and
+    # the zero ideal; the bijection check writes its images from the blocks
     reductions = count_calls(monkeypatch, linalg, "row_reduce")
     generations = count_calls(monkeypatch, ideals, "generate_ideal")
     sums = count_calls(monkeypatch, linalg, "subspace_sum")
     joins = count_calls(monkeypatch, ideals, "ideal_join")
     for q in (triple_arrow, three_components()):
+        generations.clear()
+        reductions.clear()
         assert check_theorems(q).ok
         assert generations and joins
+        assert len(generations) == len(ideals.all_relations(q)) + 1
         assert len(reductions) == len(generations)
         assert len(sums) == len(joins)
+
+
+def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
+    # the images are written from the blocks without closing them under
+    # multiplication; one that is no ideal matches no enumerated ideal
+    k = 3
+    target = enumerate_congruences(build_semigroup(kronecker))[k].labels
+    real = verify.congruence_to_ideal
+
+    def lone_trivial_path_at_target(s, c):
+        if c.labels != target:
+            return real(s, c)
+        # the span of e1 alone lacks e1 * alpha = alpha, so it is no ideal
+        e1 = linalg.row_reduce([linalg.PathVector({0: 1})], len(s.paths))
+        return SpecialIdeal(s.quiver, frozenset(), e1)
+
+    monkeypatch.setattr(verify, "congruence_to_ideal", lone_trivial_path_at_target)
+    assert check_theorems(kronecker).verdicts[0] == (
+        "congruence/ideal lattice isomorphism",
+        False,
+        f"image of congruence {k} is not an enumerated ideal",
+    )
 
 
 def test_check_path_tests_subspace_containment_once_per_cover(monkeypatch, triple_arrow):
