@@ -17,7 +17,6 @@ from .ideals import (
     enumerate_special_ideals,
     generate_ideal,
     ideal_join,
-    ideal_meet,
     ideal_to_congruence,
     monomial_relation,
     zero_ideal,
@@ -35,7 +34,6 @@ from .linalg import (
     PathVector,
     Subspace,
     row_reduce,
-    subspace_intersection,
     subspace_sum,
 )
 from .quiver import (
@@ -56,7 +54,6 @@ from .quiver import (
 )
 from .random_quivers import random_acyclic_quiver, random_suite
 from .semigroup import (
-    ZERO,
     CapExceeded,
     Congruence,
     PathSemigroup,
@@ -64,7 +61,6 @@ from .semigroup import (
     congruence_from_blocks,
     congruence_from_json,
     enumerate_congruences,
-    enumerate_congruences_bruteforce,
     identity_congruence,
     is_rees,
     join_congruences,

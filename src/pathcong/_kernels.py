@@ -19,13 +19,7 @@ _BYTE = [bytes([v]) for v in range(256)]
 def canonical_labels(labels) -> bytes:
     """Relabel an arbitrary label sequence into restricted-growth form."""
     relabel: dict = {}
-    out = bytearray(len(labels))
-    for i, lab in enumerate(labels):
-        if lab in relabel:
-            out[i] = relabel[lab]
-        else:
-            out[i] = relabel[lab] = len(relabel)
-    return bytes(out)
+    return bytes([relabel.setdefault(lab, len(relabel)) for lab in labels])
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -94,31 +88,3 @@ def is_congruence_labels(p, mult: bytes, n: int) -> bool:
             return False
     return True
 
-
-def congruences_bruteforce(mult: bytes, n: int) -> list[bytes]:
-    """All congruence partitions, by filtering every set partition of range(n).
-
-    Iterates restricted-growth strings, so the caller must keep n small
-    (Bell-number growth).
-    """
-    if n == 0:
-        return [b""]
-    results = []
-    a = bytearray(n)
-    b = bytearray(n)
-    for j in range(1, n):
-        b[j] = 1
-    while True:
-        if is_congruence_labels(a, mult, n):
-            results.append(bytes(a))
-        j = n - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            break
-        a[j] += 1
-        m = b[j] if b[j] > a[j] else a[j] + 1
-        for k in range(j + 1, n):
-            a[k] = 0
-            b[k] = m
-    return results

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_intersection, subspace_sum
+from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_sum
 from .quiver import Quiver
 from .semigroup import DEFAULT_MAX_ELEMENTS, Congruence, PathSemigroup, build_semigroup, join_closure
 
@@ -36,10 +36,6 @@ class Relation:
 
     first: int
     second: int | None = None
-
-    @property
-    def is_monomial(self) -> bool:
-        return self.second is None
 
     def vectorize(self) -> PathVector:
         if self.second is None:
@@ -122,9 +118,6 @@ class SpecialIdeal:
             self._relations = bytes(contains(r.vectorize()) for r in all_relations(self.quiver))
         return self._relations
 
-    def contains_relation(self, r: Relation) -> bool:
-        return self.space.contains(r.vectorize())
-
     def subset_of(self, other: "SpecialIdeal") -> bool:
         return other.space.contains_subspace(self.space)
 
@@ -199,18 +192,6 @@ def ideal_join(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
     return SpecialIdeal(q, a.generators | b.generators, subspace_sum(a.space, b.space))
 
 
-def ideal_meet(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
-    """Meet = ideal generated by the relations inside the space intersection.
-
-    The intersection itself need not be generated by relations, so the
-    meet can be strictly smaller than the vector-space intersection.
-    """
-    q = _require_same_quiver(a, b)
-    inter = subspace_intersection(a.space, b.space)
-    rels = [r for r in all_relations(q) if inter.contains(r.vectorize())]
-    return generate_ideal(q, rels)
-
-
 def enumerate_special_ideals(
     q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> list[SpecialIdeal]:
@@ -278,8 +259,7 @@ def ideal_to_congruence(s: PathSemigroup, ideal: SpecialIdeal) -> Congruence:
     """
     if s.quiver != ideal.quiver:
         raise ValueError("ideal lives over a different quiver")
-    residues = [()] + ideal.space.unit_residues()
-    labels = _kernels.canonical_labels(residues)
-    if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
+    c = Congruence(s, [()] + ideal.space.unit_residues())
+    if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
         raise RuntimeError("residue partition is not a congruence; ideal is not special")
-    return Congruence(s, labels)
+    return c

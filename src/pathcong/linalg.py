@@ -8,7 +8,7 @@ stay integral, so elimination runs in ``int`` arithmetic and builds a
 ``Fraction`` only when a pivot is not a unit.  A subspace is stored
 once, as its reduced row-echelon pivot -> row map, which is canonical:
 two subspaces are equal exactly when their row maps are identical.  Its
-basis, pivots and hashable key are derived from that map.
+basis and hashable key are derived from that map.
 """
 
 from __future__ import annotations
@@ -53,43 +53,8 @@ class PathVector:
         return sorted(self.coeffs.items())
 
     @property
-    def support(self) -> frozenset:
-        return frozenset(self.coeffs)
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __add__(self, other: "PathVector") -> "PathVector":
-        data = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            v = data.get(i, 0) + c
-            if v:
-                data[i] = v
-            else:
-                data.pop(i, None)
-        return _wrap(data)
-
-    def __sub__(self, other: "PathVector") -> "PathVector":
-        data = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            v = data.get(i, 0) - c
-            if v:
-                data[i] = v
-            else:
-                data.pop(i, None)
-        return _wrap(data)
-
-    def __mul__(self, scalar) -> "PathVector":
-        scalar = _exact(scalar)
-        if not scalar:
-            return _wrap({})
-        return _wrap({i: c * scalar for i, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PathVector":
-        return _wrap({i: -c for i, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, PathVector) and self.coeffs == other.coeffs
@@ -183,16 +148,8 @@ class Subspace:
         return len(self._rows)
 
     @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(self._rows)
-
-    @property
     def basis(self) -> tuple[PathVector, ...]:
         return tuple(_wrap(row) for row in self._rows.values())
-
-    def reduce(self, v: PathVector) -> PathVector:
-        """Residual of v after eliminating every pivot; zero iff v lies in the span."""
-        return _wrap(_residue(v.coeffs, self._rows))
 
     def unit_residues(self) -> list[tuple]:
         """The residue of each unit vector e_i, as sorted ``(index, coefficient)`` pairs.
@@ -215,16 +172,6 @@ class Subspace:
         if len(other._rows) > len(rows):
             return False
         return not any(_residue(row, rows) for row in other._rows.values())
-
-    def coordinates_of(self, v: PathVector):
-        """Coefficients of v in the basis (ints or Fractions), or None.
-
-        Only basis row k is nonzero at pivot k, so v's coordinate there is
-        its own coefficient at that pivot.
-        """
-        if _residue(v.coeffs, self._rows):
-            return None
-        return tuple(v.coeffs.get(p, 0) for p in self._rows)
 
     def key(self):
         """Canonical hashable form of the rows: ``(index, coefficient)`` pairs per row."""
@@ -271,26 +218,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     for row in b._rows.values():
         _absorb(rows, row)
     return a if len(rows) == a.dim else Subspace(a.dim_ambient, rows)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection by the kernel (Zassenhaus) method.
-
-    Row-reduce the block rows (u|u) for u in a and (w|0) for w in b; the
-    reduced rows supported entirely in the right block are already the
-    RREF rows of a ∩ b, shifted by the ambient dimension.
-    """
-    if a.dim_ambient != b.dim_ambient:
-        raise ValueError("ambient dimensions differ")
-    d = a.dim_ambient
-    rows: dict[int, dict] = {}
-    for u in a._rows.values():
-        _absorb(rows, {**u, **{i + d: c for i, c in u.items()}})
-    for w in b._rows.values():
-        _absorb(rows, w)
-    return Subspace(
-        d, {p - d: {i - d: c for i, c in row.items()} for p, row in rows.items() if p >= d}
-    )
 
 
 def format_path_vector(v: PathVector, names) -> str:

@@ -66,7 +66,7 @@ class Quiver:
     declared vertices.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("vertices", "arrows", "_vertex_index", "_arrow_by_name")
+    __slots__ = ("vertices", "arrows", "_vertex_index")
 
     def __init__(self, vertices, arrows=()):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -89,7 +89,6 @@ class Quiver:
             for endpoint in (a.source, a.target):
                 if endpoint not in self._vertex_index:
                     raise QuiverError(f"arrow {a.name!r} uses undeclared vertex {endpoint!r}")
-        self._arrow_by_name = {a.name: a for a in self.arrows}
 
     def vertex_index(self, v: str) -> int:
         return self._vertex_index[v]
@@ -98,21 +97,6 @@ class Quiver:
         if v not in self._vertex_index:
             raise QuiverError(f"no vertex {v!r}")
         return Path((), v, v)
-
-    def path(self, arrow_names) -> Path:
-        """Build a path from consecutive arrow names, validating composability."""
-        names = tuple(arrow_names)
-        if not names:
-            raise QuiverError("a path needs at least one arrow; use trivial_path()")
-        arrows = []
-        for n in names:
-            if n not in self._arrow_by_name:
-                raise QuiverError(f"no arrow {n!r}")
-            arrows.append(self._arrow_by_name[n])
-        for prev, cur in zip(arrows, arrows[1:]):
-            if prev.target != cur.source:
-                raise QuiverError(f"arrows {prev.name!r} and {cur.name!r} do not compose")
-        return Path(names, arrows[0].source, arrows[-1].target)
 
     def __eq__(self, other):
         return (

@@ -19,23 +19,6 @@ KERNEL_TABLE_LIMIT = 255
 DEFAULT_MAX_ELEMENTS = 20
 
 
-class _Zero:
-    """The absorbing zero element; a process-wide singleton."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "0"
-
-
-ZERO = _Zero()
-
-
 class PathSemigroup:
     """All paths of an acyclic quiver plus an absorbing zero, with its table.
 
@@ -75,13 +58,6 @@ class PathSemigroup:
             self._closure = congruence_join_closure(self)
         return self._closure
 
-    @property
-    def elements(self):
-        return (ZERO,) + self.paths
-
-    def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def element_name(self, i: int) -> str:
         return "0" if i == 0 else self.paths[i - 1].name
 
@@ -113,9 +89,6 @@ class PathSemigroup:
             self.check_kernel_limit()
             self._table_bytes = bytes(v for row in self.table for v in row)
         return self._table_bytes
-
-    def idempotents(self) -> list[int]:
-        return [i for i in range(self.n) if self.table[i][i] == i]
 
     def __repr__(self):
         return f"PathSemigroup({self.n} elements)"
@@ -149,16 +122,20 @@ def build_semigroup(q: Quiver) -> PathSemigroup:
 class Congruence:
     """A partition of the semigroup's elements compatible with multiplication.
 
-    ``labels`` holds the canonical restricted-growth form: block k's least
-    element grows with k, so the ``blocks`` view is automatically sorted
-    by least element with each block ascending.
+    The constructor stores ``labels`` in canonical restricted-growth form,
+    whatever labels it is given: block k's least element grows with k, so
+    the ``blocks`` view is sorted by least element with each block
+    ascending, the zero element's block is block 0, and equal partitions
+    have equal labels.
     """
 
     __slots__ = ("semigroup", "labels", "_blocks")
 
-    def __init__(self, semigroup: PathSemigroup, labels: bytes):
+    def __init__(self, semigroup: PathSemigroup, labels):
+        if len(labels) != semigroup.n:
+            raise ValueError(f"{len(labels)} labels for a semigroup of {semigroup.n} elements")
         self.semigroup = semigroup
-        self.labels = labels
+        self.labels = _kernels.canonical_labels(labels)
         self._blocks = None
 
     @property
@@ -174,17 +151,6 @@ class Congruence:
     def zero_block(self) -> tuple[int, ...]:
         """The block of the zero element (always block 0 in canonical form)."""
         return self.blocks[0]
-
-    def refines(self, other: "Congruence") -> bool:
-        """True iff every block of self lies inside one block of other."""
-        image: dict[int, int] = {}
-        for a, b in zip(self.labels, other.labels):
-            if a in image:
-                if image[a] != b:
-                    return False
-            else:
-                image[a] = b
-        return True
 
     def validate(self) -> None:
         """Raise if the partition is not compatible with multiplication."""
@@ -243,7 +209,7 @@ def congruence_from_blocks(s: PathSemigroup, blocks) -> Congruence:
             labels[i] = k
     if -1 in labels:
         raise ValueError("blocks do not cover every element")
-    c = Congruence(s, _kernels.canonical_labels(labels))
+    c = Congruence(s, labels)
     c.validate()
     return c
 
@@ -374,20 +340,6 @@ def _join_irreducible(principal, principals) -> bool:
             if acc[x] == acc[y]:
                 return False
     return True
-
-
-def enumerate_congruences_bruteforce(s: PathSemigroup, max_elements: int = 10) -> list[Congruence]:
-    """Every congruence on s, by filtering all set partitions.
-
-    Independent of :func:`enumerate_congruences`; Bell-number growth caps
-    it at small semigroups.
-    """
-    if s.n > max_elements:
-        raise CapExceeded(
-            f"semigroup has {s.n} elements; brute-force cap is {max_elements}"
-        )
-    labels = _kernels.congruences_bruteforce(s.table_bytes, s.n)
-    return [Congruence(s, lab) for lab in sorted(labels, key=_finest_first)]
 
 
 def is_rees(c: Congruence) -> bool:

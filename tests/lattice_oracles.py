@@ -13,7 +13,8 @@ from operator import and_
 
 import numpy as np
 
-from pathcong import _kernels, build_lattice, enumerate_special_ideals, ideal_join, ideal_meet
+from oracles import ideal_meet
+from pathcong import _kernels, build_lattice, enumerate_special_ideals, ideal_join
 from pathcong.ideals import _semigroup_for
 from pathcong.verify import congruence_label, congruence_leq_matrix, ideal_label, ideal_leq_matrix
 

@@ -17,19 +17,19 @@ from pathcong import (
     enumerate_special_ideals,
     generate_ideal,
     ideal_join,
-    ideal_meet,
     ideal_to_congruence,
     identity_congruence,
     monomial_relation,
     parse_quiver,
     random_acyclic_quiver,
     row_reduce,
-    subspace_intersection,
     universal_congruence,
     zero_ideal,
 )
 from pathcong import ideals as ideals_module
 from pathcong.semigroup import CapExceeded, Congruence
+
+from oracles import ideal_meet, refines, subspace_intersection
 
 
 QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
@@ -173,6 +173,15 @@ def test_congruence_to_ideal_rejects_a_partition_that_is_not_a_congruence(name, 
         congruence_to_ideal(s, Congruence(s, labels))
 
 
+def test_relabelled_identity_maps_to_the_zero_ideal():
+    # labels 1, 0 for the zero element and e1 name the identity partition;
+    # left uncanonicalized, block 0 would be {e1} and the image span{e1}
+    s = build_semigroup(parse_quiver((QUIVER_DIR / "kronecker.quiver").read_text()))
+    relabelled = Congruence(s, bytes([1, 0, 2, 3, 4]))
+    assert relabelled.zero_block == (0,)
+    assert congruence_to_ideal(s, relabelled).dim == 0
+
+
 def test_ideal_to_congruence_bounds(single_arrow):
     s = build_semigroup(single_arrow)
     assert ideal_to_congruence(s, zero_ideal(single_arrow)) == identity_congruence(s)
@@ -205,7 +214,7 @@ def test_bijection_preserves_order(kronecker, triple_arrow):
         images = [congruence_to_ideal(s, c) for c in congs]
         for i, c1 in enumerate(congs):
             for j, c2 in enumerate(congs):
-                assert c1.refines(c2) == images[i].subset_of(images[j])
+                assert refines(c1, c2) == images[i].subset_of(images[j])
 
 
 def test_counts_match_between_routes(chain3):
@@ -240,7 +249,10 @@ def test_cover_steps_add_one_dimension(triple_arrow):
         ]
         for b in covers:
             assert b.dim == a.dim + 1
-            fresh = [r for r in rels if b.contains_relation(r) and not a.contains_relation(r)]
+            fresh = [
+                r for r in rels
+                if b.space.contains(r.vectorize()) and not a.space.contains(r.vectorize())
+            ]
             assert fresh
             for r in fresh:
                 regen = ideal_join(a, generate_ideal(triple_arrow, [r]))

@@ -46,7 +46,6 @@ def test_kernel_hooks_the_benchmark_reads():
         "meet_labels",
         "principal_labels",
         "is_congruence_labels",
-        "congruences_bruteforce",
     ):
         assert callable(getattr(_kernels, name)), name
 

@@ -1,0 +1,118 @@
+"""Every function in ``src/pathcong`` is reached by a command.
+
+The CLI runs under ``trace`` over every subcommand on the shipped quivers,
+a short ``random-check``, and a malformed and a cyclic quiver file.  A
+function that none of these runs calls must be a dunder method or one of
+the library entry points pinned below.  Anything else is dead code, or a
+reference implementation that belongs in ``tests/oracles.py``.
+"""
+
+import ast
+import contextlib
+import io
+import sys
+import trace
+from pathlib import Path
+
+import pathcong
+from pathcong.cli import main
+
+PACKAGE = Path(pathcong.__file__).resolve().parent
+QUIVERS = sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.quiver"))
+
+# Documented constructors and helpers that no command needs.
+LIBRARY_ENTRY_POINTS = {
+    "identity_congruence",
+    "universal_congruence",
+    "principal_congruence",
+    "join_congruences",
+    "congruence_from_blocks",
+    "congruence_from_json",
+    "Congruence.validate",
+    "PathSemigroup.index_by_name",
+    "monomial_relation",
+    "commutative_relation",
+    "console_main",  # the installed script; the runs call main()
+}
+# The benchmark builds its workloads with these (perfbench/workloads.py);
+# random-check also prints quiver_to_text of a quiver that fails its check.
+BENCHMARK_BUILDERS = {"random_suite", "quiver_to_text"}
+
+
+class _FunctionTrace(trace.Trace):
+    """Records each called function by file and first line, with no class lookup."""
+
+    def file_module_function_of(self, frame):
+        code = frame.f_code
+        return code.co_filename, code.co_firstlineno, code.co_name
+
+
+def _functions(body, prefix=""):
+    """(first line, qualified name) of each function in ``body``, nested ones included."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            # a decorated function's code starts at its first decorator
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield first, prefix + node.name
+            yield from _functions(node.body, f"{prefix}{node.name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def _defined():
+    """{(module path, first line): qualified name} over the whole package."""
+    return {
+        (path, line): name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _functions(ast.parse(path.read_text(encoding="utf-8")).body)
+    }
+
+
+def _is_dunder(name: str) -> bool:
+    last = name.rsplit(".", 1)[-1]
+    return last.startswith("__") and last.endswith("__")
+
+
+def test_every_function_is_reached_by_a_command(tmp_path):
+    malformed = tmp_path / "malformed.quiver"
+    malformed.write_text("vertices: 1 2\narrow a 1 -> 2\n")
+    cyclic = tmp_path / "cyclic.quiver"
+    cyclic.write_text("vertices: 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n")
+    commands = [
+        ["validate"],
+        ["paths"],
+        ["congruences"],
+        ["congruences", "--json"],
+        ["ideals"],
+        ["ideals", "--json"],
+        ["lattice"],
+        ["lattice", "--json"],
+        ["lattice", "--dot", str(tmp_path / "lattice.dot")],
+        ["predict"],
+        ["predict", "--json"],
+        ["check"],
+    ]
+    runs = [([*cmd, str(q)], 0) for q in QUIVERS for cmd in commands]
+    runs.append((["random-check", "--trials", "3"], 0))
+    runs += [(["validate", str(malformed)], 1), (["check", str(malformed)], 1)]
+    runs += [(["validate", str(cyclic)], 0), (["check", str(cyclic)], 1)]
+
+    tracer = _FunctionTrace(count=0, trace=0, countfuncs=1)
+    previous = sys.gettrace()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [tracer.runfunc(main, argv) for argv, _ in runs]
+    finally:
+        sys.settrace(previous)
+    assert codes == [code for _, code in runs]
+
+    called = {(Path(f).resolve(), line) for f, line, _ in tracer.results().calledfuncs}
+    defined = _defined()
+    allowed = LIBRARY_ENTRY_POINTS | BENCHMARK_BUILDERS
+    assert allowed <= set(defined.values()), "an allowlisted function is gone"
+    missed = [
+        f"{path.name}: {name}"
+        for (path, line), name in defined.items()
+        if (path, line) not in called and not _is_dunder(name) and name not in allowed
+    ]
+    assert not missed, missed
