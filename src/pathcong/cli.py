@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .ideals import enumerate_special_ideals
 from .lattice import lattice_properties, lattice_to_dot, lattice_to_json_dict
 from .quiver import QuiverError, is_acyclic, max_parallel_paths, parse_quiver, quiver_to_text
-from .random_quivers import random_acyclic_quiver
+from .random_quivers import random_suite
 from .semigroup import DEFAULT_MAX_ELEMENTS, CapExceeded, build_semigroup, enumerate_congruences
 from .verify import (
     check_theorems,
@@ -32,7 +31,7 @@ EXIT_VIOLATION = 3
 
 def _load_quiver(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise QuiverError(f"cannot read {path}: {exc}") from exc
@@ -129,10 +128,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_random_check(args) -> int:
-    rng = random.Random(args.seed)
     worst = EXIT_OK
-    for trial in range(1, args.trials + 1):
-        q = random_acyclic_quiver(rng, args.vertices, args.arrows, args.max_elements)
+    suite = random_suite(args.trials, args.seed, args.vertices, args.arrows, args.max_elements)
+    for trial, q in enumerate(suite, start=1):
         report = check_theorems(q, args.max_elements)
         status = "ok" if report.ok else "VIOLATION"
         summary = report.quiver_summary

@@ -235,7 +235,7 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     for the zero block, each other element less the block's least one.
     Raises ``ValueError`` if the partition is not a congruence.
     """
-    if c.semigroup is not s:
+    if c.semigroup != s:
         raise ValueError("congruence does not live on this semigroup")
     if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
         raise ValueError("partition is not a congruence")

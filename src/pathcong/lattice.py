@@ -82,10 +82,15 @@ def build_lattice(elements, succ, meet) -> FiniteLattice:
     return FiniteLattice(elements, S, C, covers, meet)
 
 
-def _between(S: np.ndarray, lo: int, hi: int) -> int:
+def _between(lat: FiniteLattice, lo: int, hi: int) -> int:
     """An element strictly between lo < hi, where hi does not cover lo."""
+    S = lat.succ
     row = S[lo]
-    return int(row[np.flatnonzero((S[hi] == hi) & (row != lo) & (row != hi))[0]])
+    hit = np.flatnonzero((S[hi] == hi) & (row != lo) & (row != hi))
+    if not len(hit):
+        pair = f"{lat.labels[lo]!r} and {lat.labels[hi]!r}"
+        raise LatticeError(f"nothing lies strictly between {pair}, yet they are no cover")
+    return int(row[hit[0]])
 
 
 def _distinct_per_row(X: np.ndarray) -> np.ndarray:
@@ -128,7 +133,7 @@ def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
             c, j = np.argwhere(bad)[0]
             a = int(S[c, j])
             upper = (a, int(b[c, 0]))
-            modular = (*upper, _between(S, a, int(S[a, k])))
+            modular = (*upper, _between(lat, a, int(S[a, k])))
             break
 
     below = [[] for _ in range(lat.n)]
@@ -146,7 +151,7 @@ def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
             lower = (a, b)
             if modular is None:  # z in (e, a) or (e, b): (z, b, a) breaks the law
                 a, b = (a, b) if (e, a) not in covers else (b, a)
-                modular = (_between(S, e, a), b, a)
+                modular = (_between(lat, e, a), b, a)
             break
 
     # Modular, so for distinct covers a, x, y of c, a v x = a v y covers x

@@ -29,7 +29,7 @@ class PathSemigroup:
     Only the element count ``n`` is computed up front, from path counts,
     so a size cap can refuse a semigroup before any path or table exists.
     ``paths``, the name index, ``table`` and ``congruence_closure`` are
-    built on first use.
+    built on first use.  Semigroups of equal quivers compare equal.
     """
 
     __slots__ = ("quiver", "n", "_paths", "_name_to_index", "_table", "_table_bytes", "_closure")
@@ -89,6 +89,12 @@ class PathSemigroup:
             self.check_kernel_limit()
             self._table_bytes = bytes(v for row in self.table for v in row)
         return self._table_bytes
+
+    def __eq__(self, other):
+        return self is other or isinstance(other, PathSemigroup) and self.quiver == other.quiver
+
+    def __hash__(self):
+        return hash(self.quiver)
 
     def __repr__(self):
         return f"PathSemigroup({self.n} elements)"
@@ -165,8 +171,8 @@ class Congruence:
     def __eq__(self, other):
         return (
             isinstance(other, Congruence)
-            and self.semigroup is other.semigroup
             and self.labels == other.labels
+            and self.semigroup == other.semigroup
         )
 
     def __hash__(self):
@@ -186,7 +192,7 @@ def congruence_label(c: Congruence) -> str:
 
 
 def _require_same_semigroup(a: Congruence, b: Congruence) -> PathSemigroup:
-    if a.semigroup is not b.semigroup:
+    if a.semigroup != b.semigroup:
         raise ValueError("congruences live on different semigroups")
     return a.semigroup
 
@@ -215,7 +221,11 @@ def congruence_from_blocks(s: PathSemigroup, blocks) -> Congruence:
 
 
 def congruence_from_json(s: PathSemigroup, obj: dict) -> Congruence:
-    blocks = [[s.index_by_name(name) for name in block] for block in obj["blocks"]]
+    blocks = obj["blocks"]
+    try:
+        blocks = [[s.index_by_name(name) for name in block] for block in blocks]
+    except KeyError as exc:
+        raise ValueError(f"unknown element {exc.args[0]!r}") from None
     return congruence_from_blocks(s, blocks)
 
 

@@ -13,10 +13,10 @@ from operator import and_
 
 import numpy as np
 
-from oracles import ideal_meet
+from oracles import congruence_leq_matrix, ideal_meet
 from pathcong import _kernels, build_lattice, enumerate_special_ideals, ideal_join
 from pathcong.ideals import _semigroup_for
-from pathcong.verify import congruence_label, congruence_leq_matrix, ideal_label, ideal_leq_matrix
+from pathcong.verify import congruence_label, ideal_label, ideal_leq_matrix
 
 
 def first_true(mask):

@@ -2,11 +2,14 @@
 
 Each is a plain second route to something the package decides another
 way, or a relation the package never needs: congruences by filtering
-every set partition, refinement of two partitions, the residue of a
-vector against RREF rows, the Zassenhaus intersection of two subspaces
-and the meet of two special ideals.  No command and no verdict of
-``check_theorems`` reaches them, so they live with the tests.
+every set partition, refinement of two partitions and its order matrix
+over a congruence list, the residue of a vector against RREF rows, the
+Zassenhaus intersection of two subspaces and the meet of two special
+ideals.  No command and no verdict of ``check_theorems`` reaches them,
+so they live with the tests.
 """
+
+import numpy as np
 
 from pathcong import (
     CapExceeded,
@@ -19,6 +22,7 @@ from pathcong import (
 )
 from pathcong import _kernels
 from pathcong.semigroup import _finest_first
+from pathcong.verify import _containment, _stack
 
 
 def congruences_bruteforce(mult: bytes, n: int) -> list[bytes]:
@@ -66,6 +70,16 @@ def refines(a: Congruence, b: Congruence) -> bool:
     """True iff every block of a lies inside one block of b."""
     image: dict[int, int] = {}
     return all(image.setdefault(x, y) == y for x, y in zip(a.labels, b.labels))
+
+
+def congruence_leq_matrix(congs) -> np.ndarray:
+    """Refinement order over a list of congruences, as pair containment.
+
+    c_i <= c_j iff every pair of elements that c_i identifies, c_j identifies too.
+    """
+    L = _stack([c.labels for c in congs], np.uint8)
+    x, y = np.triu_indices(L.shape[1], 1)
+    return _containment(L[:, x] == L[:, y])
 
 
 def residue(space: Subspace, v: PathVector) -> PathVector:

@@ -20,7 +20,12 @@ from lattice_oracles import (
     ideal_lattice,
     transitive_reduction,
 )
-from oracles import enumerate_congruences_bruteforce, ideal_meet, subspace_intersection
+from oracles import (
+    congruence_leq_matrix,
+    enumerate_congruences_bruteforce,
+    ideal_meet,
+    subspace_intersection,
+)
 from pathcong import (
     PathVector,
     Quiver,
@@ -42,7 +47,7 @@ from pathcong import (
     row_reduce,
     subspace_sum,
 )
-from pathcong.verify import congruence_lattice, congruence_leq_matrix, ideal_leq_matrix
+from pathcong.verify import congruence_lattice, ideal_leq_matrix
 
 
 @contextmanager

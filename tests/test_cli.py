@@ -50,6 +50,13 @@ def test_non_utf8_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    path = tmp_path / "bom.quiver"
+    path.write_bytes(KRONECKER.encode("utf-8-sig"))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 2 vertices, 2 arrows, acyclic: yes\n"
+
+
 def test_lattice_dot_unwritable(qfile, tmp_path, capsys):
     dot_path = tmp_path / "missing" / "out.dot"
     assert main(["lattice", qfile(SINGLE), "--dot", str(dot_path)]) == 1

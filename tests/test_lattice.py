@@ -17,6 +17,7 @@ from lattice_oracles import (
     law_modular,
     semimodularity_masks,
 )
+from oracles import congruence_leq_matrix
 from pathcong import (
     LatticeError,
     Quiver,
@@ -37,7 +38,7 @@ from pathcong import (
 )
 from pathcong import lattice
 from pathcong.lattice import PROPERTY_NAMES
-from pathcong.verify import congruence_lattice, congruence_leq_matrix
+from pathcong.verify import congruence_lattice
 
 # The N5, M3 and a chain as closure systems of bitmask sets, meet &, with
 # the same indices as before: N5 is (bottom, lower, upper, side, top).

@@ -13,8 +13,10 @@ from pathcong import (
     build_semigroup,
     congruence_from_blocks,
     congruence_from_json,
+    congruence_to_ideal,
     enumerate_congruences,
     enumerate_paths,
+    ideal_to_congruence,
     identity_congruence,
     is_rees,
     join_congruences,
@@ -268,9 +270,27 @@ def test_from_blocks_rejects_non_congruence(s2):
         congruence_from_blocks(s2, [[0, 1], [1, 2], [3]])
 
 
+def test_congruence_from_json_names_an_unknown_element(s6):
+    with pytest.raises(ValueError, match="unknown element 'gamma'"):
+        congruence_from_json(s6, {"blocks": [["0", "gamma"], ["1"], ["2"], ["alpha"], ["beta"]]})
+
+
 def test_mismatched_semigroups_rejected(s2, s6):
     with pytest.raises(ValueError):
         join_congruences(identity_congruence(s2), identity_congruence(s6))
+    with pytest.raises(ValueError):
+        congruence_to_ideal(s2, identity_congruence(s6))
+
+
+def test_semigroups_of_one_quiver_compare_equal(kronecker, single_arrow):
+    s, t = build_semigroup(kronecker), build_semigroup(Quiver(kronecker.vertices, kronecker.arrows))
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert s != build_semigroup(single_arrow) and s != kronecker
+    ours, theirs = enumerate_congruences(s), enumerate_congruences(t)
+    assert ours == theirs
+    assert join_congruences(ours[1], theirs[2]) == join_congruences(ours[1], ours[2])
+    for c in ours:
+        assert ideal_to_congruence(t, congruence_to_ideal(t, c)) == c
 
 
 def test_join_that_is_not_a_congruence_raises(s2, monkeypatch):

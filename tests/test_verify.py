@@ -15,26 +15,23 @@ from pathcong import (
     build_semigroup,
     check_theorems,
     congruence_to_ideal,
+    connected_components,
     enumerate_congruences,
     enumerate_special_ideals,
     parse_quiver,
     identity_congruence,
     max_parallel_paths,
     predict_properties,
+    quiver_to_text,
     random_acyclic_quiver,
     underlying_graph_is_tree,
 )
 from lattice_oracles import congruence_table, ideal_lattice, transitive_reduction
-from oracles import refines
-from pathcong import _kernels, ideals, linalg, semigroup, verify
+from oracles import congruence_leq_matrix, refines
+from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
 from pathcong.ideals import SpecialIdeal
 from pathcong.cli import main
-from pathcong.verify import (
-    congruence_label,
-    congruence_lattice,
-    congruence_leq_matrix,
-    ideal_leq_matrix,
-)
+from pathcong.verify import congruence_label, congruence_lattice, ideal_leq_matrix
 
 
 QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
@@ -296,6 +293,65 @@ def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
         False,
         "skipped: isomorphism check failed",
     )
+
+
+def corrupt_join_table(monkeypatch, q, entry, value):
+    """Every semigroup of q reads its cached join table with one entry changed."""
+    real = semigroup.PathSemigroup.congruence_closure.fget
+
+    def closure(s):
+        labels, S = real(s)
+        if s.quiver == q:
+            S = S.copy()
+            S[entry] = value
+        return labels, S
+
+    monkeypatch.setattr(semigroup.PathSemigroup, "congruence_closure", property(closure))
+
+
+def test_dropped_cover_fails_the_isomorphism(monkeypatch, triple_arrow):
+    s = build_semigroup(triple_arrow)
+    assert s.congruence_closure[1][0, 7] == 6
+    assert len(congruence_lattice(s).covers) == 35
+    corrupt_join_table(monkeypatch, triple_arrow, (0, 7), 3)
+    assert len(congruence_lattice(s).covers) == 34
+    assert check_theorems(triple_arrow).verdicts[0] == (
+        "congruence/ideal lattice isomorphism", False, "bijection does not preserve order"
+    )
+
+
+@pytest.mark.parametrize("component", [False, True], ids=["whole", "component"])
+def test_undecided_properties_fail_the_property_verdict(
+    monkeypatch, capsys, tmp_path, triple_arrow, component
+):
+    # nothing lies strictly between two congruences the table leaves uncovered
+    if component:
+        q = three_components()
+        corrupt_join_table(monkeypatch, connected_components(q)[0], (0, 2), 0)
+    else:
+        q = triple_arrow
+        corrupt_join_table(monkeypatch, q, (14, 5), 8)
+    report = check_theorems(q)
+    name, ok, detail = report.verdicts[1]
+    assert name == "predicted properties match computed" and not ok
+    assert detail.startswith("nothing lies strictly between '")
+    assert report.verdicts[3][1:] == (False, "skipped: lattice properties undecided")
+    # only the properties that could not be decided print as "?"
+    assert ("  modular                      ?  (predicted " in report.format()) != component
+    path = tmp_path / "q.quiver"
+    path.write_text(quiver_to_text(q))
+    assert main(["check", str(path)]) == 3
+    assert "[nothing lies strictly between '" in capsys.readouterr().out
+
+
+def test_random_check_reports_an_undecided_lattice_and_carries_on(monkeypatch, capsys, triple_arrow):
+    corrupt_join_table(monkeypatch, triple_arrow, (14, 5), 8)
+    monkeypatch.setattr(cli, "random_suite", lambda *args: [triple_arrow, star(2)])
+    assert main(["random-check", "--trials", "2"]) == 3
+    out = capsys.readouterr().out
+    assert "trial 1: 2 vertices, 3 arrows, 6 elements, 18 congruences: VIOLATION\n" in out
+    assert "quiver was:\n" + quiver_to_text(triple_arrow) in out
+    assert out.endswith("trial 2: 3 vertices, 2 arrows, 6 elements, 13 congruences: ok\n")
 
 
 def test_check_theorems_on_the_quiver_with_no_vertices():
