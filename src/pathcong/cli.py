@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (cyclic input, size cap, bad file),
-2 usage error, 3 theorem violation from the check harness.
+2 usage error, 3 theorem violation from the check harness, or a
+congruence list that is not a lattice.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 
 from .ideals import enumerate_special_ideals
-from .lattice import lattice_properties, lattice_to_dot, lattice_to_json_dict
+from .lattice import LatticeError, lattice_properties, lattice_to_dot, lattice_to_json_dict
 from .quiver import QuiverError, is_acyclic, max_parallel_paths, parse_quiver, quiver_to_text
 from .random_quivers import random_suite
 from .semigroup import DEFAULT_MAX_ELEMENTS, CapExceeded, build_semigroup, enumerate_congruences
@@ -232,6 +233,9 @@ def main(argv=None) -> int:
     except (QuiverError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except LatticeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 def console_main() -> None:

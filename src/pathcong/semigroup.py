@@ -268,22 +268,36 @@ def join_closure(seed, atoms, below, join, key):
     and one row per element giving, for each atom, the index of the
     element's join with it.  Complete when every element of the lattice is
     the seed joined with the atoms below it.
+
+    Each element after the seed was first found as p v a_j, with row p
+    already complete.  Its join with a_k is then (p v a_k) v a_j, read
+    from the table when t = p v a_k comes before it: row t is complete
+    too, so the join is the table entry [t, j] and is not formed.  This
+    needs ``join`` to be a semilattice join (associative, commutative,
+    idempotent) and ``key`` to identify exactly the equal elements; the
+    elements, their order and the table are those of joining every pair.
     """
     found = {key(seed): 0}
     elements = [seed]
+    origin = [None]  # origin[i] = (p, j): elements[i] was first found as p v a_j
     succ = []
     for i, cur in enumerate(elements):  # visits the elements appended below, in order
         row = []
-        for atom in atoms:
+        p, a = origin[i] or (None, None)
+        for k, atom in enumerate(atoms):
             if below(cur, atom):
                 row.append(i)
                 continue
+            if p is not None:
+                t = succ[p][k]
+                if t < i:
+                    row.append(succ[t][a])
+                    continue
             joined = join(cur, atom)
-            k = key(joined)
-            j = found.get(k)
-            if j is None:
-                j = found[k] = len(elements)
+            j = found.setdefault(key(joined), len(elements))
+            if j == len(elements):
                 elements.append(joined)
+                origin.append((i, k))
             row.append(j)
         succ.append(row)
     return elements, succ

@@ -2,8 +2,9 @@
 
 Each is a plain second route to something the package decides another
 way, or a relation the package never needs: congruences by filtering
-every set partition, refinement of two partitions and its order matrix
-over a congruence list, the residue of a vector against RREF rows, the
+every set partition, the join-closure that forms every join it
+tabulates, refinement of two partitions and its order matrix over a
+congruence list, the residue of a vector against RREF rows, the
 Zassenhaus intersection of two subspaces and the meet of two special
 ideals.  No command and no verdict of ``check_theorems`` reaches them,
 so they live with the tests.
@@ -64,6 +65,33 @@ def enumerate_congruences_bruteforce(s, max_elements: int = 10) -> list[Congruen
         raise CapExceeded(f"semigroup has {s.n} elements; brute-force cap is {max_elements}")
     labels = congruences_bruteforce(s.table_bytes, s.n)
     return [Congruence(s, lab) for lab in sorted(labels, key=_finest_first)]
+
+
+def direct_join_closure(seed, atoms, below, join, key):
+    """``semigroup.join_closure`` forming every join it tabulates, none read from the table.
+
+    Same arguments and result: the elements in the order found, seed
+    first, and one row per element giving the index of its join with
+    each atom.
+    """
+    found = {key(seed): 0}
+    elements = [seed]
+    succ = []
+    for i, cur in enumerate(elements):  # visits the elements appended below, in order
+        row = []
+        for atom in atoms:
+            if below(cur, atom):
+                row.append(i)
+                continue
+            joined = join(cur, atom)
+            k = key(joined)
+            j = found.get(k)
+            if j is None:
+                j = found[k] = len(elements)
+                elements.append(joined)
+            row.append(j)
+        succ.append(row)
+    return elements, succ
 
 
 def refines(a: Congruence, b: Congruence) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcong import _kernels, semigroup
+from pathcong import _kernels, ideals, semigroup
 from pathcong import (
     CapExceeded,
     Quiver,
@@ -28,7 +28,7 @@ from pathcong import (
 )
 from pathcong.verify import congruence_label, congruence_lattice
 
-from oracles import enumerate_congruences_bruteforce
+from oracles import direct_join_closure, enumerate_congruences_bruteforce
 
 QUIVER_FILES_DIR = Path(__file__).resolve().parent.parent / "quivers"
 
@@ -443,6 +443,55 @@ def test_join_closure_table_records_each_join(q):
     assert len(set(found)) == len(found) == len(succ)
     for cur, row in zip(found, succ):
         assert [found[j] for j in row] == [_kernels.join_labels(cur, lab) for _, _, lab in atoms]
+
+
+# join_closure reads a join from its table where an earlier row decides
+# it; the oracle forms every join.  Both run on the arguments each route
+# passes: the join-irreducible principals with join_labels, and the
+# deduplicated single-relation ideals with ideal_join.
+
+ROUTES = {
+    "congruences": (semigroup, lambda q: semigroup.congruence_join_closure(build_semigroup(q))),
+    "ideals": (ideals, ideals.enumerate_special_ideals),
+}
+
+
+def assert_closure_matches_direct(q, route):
+    module, run = ROUTES[route]
+    calls = []
+    real = semigroup.join_closure
+
+    def spy(seed, atoms, **kwargs):
+        result = real(seed, atoms, **kwargs)
+        calls.append((seed, atoms, kwargs, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "join_closure", spy)
+        run(q)
+    [(seed, atoms, kwargs, (found, succ))] = calls
+    expected, expected_succ = direct_join_closure(seed, atoms, **kwargs)
+    key = kwargs["key"]
+    assert [key(e) for e in found] == [key(e) for e in expected]
+    assert succ == expected_succ
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "q",
+    [*(parse_quiver(p.read_text()) for p in QUIVER_FILES), kronecker_quiver(5), star_quiver(5)],
+    ids=[*(p.stem for p in QUIVER_FILES), "kronecker5", "star5"],
+)
+def test_join_closure_matches_direct_closure(q, route):
+    assert_closure_matches_direct(q, route)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_join_closure_matches_direct_closure_on_random_quivers(seed):
+    q = random_acyclic_quiver(random.Random(seed), 4, 5, 12)
+    for route in ROUTES:
+        assert_closure_matches_direct(q, route)
 
 
 @pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)

@@ -31,7 +31,7 @@ from oracles import congruence_leq_matrix, refines
 from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
 from pathcong.ideals import SpecialIdeal
 from pathcong.cli import main
-from pathcong.verify import congruence_label, congruence_lattice, ideal_leq_matrix
+from pathcong.verify import PROPERTY_NAMES, congruence_label, congruence_lattice, ideal_leq_matrix
 
 
 QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
@@ -194,6 +194,34 @@ def test_check_builds_one_lattice_per_enumeration(monkeypatch, kronecker):
     assert len(lattices) == len(closures) == 1 + 3
 
 
+def test_join_closures_read_most_joins_from_their_tables(monkeypatch):
+    # forming every tabulated join costs 2,673 joins on each route here;
+    # a join the table already decides is read, not formed
+    q = Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, 6)])
+    ideal_joins = count_calls(monkeypatch, ideals, "ideal_join")
+    label_joins, inside = [], []
+    real_join, real_closure = _kernels.join_labels, semigroup.congruence_join_closure
+
+    def join_labels(p, q):
+        if inside:
+            label_joins.append(1)
+        return real_join(p, q)
+
+    def congruence_join_closure(s):
+        inside.append(1)
+        try:
+            return real_closure(s)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(_kernels, "join_labels", join_labels)
+    monkeypatch.setattr(semigroup, "congruence_join_closure", congruence_join_closure)
+    report = check_theorems(q)
+    assert report.ok and report.quiver_summary["congruences"] == 206
+    assert 0 < len(ideal_joins) < 500
+    assert 0 < len(label_joins) < 500
+
+
 def test_cli_lattice_runs_one_closure(monkeypatch, capsys):
     closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
     assert main(["lattice", str(QUIVER_DIR / "kronecker.quiver")]) == 0
@@ -346,6 +374,33 @@ def test_undecided_properties_fail_the_property_verdict(
 
 def test_random_check_reports_an_undecided_lattice_and_carries_on(monkeypatch, capsys, triple_arrow):
     corrupt_join_table(monkeypatch, triple_arrow, (14, 5), 8)
+    monkeypatch.setattr(cli, "random_suite", lambda *args: [triple_arrow, star(2)])
+    assert main(["random-check", "--trials", "2"]) == 3
+    out = capsys.readouterr().out
+    assert "trial 1: 2 vertices, 3 arrows, 6 elements, 18 congruences: VIOLATION\n" in out
+    assert "quiver was:\n" + quiver_to_text(triple_arrow) in out
+    assert out.endswith("trial 2: 3 vertices, 2 arrows, 6 elements, 13 congruences: ok\n")
+
+
+def test_join_table_indexing_nothing_fails_the_isomorphism(monkeypatch, capsys, tmp_path, triple_arrow):
+    corrupt_join_table(monkeypatch, triple_arrow, (3, 2), 18)
+    message = "join table of shape (18, 8) does not index 18 elements"
+    report = check_theorems(triple_arrow)
+    assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, message)
+    assert report.verdicts[1][1:] == (False, "skipped: no congruence lattice")
+    assert report.verdicts[2][1]  # the Rees verdict reads the congruences alone
+    assert report.verdicts[3][1:] == (False, "skipped: lattice properties undecided")
+    assert report.verdicts[4][1:] == (False, "skipped: isomorphism check failed")
+    assert report.quiver_summary["congruences"] == 18
+    assert report.computed["all_rees"] is False
+    assert all(report.computed[key] is None for key in PROPERTY_NAMES)
+    path = tmp_path / "q.quiver"
+    path.write_text(quiver_to_text(triple_arrow))
+    assert main(["check", str(path)]) == 3
+    assert f"VIOLATION  congruence/ideal lattice isomorphism [{message}]" in capsys.readouterr().out
+    assert main(["lattice", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
     monkeypatch.setattr(cli, "random_suite", lambda *args: [triple_arrow, star(2)])
     assert main(["random-check", "--trials", "2"]) == 3
     out = capsys.readouterr().out
