@@ -19,13 +19,6 @@ from .quiver import Quiver
 from .semigroup import DEFAULT_MAX_ELEMENTS, Congruence, PathSemigroup, build_semigroup, join_closure
 
 
-# This cache and all_relations' are bounded, so a long run over many
-# quivers does not keep every semigroup and relation list alive.
-@lru_cache(maxsize=256)
-def _semigroup_for(q: Quiver) -> PathSemigroup:
-    return build_semigroup(q)
-
-
 @dataclass(frozen=True)
 class Relation:
     """A monomial (``second is None``) or commutative relation on path indices.
@@ -73,11 +66,13 @@ def _validate_relation(r: Relation, s: PathSemigroup) -> None:
             raise ValueError("invalid relation: paths are not parallel")
 
 
+# Bounded like build_semigroup's cache, so a long run over many quivers
+# does not keep every relation list alive.
 @lru_cache(maxsize=256)
 def all_relations(q: Quiver) -> tuple[Relation, ...]:
     """Every relation: one monomial per path plus one commutative relation
     per unordered pair of distinct parallel paths."""
-    s = _semigroup_for(q)
+    s = build_semigroup(q)
     rels = [Relation(i) for i in range(len(s.paths))]
     by_endpoints: dict[tuple[str, str], list[int]] = {}
     for i, p in enumerate(s.paths):
@@ -87,6 +82,12 @@ def all_relations(q: Quiver) -> tuple[Relation, ...]:
             for b in range(a + 1, len(group)):
                 rels.append(Relation(group[a], group[b]))
     return tuple(rels)
+
+
+@lru_cache(maxsize=256)
+def _relation_vectors(q: Quiver) -> tuple[PathVector, ...]:
+    """``r.vectorize()`` for each relation of ``all_relations(q)``, in that order."""
+    return tuple(r.vectorize() for r in all_relations(q))
 
 
 class SpecialIdeal:
@@ -115,14 +116,14 @@ class SpecialIdeal:
         ideal contains it, else 0.  Computed on first read and kept."""
         if self._relations is None:
             contains = self.space.contains
-            self._relations = bytes(contains(r.vectorize()) for r in all_relations(self.quiver))
+            self._relations = bytes(contains(v) for v in _relation_vectors(self.quiver))
         return self._relations
 
     def subset_of(self, other: "SpecialIdeal") -> bool:
         return other.space.contains_subspace(self.space)
 
     def to_json_dict(self) -> dict:
-        paths = _semigroup_for(self.quiver).paths
+        paths = build_semigroup(self.quiver).paths
         names = [p.name for p in paths]
         gens = sorted(self.generators, key=Relation.sort_key)
         return {
@@ -150,7 +151,7 @@ def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
     Its space is the span of every nonzero product u*g*v with u, v paths
     (trivial ones included), which closes the span multiplicatively.
     """
-    s = _semigroup_for(q)
+    s = build_semigroup(q)
     gens = frozenset(gens)
     for r in gens:
         _validate_relation(r, s)
@@ -202,7 +203,7 @@ def enumerate_special_ideals(
     semigroups above ``max_elements`` or the kernels' table limit, as the
     congruence side does, before any relation is listed.
     """
-    s = _semigroup_for(q)
+    s = build_semigroup(q)
     s.check_element_cap(max_elements)
     s.check_kernel_limit()
     # each atom keeps the index of the first relation r generating it; a

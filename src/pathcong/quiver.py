@@ -66,7 +66,7 @@ class Quiver:
     declared vertices.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("vertices", "arrows", "_vertex_index")
+    __slots__ = ("vertices", "arrows", "_vertex_index", "_hash")
 
     def __init__(self, vertices, arrows=()):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -89,6 +89,8 @@ class Quiver:
             for endpoint in (a.source, a.target):
                 if endpoint not in self._vertex_index:
                     raise QuiverError(f"arrow {a.name!r} uses undeclared vertex {endpoint!r}")
+        # hashed once, since the package's caches are keyed by quiver
+        self._hash = hash((self.vertices, self.arrows))
 
     def vertex_index(self, v: str) -> int:
         return self._vertex_index[v]
@@ -106,7 +108,7 @@ class Quiver:
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.arrows))
+        return self._hash
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .quiver import Quiver
-from .semigroup import DEFAULT_MAX_ELEMENTS, build_semigroup
+from .semigroup import DEFAULT_MAX_ELEMENTS, PathSemigroup
 
 
 def random_acyclic_quiver(
@@ -37,7 +37,8 @@ def random_acyclic_quiver(
                 i, j = sorted(rng.sample(range(nv), 2))
                 arrows.append((f"a{k + 1}", vertices[i], vertices[j]))
         q = Quiver(vertices, arrows)
-        if build_semigroup(q).n <= max_elements:
+        # a fresh semigroup, so rejected draws stay out of build_semigroup's cache
+        if PathSemigroup(q).n <= max_elements:
             return q
 
 

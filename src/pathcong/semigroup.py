@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import _kernels
@@ -117,10 +119,15 @@ def _product_table(paths) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
+# The package's one semigroup cache.  It is bounded, so a long run over
+# many quivers does not keep every semigroup, table and closure alive.
+@lru_cache(maxsize=256)
 def build_semigroup(q: Quiver) -> PathSemigroup:
     """The path semigroup of q, sized from path counts; paths and table come on first use.
 
-    Rejects cyclic quivers (the path set would be infinite).
+    Equal quivers, whole or as components, share one semigroup, so its
+    table and congruence closure are built once.  Rejects cyclic quivers
+    (the path set would be infinite).
     """
     return PathSemigroup(q)
 
@@ -132,7 +139,8 @@ class Congruence:
     whatever labels it is given: block k's least element grows with k, so
     the ``blocks`` view is sorted by least element with each block
     ascending, the zero element's block is block 0, and equal partitions
-    have equal labels.
+    have equal labels.  Labels that a kernel or the congruence closure
+    returns are canonical already and go through ``_canonical_congruence``.
     """
 
     __slots__ = ("semigroup", "labels", "_blocks")
@@ -185,6 +193,13 @@ class Congruence:
         return f"Congruence({self})"
 
 
+def _canonical_congruence(s: PathSemigroup, labels: bytes) -> Congruence:
+    """A congruence on labels already in canonical form, stored as given."""
+    c = object.__new__(Congruence)
+    c.semigroup, c.labels, c._blocks = s, labels, None
+    return c
+
+
 def congruence_label(c: Congruence) -> str:
     """The blocks of ``c`` by element name, like ``{0,alpha} {1} {2}``."""
     name = c.semigroup.element_name
@@ -233,7 +248,7 @@ def principal_congruence(s: PathSemigroup, x: int, y: int) -> Congruence:
     """The least congruence identifying x and y."""
     if not (0 <= x < s.n and 0 <= y < s.n):
         raise ValueError(f"element index out of range: {x}, {y}")
-    return Congruence(s, _kernels.principal_labels(s.table_bytes, s.n, x, y))
+    return _canonical_congruence(s, _kernels.principal_labels(s.table_bytes, s.n, x, y))
 
 
 def join_congruences(a: Congruence, b: Congruence) -> Congruence:
@@ -244,13 +259,13 @@ def join_congruences(a: Congruence, b: Congruence) -> Congruence:
     # with multiplication; a failure here is a kernel bug, not bad input.
     if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
         raise RuntimeError("join of two congruences is not a congruence")
-    return Congruence(s, labels)
+    return _canonical_congruence(s, labels)
 
 
 def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
     """Common refinement (intersection of the relations); always a congruence."""
     s = _require_same_semigroup(a, b)
-    return Congruence(s, _kernels.meet_labels(a.labels, b.labels))
+    return _canonical_congruence(s, _kernels.meet_labels(a.labels, b.labels))
 
 
 def _finest_first(lab: bytes):
@@ -311,7 +326,7 @@ def enumerate_congruences(
     Refuses semigroups above ``max_elements``.
     """
     s.check_element_cap(max_elements)
-    return [Congruence(s, lab) for lab in s.congruence_closure[0]]
+    return [_canonical_congruence(s, lab) for lab in s.congruence_closure[0]]
 
 
 def congruence_join_closure(s: PathSemigroup):
@@ -325,17 +340,29 @@ def congruence_join_closure(s: PathSemigroup):
     join of the principals strictly below it leaves x and y apart: that
     join is the join of everything strictly below theta(x, y), which is
     theta(x, y) itself as soon as it identifies x and y.  The test uses
-    partition joins only, nothing from the ideal side.  Returns the label
-    vectors finest first and their m x K join table with the generators,
+    partition joins only, nothing from the ideal side.
+
+    Only the pairs (0, y) and the parallel pairs are tried.  Nonzero x and
+    y that are not parallel differ in source or target; say x starts at s
+    and y does not.  Then e_s x = x and e_s y = 0 (targets likewise, on the
+    right), so theta(x, y) = theta(x, 0) v theta(y, 0).  If it is
+    join-irreducible it is one of those two, found earlier from a (0, y)
+    pair; and as a join of principals below it, it changes no join of
+    everything below another principal.  The generators, their order and
+    the closure are those of trying every pair.  Returns the label vectors
+    finest first and their m x K join table with the generators,
     re-indexed to that order.
     """
     mult = s.table_bytes
     n = s.n
+    ends = [None, *((p.source, p.target) for p in s.paths)]
     # each distinct principal congruence with one pair (x, y) generating it
     principals: list[tuple[int, int, bytes]] = []
     seen = set()
     for x in range(n):
         for y in range(x + 1, n):
+            if x and ends[x] != ends[y]:
+                continue
             lab = _kernels.principal_labels(mult, n, x, y)
             if lab not in seen:
                 seen.add(lab)

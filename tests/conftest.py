@@ -1,6 +1,20 @@
 import pytest
 
-from pathcong import Quiver
+from pathcong import Quiver, ideals, semigroup
+
+# every cache keyed by quiver: a semigroup carries its table and congruence closure
+QUIVER_CACHES = (semigroup.build_semigroup, ideals.all_relations, ideals._relation_vectors)
+
+
+@pytest.fixture(autouse=True)
+def fresh_quiver_caches():
+    """Clear the quiver-keyed caches around each test, so that a semigroup
+    or closure one test built cannot hide work another test counts."""
+    for cache in QUIVER_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in QUIVER_CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture

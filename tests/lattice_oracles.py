@@ -14,8 +14,7 @@ from operator import and_
 import numpy as np
 
 from oracles import congruence_leq_matrix, ideal_meet
-from pathcong import _kernels, build_lattice, enumerate_special_ideals, ideal_join
-from pathcong.ideals import _semigroup_for
+from pathcong import _kernels, build_lattice, build_semigroup, enumerate_special_ideals, ideal_join
 from pathcong.verify import congruence_label, ideal_label, ideal_leq_matrix
 
 
@@ -88,7 +87,7 @@ def ideal_lattice(q, ideals=None):
     """
     if ideals is None:
         ideals = enumerate_special_ideals(q)
-    names = [p.name for p in _semigroup_for(q).paths]
+    names = [p.name for p in build_semigroup(q).paths]
     labels = [ideal_label(i, names) for i in ideals]
     return TableLattice(ideals, ideal_leq_matrix(ideals), ideal_join, ideal_meet, labels)
 

@@ -20,7 +20,7 @@ from pathcong import (
     quiver_to_text,
     random_acyclic_quiver,
 )
-from pathcong import ideals, quiver, semigroup
+from pathcong import quiver, semigroup
 from pathcong.cli import main
 from pathcong.verify import congruence_lattice
 
@@ -49,12 +49,10 @@ def forbid(monkeypatch):
     """``forbid(*names)`` replaces every pathcong binding of those builders.
 
     Returns the list of forbidden calls made, which a test expects empty.
-    The semigroup caches of the ideal side are cleared, so a semigroup
-    built by an earlier test cannot hide a call.
+    The autouse fixture in ``conftest.py`` has cleared the quiver caches,
+    so a semigroup built by an earlier test cannot hide a call.
     """
     calls = []
-    ideals._semigroup_for.cache_clear()
-    ideals.all_relations.cache_clear()
 
     def install(*names):
         for name in names:
@@ -69,9 +67,7 @@ def forbid(monkeypatch):
                     monkeypatch.setattr(module, name, refuse)
         return calls
 
-    yield install
-    ideals._semigroup_for.cache_clear()
-    ideals.all_relations.cache_clear()
+    return install
 
 
 def cap_message(pairs):

@@ -335,6 +335,6 @@ def test_relation_rows_match_contains_on_random_quivers(seed):
 
 
 def test_quiver_caches_are_bounded():
-    for cached in (ideals_module._semigroup_for, all_relations):
+    for cached in (build_semigroup, all_relations, ideals_module._relation_vectors):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0

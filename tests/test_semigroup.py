@@ -2,6 +2,7 @@ import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pathcong import _kernels, ideals, semigroup
 from pathcong import (
     CapExceeded,
+    PathSemigroup,
     Quiver,
     build_semigroup,
     congruence_from_blocks,
@@ -22,10 +24,12 @@ from pathcong import (
     join_congruences,
     meet_congruences,
     parse_quiver,
+    path_counts,
     principal_congruence,
     random_acyclic_quiver,
     universal_congruence,
 )
+from pathcong.semigroup import _finest_first
 from pathcong.verify import congruence_label, congruence_lattice
 
 from oracles import direct_join_closure, enumerate_congruences_bruteforce
@@ -283,9 +287,9 @@ def test_mismatched_semigroups_rejected(s2, s6):
 
 
 def test_semigroups_of_one_quiver_compare_equal(kronecker, single_arrow):
-    s, t = build_semigroup(kronecker), build_semigroup(Quiver(kronecker.vertices, kronecker.arrows))
+    s, t = PathSemigroup(kronecker), PathSemigroup(Quiver(kronecker.vertices, kronecker.arrows))
     assert s is not t and s == t and hash(s) == hash(t)
-    assert s != build_semigroup(single_arrow) and s != kronecker
+    assert s != PathSemigroup(single_arrow) and s != kronecker
     ours, theirs = enumerate_congruences(s), enumerate_congruences(t)
     assert ours == theirs
     assert join_congruences(ours[1], theirs[2]) == join_congruences(ours[1], ours[2])
@@ -365,23 +369,38 @@ def test_table_bytes_refuses_past_the_kernel_limit_from_the_count():
         big.table_bytes
 
 
-# Enumeration joins only the join-irreducible principal congruences.  The
-# reference is the closure it replaced, over every distinct principal.
+# Enumeration joins only the join-irreducible principal congruences, and
+# tries only the pairs (0, y) and the parallel pairs.  The reference tries
+# every pair, keeps each distinct principal that is not the join of the
+# distinct principals strictly below it, and forms every join.
 
 
 def all_principal_closure(s):
-    """Every congruence as label bytes: the join-closure over all distinct principals."""
+    """Every congruence as label bytes, finest first, and its join table with
+    the join-irreducible principals, from every pair (x, y)."""
     n = s.n
     principals = {}
     for x, y in itertools.combinations(range(n), 2):
         principals.setdefault(_kernels.principal_labels(s.table_bytes, n, x, y), (x, y))
-    return semigroup.join_closure(
+
+    def irreducible(lab):
+        acc = bytes(range(n))
+        for other in principals:
+            if other != lab and _kernels.join_labels(other, lab) == lab:
+                acc = _kernels.join_labels(acc, other)
+        return acc != lab
+
+    found, succ = direct_join_closure(
         bytes(range(n)),
-        [(x, y, lab) for lab, (x, y) in principals.items()],
+        [(x, y, lab) for lab, (x, y) in principals.items() if irreducible(lab)],
         below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],
         join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
         key=lambda lab: lab,
-    )[0]
+    )
+    order = sorted(range(len(found)), key=lambda i: _finest_first(found[i]))
+    rank = {old: new for new, old in enumerate(order)}
+    table = np.array([[rank[j] for j in succ[i]] for i in order], dtype=np.intp)
+    return tuple(found[i] for i in order), table
 
 
 def enumerate_with_generators(s):
@@ -400,9 +419,9 @@ def enumerate_with_generators(s):
 
 
 def assert_generators_are_join_irreducible(q):
-    s = build_semigroup(q)
+    s = PathSemigroup(q)  # not cached, so its closure runs here
     congs, generators = enumerate_with_generators(s)
-    expected = all_principal_closure(s)
+    expected, _ = all_principal_closure(s)
     assert len(congs) == len(expected)
     assert {c.labels for c in congs} == set(expected)
     lat = congruence_lattice(s)
@@ -516,3 +535,38 @@ def test_star_keeps_2k_plus_1_generators(k):
     # ideals of the centre c, of each tip l_i and of each arrow a_i
     _, generators = enumerate_with_generators(build_semigroup(star_quiver(k)))
     assert len(generators) == 2 * k + 1
+
+
+def assert_closure_matches_all_pairs(q):
+    s = PathSemigroup(q)
+    calls = []
+    real = _kernels.principal_labels
+
+    def spy(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "principal_labels", spy)
+        labels, table = semigroup.congruence_join_closure(s)
+    parallel = sum(c * (c - 1) // 2 for c in path_counts(q).values())
+    assert len(calls) == (s.n - 1) + parallel
+    expected, expected_table = all_principal_closure(s)
+    assert labels == expected
+    assert table.shape == expected_table.shape
+    assert table.tobytes() == expected_table.tobytes()
+
+
+@pytest.mark.parametrize(
+    "q",
+    [*(kronecker_quiver(k) for k in range(1, 6)), *(star_quiver(k) for k in range(1, 6))],
+    ids=[*(f"kronecker{k}" for k in range(1, 6)), *(f"star{k}" for k in range(1, 6))],
+)
+def test_closure_from_zero_and_parallel_pairs_matches_all_pairs(q):
+    assert_closure_matches_all_pairs(q)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closure_from_zero_and_parallel_pairs_matches_all_pairs_on_random_quivers(seed):
+    assert_closure_matches_all_pairs(random_acyclic_quiver(random.Random(seed), 4, 5, 12))

@@ -191,7 +191,30 @@ def test_check_builds_one_lattice_per_enumeration(monkeypatch, kronecker):
     lattices.clear()
     closures.clear()
     assert check_theorems(three_components()).ok
-    assert len(lattices) == len(closures) == 1 + 3
+    # the first component equals kronecker, whose semigroup is cached with its closure
+    assert len(lattices) == 1 + 3
+    assert len(closures) == 1 + 2
+
+
+def test_check_of_an_equal_quiver_runs_no_closure(monkeypatch, kronecker):
+    closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
+    assert check_theorems(kronecker).ok
+    assert len(closures) == 1
+    assert check_theorems(Quiver(list(kronecker.vertices), list(kronecker.arrows))).ok
+    assert len(closures) == 1
+
+
+def test_shared_component_is_closed_once(monkeypatch):
+    # two components of one quiver never compare equal (their vertices
+    # differ), but quivers that share a component share its closure
+    closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
+    assert check_theorems(three_components()).ok
+    assert len(closures) == 1 + 3
+    closures.clear()
+    q = Quiver(["1", "2", "7"], [("alpha", "1", "2"), ("beta", "1", "2")])
+    assert connected_components(q)[0] == connected_components(three_components())[0]
+    assert check_theorems(q).ok
+    assert len(closures) == 1 + 1  # the whole quiver and the isolated vertex 7
 
 
 def test_join_closures_read_most_joins_from_their_tables(monkeypatch):
