@@ -206,16 +206,15 @@ def enumerate_special_ideals(
     s = build_semigroup(q)
     s.check_element_cap(max_elements)
     s.check_kernel_limit()
-    # each atom keeps the index of the first relation r generating it; a
-    # two-sided ideal contains (r) exactly when it contains r, so the
-    # below-test is one byte of the current ideal's relation row
-    atoms = {}
-    for i, r in enumerate(all_relations(q)):
-        ideal = generate_ideal(q, (r,))
-        atoms.setdefault(ideal.space.key(), (i, ideal))
+    # one atom (r) per relation r, keeping r's index, and no two equal:
+    # (y) has y as its shortest path; (x - y) is spanned by the u*x*v -
+    # u*y*v, whose supports are disjoint, so it holds no monomial and its
+    # shortest two-term vector is x - y.  A two-sided ideal contains (r)
+    # exactly when it contains r, so the below-test is one byte of the
+    # current ideal's relation row
     found, _ = join_closure(
         zero_ideal(q),
-        list(atoms.values()),
+        [(i, generate_ideal(q, (r,))) for i, r in enumerate(all_relations(q))],
         below=lambda cur, atom: cur.relations[atom[0]],
         join=lambda cur, atom: ideal_join(cur, atom[1]),
         key=lambda ideal: ideal.space.key(),

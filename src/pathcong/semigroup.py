@@ -236,7 +236,12 @@ def congruence_from_blocks(s: PathSemigroup, blocks) -> Congruence:
 
 
 def congruence_from_json(s: PathSemigroup, obj: dict) -> Congruence:
-    blocks = obj["blocks"]
+    """Read ``{"blocks": [[name, ...], ...]}``; raises ``ValueError`` on any other shape."""
+    blocks = obj.get("blocks") if isinstance(obj, dict) else None
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(isinstance(name, str) for name in b) for b in blocks
+    ):
+        raise ValueError('expected {"blocks": [[element name, ...], ...]}')
     try:
         blocks = [[s.index_by_name(name) for name in block] for block in blocks]
     except KeyError as exc:
@@ -330,46 +335,44 @@ def enumerate_congruences(
 
 
 def congruence_join_closure(s: PathSemigroup):
-    """``join_closure`` of the identity over the join-irreducible principal congruences.
+    """``join_closure`` of the identity over theta(0, y) and theta(x, y) for parallel x, y.
 
     Every congruence is the join of the principal congruences it contains,
-    so every join-irreducible congruence is principal; and in a finite
-    lattice every element is the join of the join-irreducibles below it.
-    The join-irreducible principals are therefore enough generators.  A
-    principal congruence theta(x, y) is join-irreducible exactly when the
-    join of the principals strictly below it leaves x and y apart: that
-    join is the join of everything strictly below theta(x, y), which is
-    theta(x, y) itself as soon as it identifies x and y.  The test uses
-    partition joins only, nothing from the ideal side.
+    and in a finite lattice every element is the join of the
+    join-irreducibles below it, so the join-irreducible principals are
+    enough generators.  They are exactly the principals of these pairs,
+    one per relation, each once:
 
-    Only the pairs (0, y) and the parallel pairs are tried.  Nonzero x and
-    y that are not parallel differ in source or target; say x starts at s
-    and y does not.  Then e_s x = x and e_s y = 0 (targets likewise, on the
-    right), so theta(x, y) = theta(x, 0) v theta(y, 0).  If it is
-    join-irreducible it is one of those two, found earlier from a (0, y)
-    pair; and as a join of principals below it, it changes no join of
-    everything below another principal.  The generators, their order and
-    the closure are those of trying every pair.  Returns the label vectors
-    finest first and their m x K join table with the generators,
-    re-indexed to that order.
+    - nonzero x and y that are not parallel differ in source or target;
+      say x starts at s and y does not.  Then e_s x = x and e_s y = 0
+      (targets likewise, on the right), so theta(x, y) = theta(x, 0) v
+      theta(y, 0) is join-irreducible only as one of those two;
+    - theta(0, y) puts 0 and the paths u y v in one block and leaves the
+      rest single.  A congruence below it that moves y puts y with 0 or
+      with a longer u y v, which differs from y in source or target, so
+      with 0 either way, and is theta(0, y).  So everything strictly below
+      theta(0, y) keeps y a singleton, and so does their join;
+    - a path meets each vertex at most once, so the block of parallel x in
+      theta(x, y) is {x, y}, and every congruence strictly below keeps x a
+      singleton;
+    - theta(0, y) has y as the shortest path of its zero block, and
+      theta(x, y) collapses nothing to 0, so no two generators are equal.
+
+    Returns the label vectors finest first and their m x K join table
+    with the generators, re-indexed to that order.
     """
     mult = s.table_bytes
     n = s.n
     ends = [None, *((p.source, p.target) for p in s.paths)]
-    # each distinct principal congruence with one pair (x, y) generating it
-    principals: list[tuple[int, int, bytes]] = []
-    seen = set()
-    for x in range(n):
-        for y in range(x + 1, n):
-            if x and ends[x] != ends[y]:
-                continue
-            lab = _kernels.principal_labels(mult, n, x, y)
-            if lab not in seen:
-                seen.add(lab)
-                principals.append((x, y, lab))
+    generators = [
+        (x, y, _kernels.principal_labels(mult, n, x, y))
+        for x in range(n)
+        for y in range(x + 1, n)
+        if not x or ends[x] == ends[y]
+    ]
     found, succ = join_closure(
         bytes(range(n)),
-        [p for p in principals if _join_irreducible(p, principals)],
+        generators,
         below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],  # theta(x, y) <= cur
         join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
         key=lambda lab: lab,
@@ -378,19 +381,6 @@ def congruence_join_closure(s: PathSemigroup):
     S = np.argsort(order)[np.array(succ, dtype=np.intp)[order]]  # argsort inverts order
     S.flags.writeable = False  # cached on the semigroup, so shared by every caller
     return tuple(found[i] for i in order), S
-
-
-def _join_irreducible(principal, principals) -> bool:
-    """True iff the principals strictly below theta(x, y) do not identify x and y."""
-    x, y, lab = principal
-    acc = bytes(range(len(lab)))
-    for bx, by, blab in principals:
-        # theta(bx, by) < theta(x, y), and not already below the accumulated join
-        if lab[bx] == lab[by] and acc[bx] != acc[by] and blab != lab:
-            acc = _kernels.join_labels(acc, blab)
-            if acc[x] == acc[y]:
-                return False
-    return True
 
 
 def is_rees(c: Congruence) -> bool:

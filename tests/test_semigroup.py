@@ -279,6 +279,16 @@ def test_congruence_from_json_names_an_unknown_element(s6):
         congruence_from_json(s6, {"blocks": [["0", "gamma"], ["1"], ["2"], ["alpha"], ["beta"]]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [{}, {"blocks": 3}, [["0", "alpha"]], None, {"blocks": [3]}, {"blocks": [[["0"]]]}],
+    ids=["no-blocks", "blocks-not-a-list", "top-level-list", "null", "block-not-a-list", "name-not-a-string"],
+)
+def test_congruence_from_json_rejects_malformed_input(s6, obj):
+    with pytest.raises(ValueError, match="expected"):
+        congruence_from_json(s6, obj)
+
+
 def test_mismatched_semigroups_rejected(s2, s6):
     with pytest.raises(ValueError):
         join_congruences(identity_congruence(s2), identity_congruence(s6))
@@ -430,7 +440,7 @@ def assert_generators_are_join_irreducible(q):
         lower_covers[hi] += 1
     irreducible = {lat.elements[i].labels for i in range(lat.n) if lower_covers[i] == 1}
     kept = [lab for _, _, lab in generators]
-    assert len(set(kept)) == len(kept)
+    assert len(set(kept)) == len(kept) == len(ideals.all_relations(q))
     assert set(kept) == irreducible
     for x, y, lab in generators:
         assert _kernels.principal_labels(s.table_bytes, s.n, x, y) == lab
@@ -443,6 +453,22 @@ def kronecker_quiver(arrows):
 def star_quiver(leaves):
     tips = [f"l{i}" for i in range(1, leaves + 1)]
     return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+# Shapes the Kronecker and star families lack: parallel paths of length 2
+# (12 elements, 124 congruences), parallel paths of unequal length (9, 43),
+# and several components with an isolated vertex (9, 80).
+MORE_SHAPES = {
+    "doubled-chain2": Quiver(
+        ["0", "1", "2"], [("a0", "0", "1"), ("b0", "0", "1"), ("a1", "1", "2"), ("b1", "1", "2")]
+    ),
+    "chain-and-two-shortcuts": Quiver(
+        ["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2"), ("c", "0", "2"), ("d", "0", "2")]
+    ),
+    "kronecker2-arrow-point": Quiver(
+        ["1", "2", "3", "4", "5"], [("a1", "1", "2"), ("a2", "1", "2"), ("b", "3", "4")]
+    ),
+}
 
 
 @pytest.mark.parametrize("q", [kronecker_quiver(4), star_quiver(4)], ids=["kronecker4", "star4"])
@@ -466,8 +492,8 @@ def test_join_closure_table_records_each_join(q):
 
 # join_closure reads a join from its table where an earlier row decides
 # it; the oracle forms every join.  Both run on the arguments each route
-# passes: the join-irreducible principals with join_labels, and the
-# deduplicated single-relation ideals with ideal_join.
+# passes: the join-irreducible principals with join_labels, and one
+# single-relation ideal per relation with ideal_join.
 
 ROUTES = {
     "congruences": (semigroup, lambda q: semigroup.congruence_join_closure(build_semigroup(q))),
@@ -489,6 +515,9 @@ def assert_closure_matches_direct(q, route):
         mp.setattr(module, "join_closure", spy)
         run(q)
     [(seed, atoms, kwargs, (found, succ))] = calls
+    if route == "ideals":
+        keys = {ideal.space.key() for _, ideal in atoms}
+        assert len(keys) == len(atoms) == len(ideals.all_relations(q))
     expected, expected_succ = direct_join_closure(seed, atoms, **kwargs)
     key = kwargs["key"]
     assert [key(e) for e in found] == [key(e) for e in expected]
@@ -498,8 +527,13 @@ def assert_closure_matches_direct(q, route):
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize(
     "q",
-    [*(parse_quiver(p.read_text()) for p in QUIVER_FILES), kronecker_quiver(5), star_quiver(5)],
-    ids=[*(p.stem for p in QUIVER_FILES), "kronecker5", "star5"],
+    [
+        *(parse_quiver(p.read_text()) for p in QUIVER_FILES),
+        kronecker_quiver(5),
+        star_quiver(5),
+        *MORE_SHAPES.values(),
+    ],
+    ids=[*(p.stem for p in QUIVER_FILES), "kronecker5", "star5", *MORE_SHAPES],
 )
 def test_join_closure_matches_direct_closure(q, route):
     assert_closure_matches_direct(q, route)
@@ -518,7 +552,11 @@ def test_generators_are_join_irreducible_on_quiver_files(path):
     assert_generators_are_join_irreducible(parse_quiver(path.read_text()))
 
 
-@pytest.mark.parametrize("q", [kronecker_quiver(5), star_quiver(5)], ids=["kronecker5", "star5"])
+@pytest.mark.parametrize(
+    "q",
+    [kronecker_quiver(5), star_quiver(5), *MORE_SHAPES.values()],
+    ids=["kronecker5", "star5", *MORE_SHAPES],
+)
 def test_generators_are_join_irreducible_on_wide_quivers(q):
     assert_generators_are_join_irreducible(q)
 
@@ -559,8 +597,12 @@ def assert_closure_matches_all_pairs(q):
 
 @pytest.mark.parametrize(
     "q",
-    [*(kronecker_quiver(k) for k in range(1, 6)), *(star_quiver(k) for k in range(1, 6))],
-    ids=[*(f"kronecker{k}" for k in range(1, 6)), *(f"star{k}" for k in range(1, 6))],
+    [
+        *(kronecker_quiver(k) for k in range(1, 6)),
+        *(star_quiver(k) for k in range(1, 6)),
+        *MORE_SHAPES.values(),
+    ],
+    ids=[*(f"kronecker{k}" for k in range(1, 6)), *(f"star{k}" for k in range(1, 6)), *MORE_SHAPES],
 )
 def test_closure_from_zero_and_parallel_pairs_matches_all_pairs(q):
     assert_closure_matches_all_pairs(q)
