@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_sum
 from .quiver import Quiver
@@ -84,12 +86,6 @@ def all_relations(q: Quiver) -> tuple[Relation, ...]:
     return tuple(rels)
 
 
-@lru_cache(maxsize=256)
-def _relation_vectors(q: Quiver) -> tuple[PathVector, ...]:
-    """``r.vectorize()`` for each relation of ``all_relations(q)``, in that order."""
-    return tuple(r.vectorize() for r in all_relations(q))
-
-
 class SpecialIdeal:
     """An ideal generated by relations, with its vector space in RREF form.
 
@@ -113,14 +109,16 @@ class SpecialIdeal:
     @property
     def relations(self) -> bytes:
         """One byte per relation of ``all_relations(quiver)``: 1 where the
-        ideal contains it, else 0.  Computed on first read and kept."""
+        ideal contains it, else 0; computed on first read and kept.  The
+        residue map is linear, so y lies in the ideal iff its residue is 0,
+        and x - y iff the residues of x and y are equal."""
         if self._relations is None:
-            contains = self.space.contains
-            self._relations = bytes(contains(v) for v in _relation_vectors(self.quiver))
+            res = self.space.unit_residues()
+            self._relations = bytes(
+                not res[r.first] if r.second is None else res[r.first] == res[r.second]
+                for r in all_relations(self.quiver)
+            )
         return self._relations
-
-    def subset_of(self, other: "SpecialIdeal") -> bool:
-        return other.space.contains_subspace(self.space)
 
     def to_json_dict(self) -> dict:
         paths = build_semigroup(self.quiver).paths
@@ -193,10 +191,9 @@ def ideal_join(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
     return SpecialIdeal(q, a.generators | b.generators, subspace_sum(a.space, b.space))
 
 
-def enumerate_special_ideals(
-    q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> list[SpecialIdeal]:
-    """Every special ideal, by join-closure over single-relation ideals.
+def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    """Every special ideal, by join-closure over single-relation ideals,
+    and the m x K table of ideal i + (r_k) for each relation r_k.
 
     Deduplicated by RREF space; ordered by (dimension, basis), so the
     zero ideal comes first and the whole path algebra last.  Refuses
@@ -212,14 +209,21 @@ def enumerate_special_ideals(
     # shortest two-term vector is x - y.  A two-sided ideal contains (r)
     # exactly when it contains r, so the below-test is one byte of the
     # current ideal's relation row
-    found, _ = join_closure(
+    found, succ = join_closure(
         zero_ideal(q),
         [(i, generate_ideal(q, (r,))) for i, r in enumerate(all_relations(q))],
         below=lambda cur, atom: cur.relations[atom[0]],
         join=lambda cur, atom: ideal_join(cur, atom[1]),
         key=lambda ideal: ideal.space.key(),
     )
-    return sorted(found, key=lambda i: (i.dim, i.space.key()))
+    order = sorted(range(len(found)), key=lambda i: (found[i].dim, found[i].space.key()))
+    S = np.argsort(order)[np.array(succ, dtype=np.intp)[order]]  # argsort inverts order
+    return [found[i] for i in order], S
+
+
+def enumerate_special_ideals(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list:
+    """Every special ideal, in ``ideal_join_closure``'s order."""
+    return ideal_join_closure(q, max_elements)[0]
 
 
 def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:

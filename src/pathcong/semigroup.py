@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -54,8 +55,8 @@ class PathSemigroup:
         return self._table
 
     @property
-    def congruence_closure(self) -> tuple[tuple[bytes, ...], np.ndarray]:
-        """``congruence_join_closure`` of this semigroup: every congruence and its join table."""
+    def congruence_closure(self) -> tuple[tuple[bytes, ...], np.ndarray, tuple]:
+        """``congruence_join_closure`` of this semigroup: congruences, join table, generators."""
         if self._closure is None:
             self._closure = congruence_join_closure(self)
         return self._closure
@@ -223,11 +224,14 @@ def universal_congruence(s: PathSemigroup) -> Congruence:
 def congruence_from_blocks(s: PathSemigroup, blocks) -> Congruence:
     """Build a congruence from element-index blocks, validating everything."""
     labels = [-1] * s.n
-    for k, block in enumerate(blocks):
-        for i in block:
-            if not 0 <= i < s.n or labels[i] != -1:
-                raise ValueError("blocks do not form a partition of the elements")
-            labels[i] = k
+    try:
+        for k, block in enumerate(blocks):
+            for i in map(operator.index, block):
+                if not 0 <= i < s.n or labels[i] != -1:
+                    raise ValueError("blocks do not form a partition of the elements")
+                labels[i] = k
+    except TypeError:
+        raise ValueError("blocks must be iterables of integer element indices") from None
     if -1 in labels:
         raise ValueError("blocks do not cover every element")
     c = Congruence(s, labels)
@@ -358,8 +362,9 @@ def congruence_join_closure(s: PathSemigroup):
     - theta(0, y) has y as the shortest path of its zero block, and
       theta(x, y) collapses nothing to 0, so no two generators are equal.
 
-    Returns the label vectors finest first and their m x K join table
-    with the generators, re-indexed to that order.
+    Returns the label vectors finest first, their m x K join table with
+    the generators, re-indexed to that order, and the generator pairs
+    (x, y), one per column.
     """
     mult = s.table_bytes
     n = s.n
@@ -380,7 +385,7 @@ def congruence_join_closure(s: PathSemigroup):
     order = sorted(range(len(found)), key=lambda i: _finest_first(found[i]))
     S = np.argsort(order)[np.array(succ, dtype=np.intp)[order]]  # argsort inverts order
     S.flags.writeable = False  # cached on the semigroup, so shared by every caller
-    return tuple(found[i] for i in order), S
+    return tuple(found[i] for i in order), S, tuple((x, y) for x, y, _ in generators)
 
 
 def is_rees(c: Congruence) -> bool:

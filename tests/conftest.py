@@ -3,7 +3,7 @@ import pytest
 from pathcong import Quiver, ideals, semigroup
 
 # every cache keyed by quiver: a semigroup carries its table and congruence closure
-QUIVER_CACHES = (semigroup.build_semigroup, ideals.all_relations, ideals._relation_vectors)
+QUIVER_CACHES = (semigroup.build_semigroup, ideals.all_relations)
 
 
 @pytest.fixture(autouse=True)

@@ -5,9 +5,9 @@ way, or a relation the package never needs: congruences by filtering
 every set partition, the join-closure that forms every join it
 tabulates, refinement of two partitions and its order matrix over a
 congruence list, the residue of a vector against RREF rows, the
-Zassenhaus intersection of two subspaces and the meet of two special
-ideals.  No command and no verdict of ``check_theorems`` reaches them,
-so they live with the tests.
+Zassenhaus intersection of two subspaces, containment of two special
+ideals and their meet.  No command and no verdict of ``check_theorems``
+reaches them, so they live with the tests.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from pathcong import (
 )
 from pathcong import _kernels
 from pathcong.semigroup import _finest_first
-from pathcong.verify import _containment, _stack
 
 
 def congruences_bruteforce(mult: bytes, n: int) -> list[bytes]:
@@ -100,6 +99,17 @@ def refines(a: Congruence, b: Congruence) -> bool:
     return all(image.setdefault(x, y) == y for x, y in zip(a.labels, b.labels))
 
 
+def _containment(marks: np.ndarray) -> np.ndarray:
+    """[a, b] says that every mark of row a is a mark of row b."""
+    return ~(marks @ ~marks.T)  # boolean product: some mark of a is missing from b
+
+
+def _stack(rows, dtype) -> np.ndarray:
+    """Equally long byte strings as the rows of a matrix; no rows give shape (0, 0)."""
+    width = len(rows[0]) if rows else 0
+    return np.frombuffer(b"".join(rows), dtype=dtype).reshape(len(rows), width)
+
+
 def congruence_leq_matrix(congs) -> np.ndarray:
     """Refinement order over a list of congruences, as pair containment.
 
@@ -139,6 +149,11 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(
         d, {min(r.coeffs) - d: {i - d: c for i, c in r.items()} for r in rows if min(r.coeffs) >= d}
     )
+
+
+def ideal_subset(a, b) -> bool:
+    """True iff special ideal a lies inside b, by subspace containment."""
+    return b.space.contains_subspace(a.space)
 
 
 def ideal_meet(a, b):

@@ -50,10 +50,22 @@ def test_kernel_hooks_the_benchmark_reads():
         assert callable(getattr(_kernels, name)), name
 
 
+# Traced targets check_theorems no longer calls: verdicts 1 and 5 compare
+# the routes' join tables, so no containment test or order matrix is made,
+# and it takes the ideals with their table from ideal_join_closure.
+DROPPED_FROM_CHECK = {
+    "verify.ideal_leq_matrix",
+    "linalg.Subspace.contains",
+    "linalg.Subspace.contains_subspace",
+    "ideals.enumerate_special_ideals",
+}
+
+
 def test_check_theorems_reaches_every_traced_kernel(triple_arrow, monkeypatch):
     # the benchmark's self-test needs every traced function called on a
-    # verifying workload; the three-arrow Kronecker quiver is one.  Like the
-    # tracer, replace every binding of a function and a method on its class.
+    # verifying workload; the three-arrow Kronecker quiver is one.  All but
+    # the dropped ones must be.  Like the tracer, replace every binding of a
+    # function and a method on its class.
     calls = dict.fromkeys(_load_tracer().TARGETS, 0)
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "pathcong"]
     for name, (modname, attr, _) in _load_tracer().TARGETS.items():
@@ -75,4 +87,4 @@ def test_check_theorems_reaches_every_traced_kernel(triple_arrow, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
     assert pathcong.check_theorems(triple_arrow).ok  # the patched binding
-    assert all(calls.values()), [name for name, n in calls.items() if not n]
+    assert {name for name, n in calls.items() if not n} == DROPPED_FROM_CHECK

@@ -32,11 +32,16 @@ LIBRARY_ENTRY_POINTS = {
     "PathSemigroup.index_by_name",
     "monomial_relation",
     "commutative_relation",
+    "Relation.vectorize",
     "console_main",  # the installed script; the runs call main()
 }
 # The benchmark builds its workloads with this (perfbench/workloads.py);
 # random-check also prints it for a quiver that fails its check.
 BENCHMARK_BUILDERS = {"quiver_to_text"}
+# Functions perfbench/tracer.py wraps by name and raises without, which no
+# command reaches since check_theorems compares join tables.  ROADMAP
+# item 1 retires them from the tracer's targets.
+BENCHMARK_TRACED = {"ideal_leq_matrix", "Subspace.contains", "Subspace.contains_subspace"}
 
 
 class _FunctionTrace(trace.Trace):
@@ -115,7 +120,7 @@ def test_every_function_is_reached_by_a_command(tmp_path):
 
     called = {(Path(f).resolve(), line) for f, line, _ in tracer.results().calledfuncs}
     defined = _defined()
-    allowed = LIBRARY_ENTRY_POINTS | BENCHMARK_BUILDERS
+    allowed = LIBRARY_ENTRY_POINTS | BENCHMARK_BUILDERS | BENCHMARK_TRACED
     assert allowed <= set(defined.values()), "an allowlisted function is gone"
     missed = [
         f"{path.name}: {name}"

@@ -274,6 +274,12 @@ def test_from_blocks_rejects_non_congruence(s2):
         congruence_from_blocks(s2, [[0, 1], [1, 2], [3]])
 
 
+@pytest.mark.parametrize("blocks", [[["x"]], [[0.5]], 3], ids=["string", "float", "bare-int"])
+def test_from_blocks_rejects_elements_that_are_not_ints(s2, blocks):
+    with pytest.raises(ValueError, match="integer element indices"):
+        congruence_from_blocks(s2, blocks)
+
+
 def test_congruence_from_json_names_an_unknown_element(s6):
     with pytest.raises(ValueError, match="unknown element 'gamma'"):
         congruence_from_json(s6, {"blocks": [["0", "gamma"], ["1"], ["2"], ["alpha"], ["beta"]]})
@@ -586,9 +592,10 @@ def assert_closure_matches_all_pairs(q):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "principal_labels", spy)
-        labels, table = semigroup.congruence_join_closure(s)
+        labels, table, pairs = semigroup.congruence_join_closure(s)
     parallel = sum(c * (c - 1) // 2 for c in path_counts(q).values())
     assert len(calls) == (s.n - 1) + parallel
+    assert list(pairs) == calls  # one generator pair per table column, in order
     expected, expected_table = all_principal_closure(s)
     assert labels == expected
     assert table.shape == expected_table.shape

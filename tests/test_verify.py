@@ -27,7 +27,7 @@ from pathcong import (
     underlying_graph_is_tree,
 )
 from lattice_oracles import congruence_table, ideal_lattice, transitive_reduction
-from oracles import congruence_leq_matrix, refines
+from oracles import _containment, congruence_leq_matrix, ideal_subset, refines
 from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
 from pathcong.ideals import SpecialIdeal
 from pathcong.cli import main
@@ -123,7 +123,7 @@ def test_ideal_leq_matrix_matches_subset(triple_arrow):
         leq = ideal_leq_matrix(ideals)
         for i, a in enumerate(ideals):
             for j, b in enumerate(ideals):
-                assert leq[i, j] == a.subset_of(b)
+                assert leq[i, j] == ideal_subset(a, b)
 
 
 @pytest.mark.parametrize("leq_matrix", [congruence_leq_matrix, ideal_leq_matrix])
@@ -136,7 +136,7 @@ def test_leq_matrix_of_no_elements_is_empty(leq_matrix):
 def test_containment_matches_the_integer_product(m, r, seed):
     inc = np.random.default_rng(seed).random((m, r)) < 0.5
     have = inc.astype(np.int64)
-    assert (verify._containment(inc) == ((have @ (1 - have).T) == 0)).all()
+    assert (_containment(inc) == ((have @ (1 - have).T) == 0)).all()
 
 
 def test_check_theorems_paper_quivers(single_arrow, kronecker, triple_arrow):
@@ -255,22 +255,22 @@ def test_cli_lattice_runs_one_closure(monkeypatch, capsys):
 def test_cover_verdict_names_first_failing_cover(monkeypatch, triple_arrow):
     # the covers of the ideal lattice built from the ideal operations alone
     covers = ideal_lattice(triple_arrow).covers
+    found = enumerate_special_ideals(triple_arrow)
     target = covers[-1][1]
     first = min(c for c in covers if c[1] == target)
-    assert first != covers[-1]
-    upper = enumerate_special_ideals(triple_arrow)[target]
-    real = SpecialIdeal.subset_of
-
-    def broken(self, other):
-        return other != upper and real(self, other)
-
-    monkeypatch.setattr(SpecialIdeal, "subset_of", broken)
+    assert first != covers[-1] and target == len(found) - 1
+    # one dimension more keeps the top ideal last, and every cover into it
+    # now jumps two
+    upper = found[target]
+    real = SpecialIdeal.dim.fget
+    monkeypatch.setattr(SpecialIdeal, "dim", property(lambda self: real(self) + (self == upper)))
     report = check_theorems(triple_arrow)
     assert report.verdicts[0][1]
+    low = found[first[0]].dim
     assert report.verdicts[4] == (
         "every ideal cover is one new relation's step",
         False,
-        f"relation does not regenerate cover {first[0]} -> {first[1]}",
+        f"cover {first[0]} -> {first[1]} jumps {low} -> {low + 2}",
     )
 
 
@@ -315,26 +315,31 @@ def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
     )
 
 
-def test_check_path_tests_subspace_containment_once_per_cover(monkeypatch, triple_arrow):
-    # the closure and the order read the ideals' relation rows; only the
-    # cover verdict's subset_of compares two subspaces
+def test_check_path_tests_no_subspace_containment(monkeypatch, triple_arrow):
+    # the closure reads the ideals' relation rows off their residues, and
+    # verdicts 1 and 5 compare join tables and dimensions, so no subspace
+    # is tested against a vector or another subspace, and no m x m order
+    # is built
+    spies = [
+        count_calls(monkeypatch, linalg.Subspace, "contains"),
+        count_calls(monkeypatch, linalg.Subspace, "contains_subspace"),
+        count_calls(monkeypatch, verify, "ideal_leq_matrix"),
+    ]
     for q in (triple_arrow, three_components()):
-        ncovers = len(congruence_lattice(build_semigroup(q)).covers)
-        with monkeypatch.context() as patch:
-            containments = count_calls(patch, linalg.Subspace, "contains_subspace")
-            assert check_theorems(q).ok
-        assert len(containments) == ncovers > 0
+        assert check_theorems(q).ok
+    assert [len(calls) for calls in spies] == [0, 0, 0]
 
 
 def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
-    real = verify.ideal_leq_matrix
+    real = verify.ideal_join_closure
 
-    def perturbed(ideals):
-        leq = real(ideals).copy()
-        leq[1:, 0] = True  # ideal 0 is no longer the bottom alone
-        return leq
+    def corrupted(q, max_elements):
+        found, S = real(q, max_elements)
+        S = S.copy()
+        S[0, 0] = 0  # the zero ideal no longer grows by the first relation
+        return found, S
 
-    monkeypatch.setattr(verify, "ideal_leq_matrix", perturbed)
+    monkeypatch.setattr(verify, "ideal_join_closure", corrupted)
     report = check_theorems(kronecker)
     assert report.verdicts[0] == (
         "congruence/ideal lattice isomorphism", False, "bijection does not preserve order"
@@ -346,18 +351,51 @@ def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
     )
 
 
-def corrupt_join_table(monkeypatch, q, entry, value):
-    """Every semigroup of q reads its cached join table with one entry changed."""
+def patch_closure(monkeypatch, q, edit):
+    """Every semigroup of q reads its cached closure as ``edit`` returns it
+    from copies of the labels, the join table and the generator pairs."""
     real = semigroup.PathSemigroup.congruence_closure.fget
 
     def closure(s):
-        labels, S = real(s)
-        if s.quiver == q:
-            S = S.copy()
-            S[entry] = value
-        return labels, S
+        labels, S, pairs = real(s)
+        return edit(labels, S.copy(), list(pairs)) if s.quiver == q else (labels, S, pairs)
 
     monkeypatch.setattr(semigroup.PathSemigroup, "congruence_closure", property(closure))
+
+
+def corrupt_join_table(monkeypatch, q, entry, value):
+    """Every semigroup of q reads its cached join table with one entry changed."""
+
+    def edit(labels, S, pairs):
+        S[entry] = value
+        return labels, S, pairs
+
+    patch_closure(monkeypatch, q, edit)
+
+
+@pytest.mark.parametrize(
+    "pair, detail",
+    [
+        ((1, 2), "generator (1, 2) maps to no relation"),  # the two vertices are not parallel
+        ((4, 3), "generator (4, 3) maps to no relation"),
+        ((3, 4), "generators do not map one to one onto relations"),  # a second theta(3, 4)
+    ],
+    ids=["not-parallel", "reversed", "repeated"],
+)
+def test_generator_without_its_own_relation_fails_the_isomorphism(
+    monkeypatch, triple_arrow, pair, detail
+):
+    s = build_semigroup(triple_arrow)
+    k = s.congruence_closure[2].index((3, 5))  # alpha ~ gamma
+
+    def edit(labels, S, pairs):
+        pairs[k] = pair
+        return labels, S, pairs
+
+    patch_closure(monkeypatch, triple_arrow, edit)
+    report = check_theorems(triple_arrow)
+    assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, detail)
+    assert report.verdicts[4][1:] == (False, "skipped: isomorphism check failed")
 
 
 def test_dropped_cover_fails_the_isomorphism(monkeypatch, triple_arrow):
