@@ -1,11 +1,11 @@
 """Finite lattices given by their joins with a generating set.
 
-A lattice is given by its element list, the m x K table ``succ`` whose
+A lattice is given by its element list and the m x K table ``succ`` whose
 entry [c, k] is the index of c v g_k for K generators g_k of which every
-element is a join, and its meet as a binary operation on elements.  The
-covers are read off ``succ`` by Lindig's upper-neighbour test, and the six
-structural properties are decided from covers alone, with witnesses.  No
-m x m array is built.
+element is a join.  The covers are read off ``succ`` by Lindig's
+upper-neighbour test, meets by the generators below each element, and the
+six structural properties are decided from covers alone, with witnesses.
+No m x m array is built.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ class LatticeError(ValueError):
 
 
 class FiniteLattice:
-    """Elements with their generator join table, its cover mask, covers, and meet operation."""
+    """Elements with their generator join table, its cover mask, and covers."""
 
-    __slots__ = ("elements", "succ", "cover_mask", "covers", "meet")
+    __slots__ = ("elements", "succ", "cover_mask", "covers")
 
-    def __init__(self, elements, succ, cover_mask, covers, meet):
+    def __init__(self, elements, succ, cover_mask, covers):
         self.elements = elements
         self.succ = succ
         self.cover_mask = cover_mask
         self.covers = covers
-        self.meet = meet
 
     @property
     def n(self) -> int:
@@ -60,13 +59,13 @@ def _cover_mask(S: np.ndarray) -> np.ndarray:
     return mask
 
 
-def build_lattice(elements, succ, meet) -> FiniteLattice:
+def build_lattice(elements, succ) -> FiniteLattice:
     """A finite lattice from its generator join table.
 
     ``succ[c, k]`` is the index of the join of element c with generator k.
     The caller vouches that every element is a join of generators and that
     the table is complete, so the list is a finite join-semilattice with a
-    bottom, which is a lattice.  ``meet`` is the meet of two elements.
+    bottom, which is a lattice.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -79,7 +78,7 @@ def build_lattice(elements, succ, meet) -> FiniteLattice:
     S.flags.writeable = C.flags.writeable = False
     lo, k = np.nonzero(C)
     covers = tuple(sorted(set(zip(lo.tolist(), S[lo, k].tolist()))))
-    return FiniteLattice(elements, S, C, covers, meet)
+    return FiniteLattice(elements, S, C, covers)
 
 
 def _between(lat: FiniteLattice, lo: int, hi: int) -> int:
@@ -113,8 +112,9 @@ def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
 
     Upper semimodular: for distinct covers a = c v g and b = c v h of c,
     a v b = a v h covers a and b v g covers b; else the pair (a, b).
-    Lower semimodular: for distinct lower covers a, b of d, ``lat.meet``
-    of them is in the list and covered by both; else the pair.  Modular
+    Lower semimodular: for distinct lower covers a, b of d, their meet is
+    covered by both; else the pair.  Each c is the join of its generators
+    G(c) = {k : c v g_k = c}, so a ^ b is the one with G(a) & G(b).  Modular
     iff both (Birkhoff, at finite length), else a triple (a, b, c), a <= c,
     breaking the modular law.  The strong variants equal the plain ones at
     finite length (M. Stern, *Semimodular Lattices*, 1999).  Distributive
@@ -140,10 +140,11 @@ def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
     for lo, hi in lat.covers:
         below[hi].append(lo)
     covers = set(lat.covers)
-    index = {e: i for i, e in enumerate(lat.elements)}
-    elements, meet, lower = lat.elements, lat.meet, None
+    G = np.packbits(S == np.arange(lat.n)[:, None], axis=1)
+    index = {g.tobytes(): i for i, g in enumerate(G)}
+    lower = None
     for a, b in (pair for lows in below for pair in combinations(lows, 2)):
-        e = index.get(meet(elements[a], elements[b]))
+        e = index.get((G[a] & G[b]).tobytes())
         if e is None:
             pair = f"{lat.labels[a]!r} and {lat.labels[b]!r}"
             raise LatticeError(f"meet of {pair} is not in the list")

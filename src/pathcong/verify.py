@@ -47,7 +47,6 @@ from .semigroup import (
     congruence_label,
     enumerate_congruences,
     is_rees,
-    meet_congruences,
 )
 
 PREDICTED_KEYS = PROPERTY_NAMES + ("all_rees",)
@@ -95,12 +94,10 @@ def congruence_lattice(
     identity, is closed under joins with every generator, and each member
     is a join of generators, so it is closed under partition joins: a
     finite join-closed family with a bottom, hence a lattice whose join is
-    the partition join.  Its meet is the partition meet, which is a
-    congruence and so in the list; ``property_witnesses`` checks each meet
-    it takes.  Refuses semigroups above ``max_elements``.
+    the partition join.  Refuses semigroups above ``max_elements``.
     """
     congs = enumerate_congruences(s, max_elements)
-    return build_lattice(congs, s.congruence_closure[1], meet_congruences)
+    return build_lattice(congs, s.congruence_closure[1])
 
 
 def ideal_leq_matrix(ideals) -> np.ndarray:

@@ -37,7 +37,6 @@ class TableLattice:
         self.elements = tuple(elements)
         self.n = n = len(self.elements)
         self.labels = tuple(map(str, self.elements)) if labels is None else tuple(labels)
-        self.meet_fn = meet
         self.leq = np.array(leq, dtype=bool)
         index = {e: i for i, e in enumerate(self.elements)}
         self.join = np.empty((n, n), dtype=np.intp)
@@ -57,7 +56,7 @@ class TableLattice:
     def lattice(self, generators=None):
         """The same lattice as a ``FiniteLattice`` generated by ``generators`` (default all)."""
         columns = range(self.n) if generators is None else generators
-        return build_lattice(self.elements, self.join[:, list(columns)], self.meet_fn)
+        return build_lattice(self.elements, self.join[:, list(columns)])
 
 
 def closure_lattice(sets):

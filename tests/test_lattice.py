@@ -60,7 +60,7 @@ def chain_lattice():
 
 
 def test_single_element_lattice():
-    lat = build_lattice(["x"], np.empty((1, 0), dtype=int), min)
+    lat = build_lattice(["x"], np.empty((1, 0), dtype=int))
     assert lat.covers == ()
     assert lattice_properties(lat) == dict.fromkeys(PROPERTY_NAMES, True)
 
@@ -260,22 +260,24 @@ def test_distributive_witness_is_a_cover_preserving_diamond(diamond_lattice, kro
 def test_build_rejects_wrong_join_table(chain_lattice):
     for bad in (chain_lattice.join[:4], chain_lattice.join[:, :, None], chain_lattice.join + 1):
         with pytest.raises(LatticeError, match="does not index 5 elements"):
-            build_lattice(chain_lattice.elements, bad, min)
+            build_lattice(chain_lattice.elements, bad)
 
 
-def test_build_rejects_operation_leaving_the_list(diamond_lattice):
-    lat = build_lattice(diamond_lattice.elements, diamond_lattice.join, lambda a, b: 9)
-    with pytest.raises(LatticeError, match=r"meet of '1' and '2' is not in the list"):
+def test_rejects_table_whose_meet_leaves_the_list():
+    # the square 0 < a, b < ab joined with a and b, but 0 v a reads as 0:
+    # no element has the generators below both a and b, so no meet
+    lat = build_lattice(["0", "a", "b", "ab"], [[0, 2], [1, 3], [3, 2], [3, 3]])
+    with pytest.raises(LatticeError, match=r"meet of 'a' and 'b' is not in the list"):
         lattice_properties(lat)
 
 
 def test_build_rejects_missing_bounds(chain_lattice):
     with pytest.raises(LatticeError, match="at least one element"):
-        build_lattice([], np.empty((0, 0), dtype=int), min)
+        build_lattice([], np.empty((0, 0), dtype=int))
     missing = chain_lattice.join.copy()
     missing[0, 1] = -1  # a join that names no element
     with pytest.raises(LatticeError):
-        build_lattice(chain_lattice.elements, missing, min)
+        build_lattice(chain_lattice.elements, missing)
 
 
 def test_dot_output(single_arrow):
@@ -302,7 +304,7 @@ def test_json_output(kronecker):
 def test_build_copies_the_callers_order(chain_lattice):
     # the caller's join table, which stands in for the order
     succ = chain_lattice.join.copy()
-    lat = build_lattice(chain_lattice.elements, succ, min)
+    lat = build_lattice(chain_lattice.elements, succ)
     assert succ.flags.writeable
     assert (succ == chain_lattice.join).all()
     assert not lat.succ.flags.writeable

@@ -26,6 +26,8 @@ LIBRARY_ENTRY_POINTS = {
     "universal_congruence",
     "principal_congruence",
     "join_congruences",
+    "meet_congruences",
+    "_require_same_semigroup",  # shared by the two entry points above
     "congruence_from_blocks",
     "congruence_from_json",
     "Congruence.validate",
@@ -39,9 +41,15 @@ LIBRARY_ENTRY_POINTS = {
 # random-check also prints it for a quiver that fails its check.
 BENCHMARK_BUILDERS = {"quiver_to_text"}
 # Functions perfbench/tracer.py wraps by name and raises without, which no
-# command reaches since check_theorems compares join tables.  ROADMAP
-# item 1 retires them from the tracer's targets.
-BENCHMARK_TRACED = {"ideal_leq_matrix", "Subspace.contains", "Subspace.contains_subspace"}
+# command reaches since check_theorems compares join tables and reads
+# meets off generator sets.  ROADMAP item 1 retires them from the
+# tracer's targets.
+BENCHMARK_TRACED = {
+    "ideal_leq_matrix",
+    "Subspace.contains",
+    "Subspace.contains_subspace",
+    "meet_labels",
+}
 
 
 class _FunctionTrace(trace.Trace):

@@ -16,6 +16,7 @@ from pathcong import (
     congruence_from_blocks,
     congruence_from_json,
     congruence_to_ideal,
+    connected_components,
     enumerate_congruences,
     enumerate_paths,
     ideal_to_congruence,
@@ -241,13 +242,34 @@ def test_nonzero_blocks_share_endpoints(s2, s6, s4):
                 assert sum(p.is_trivial for p in paths) <= 1
 
 
-def test_congruences_closed_under_join_and_meet(s6):
-    congs = enumerate_congruences(s6)
-    known = {c.labels for c in congs}
-    for a in congs:
-        for b in congs:
+@pytest.mark.parametrize(
+    "q",
+    [
+        Quiver(["1", "2"], [("alpha", "1", "2"), ("beta", "1", "2")]),
+        Quiver(["c", "l1", "l2", "l3"], [(f"a{i}", "c", f"l{i}") for i in (1, 2, 3)]),
+        Quiver(["1", "2"], [(name, "1", "2") for name in ("alpha", "beta", "gamma")]),
+        connected_components(
+            Quiver(
+                ["1", "2", "3", "4", "5", "6"],
+                [("alpha", "1", "2"), ("beta", "1", "2"), ("c", "3", "4"), ("d", "5", "6")],
+            )
+        )[1],  # [0] is the Kronecker quiver above
+    ],
+    ids=["s6", "star", "triple_arrow", "component"],
+)
+def test_congruences_closed_under_join_and_meet(q):
+    s = build_semigroup(q)
+    congs = enumerate_congruences(s)
+    known = {c.labels: i for i, c in enumerate(congs)}
+    # each congruence is the join of the generators below it, so the partition
+    # meet is the one whose generator set is the two generator sets' intersection
+    S = s.congruence_closure[1]
+    G = np.packbits(S == np.arange(len(S))[:, None], axis=1)
+    by_generators = {g.tobytes(): i for i, g in enumerate(G)}
+    for i, a in enumerate(congs):
+        for j, b in enumerate(congs):
             assert join_congruences(a, b).labels in known
-            assert meet_congruences(a, b).labels in known
+            assert known[meet_congruences(a, b).labels] == by_generators[(G[i] & G[j]).tobytes()]
 
 
 def test_congruence_json_roundtrip(s6):

@@ -416,7 +416,7 @@ def test_undecided_properties_fail_the_property_verdict(
     # nothing lies strictly between two congruences the table leaves uncovered
     if component:
         q = three_components()
-        corrupt_join_table(monkeypatch, connected_components(q)[0], (0, 2), 0)
+        corrupt_join_table(monkeypatch, connected_components(q)[0], (1, 2), 4)
     else:
         q = triple_arrow
         corrupt_join_table(monkeypatch, q, (14, 5), 8)
