@@ -78,13 +78,16 @@ def is_congruence_labels(p, mult: bytes, n: int) -> bool:
     """Left/right compatibility of a partition with the multiplication table.
 
     Every element's row and column of the table, read through p, must
-    equal those of the first member of its block.
+    equal those of the first member of its block; a first member is not
+    read at all.
     """
     image = mult.translate(bytes(p).ljust(256, b"\0"))
-    first: dict[int, tuple[bytes, bytes]] = {}
+    first: dict[int, int] = {}  # label -> first member
     for x in range(n):
-        key = (image[x * n : x * n + n], image[x::n])
-        if first.setdefault(p[x], key) != key:
+        f = first.setdefault(p[x], x)
+        if f != x and (
+            image[x * n : x * n + n] != image[f * n : f * n + n] or image[x::n] != image[f::n]
+        ):
             return False
     return True
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_sum
 from .quiver import Quiver
-from .semigroup import DEFAULT_MAX_ELEMENTS, Congruence, PathSemigroup, build_semigroup, join_closure
+from .semigroup import DEFAULT_MAX_ELEMENTS, Congruence, PathSemigroup, _canonical_congruence
+from .semigroup import KERNEL_TABLE_LIMIT, build_semigroup, join_closure
 
 
 @dataclass(frozen=True)
@@ -94,28 +95,50 @@ class SpecialIdeal:
     relations it contains, so ``relations`` describes it fully.
     """
 
-    __slots__ = ("quiver", "generators", "space", "_relations")
+    __slots__ = ("quiver", "_generators", "space", "_residue_labels", "_relations")
 
-    def __init__(self, quiver: Quiver, generators: frozenset[Relation], space: Subspace):
+    def __init__(self, quiver: Quiver, generators: frozenset | Congruence, space: Subspace):
         self.quiver = quiver
-        self.generators = generators
+        self._generators = generators  # a frozenset, or the congruence an image comes from
         self.space = space
-        self._relations = None
+        self._residue_labels = self._relations = None
+
+    @property
+    def generators(self) -> frozenset[Relation]:
+        """The recorded relations; an image of a congruence derives them on first
+        read: monomials for the zero block, each other element less its block's least."""
+        if isinstance(self._generators, Congruence):
+            zero, *rest = self._generators.blocks
+            gens = [Relation(e - 1) for e in zero[1:]]
+            for block in rest:
+                gens.extend(Relation(block[0] - 1, e - 1) for e in block[1:])
+            self._generators = frozenset(gens)
+        return self._generators
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     @property
+    def residue_labels(self) -> bytes:
+        """Canonical labels of the elements' residues against the rows (element 0 is
+        the zero vector, element e that of path e - 1); computed on first read and kept."""
+        if self._residue_labels is None:
+            if self.space.dim_ambient >= KERNEL_TABLE_LIMIT:  # labels are single bytes
+                build_semigroup(self.quiver).check_kernel_limit()
+            self._residue_labels = _kernels.canonical_labels([(), *self.space.unit_residues()])
+        return self._residue_labels
+
+    @property
     def relations(self) -> bytes:
         """One byte per relation of ``all_relations(quiver)``: 1 where the
         ideal contains it, else 0; computed on first read and kept.  The
-        residue map is linear, so y lies in the ideal iff its residue is 0,
-        and x - y iff the residues of x and y are equal."""
+        residue map is linear, so y lies in the ideal iff its residue label
+        is the zero element's, 0, and x - y iff x and y have equal labels."""
         if self._relations is None:
-            res = self.space.unit_residues()
+            lab = self.residue_labels
             self._relations = bytes(
-                not res[r.first] if r.second is None else res[r.first] == res[r.second]
+                lab[r.first + 1] == (0 if r.second is None else lab[r.second + 1])
                 for r in all_relations(self.quiver)
             )
         return self._relations
@@ -231,39 +254,39 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     with x and y in one block, the zero element standing for 0.
 
     That span is already an ideal, since x ~ y gives u*x*v ~ u*y*v, so
-    its RREF rows are written straight from the blocks: a nonzero element
-    z of the zero block gives the row z, and every element b of another
-    block but its greatest, b_k, gives the row b - b_k.  Each row's pivot
-    has entry 1 and its one other column, b_k, is no pivot, so the rows
-    are reduced.  The recorded generators are k - 1 per block: monomials
-    for the zero block, each other element less the block's least one.
-    Raises ``ValueError`` if the partition is not a congruence.
+    its RREF rows are written straight from the labels, in one pass in
+    pivot order: a nonzero element z of the zero block gives the row z,
+    and every element b of another block but its greatest, b_k, gives the
+    row b - b_k.  Each row's pivot has entry 1 and its one other column,
+    b_k, is no pivot, so the rows are reduced.  The generators are derived
+    from the blocks when first read.  Raises ``ValueError`` if the
+    partition is not a congruence.
     """
     if c.semigroup != s:
         raise ValueError("congruence does not live on this semigroup")
-    if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
+    labels = c.labels
+    if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
         raise ValueError("partition is not a congruence")
-    gens = [Relation(e - 1) for e in c.zero_block if e != 0]
-    rows = {e - 1: {e - 1: 1} for e in c.zero_block if e != 0}
-    for block in c.blocks[1:]:
-        least, last = block[0] - 1, block[-1] - 1
-        for e in block[:-1]:
-            rows[e - 1] = {e - 1: 1, last: -1}
-        gens.extend(Relation(least, e - 1) for e in block[1:])
-    return SpecialIdeal(s.quiver, frozenset(gens), Subspace(len(s.paths), rows))
+    last = dict(zip(labels, range(-1, s.n - 1)))  # label -> greatest path index in the block
+    rows = {}
+    for e, lab in enumerate(labels[1:]):  # e: path index of element e + 1
+        if not lab:
+            rows[e] = {e: 1}
+        elif last[lab] != e:
+            rows[e] = {e: 1, last[lab]: -1}
+    return SpecialIdeal(s.quiver, c, Subspace(len(s.paths), rows))
 
 
 def ideal_to_congruence(s: PathSemigroup, ideal: SpecialIdeal) -> Congruence:
     """The congruence an ideal determines: x ~ y iff their difference lies in it.
 
-    The zero element vectorizes as the zero vector and path element e as
-    the unit vector of path e - 1.  Elements are grouped by their residues
-    against the ideal's rows (equal residues mean the difference reduces
-    to zero), read off the rows by ``Subspace.unit_residues``.
+    Equal residues against the ideal's rows mean the difference reduces to
+    zero, so the blocks are the ideal's ``residue_labels``, which are read
+    off its rows once and are canonical already.
     """
     if s.quiver != ideal.quiver:
         raise ValueError("ideal lives over a different quiver")
-    c = Congruence(s, [()] + ideal.space.unit_residues())
-    if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
+    labels = ideal.residue_labels
+    if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
         raise RuntimeError("residue partition is not a congruence; ideal is not special")
-    return c
+    return _canonical_congruence(s, labels)

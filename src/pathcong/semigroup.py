@@ -162,11 +162,6 @@ class Congruence:
             self._blocks = tuple(tuple(b) for b in groups)
         return self._blocks
 
-    @property
-    def zero_block(self) -> tuple[int, ...]:
-        """The block of the zero element (always block 0 in canonical form)."""
-        return self.blocks[0]
-
     def validate(self) -> None:
         """Raise if the partition is not compatible with multiplication."""
         s = self.semigroup

@@ -203,9 +203,12 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
             raise AssertionError(f"{len(congs)} congruences vs {len(ideals)} ideals")
         ideal_index = {ideal.space.key(): k for k, ideal in enumerate(ideals)}
         for k, c in enumerate(congs):
-            # the image is written from c's blocks, not generated; only a
+            # the image is written from c's labels, not generated; only a
             # true ideal can match one of the independently enumerated ones
-            image = congruence_to_ideal(s, c)
+            try:
+                image = congruence_to_ideal(s, c)
+            except ValueError:
+                raise AssertionError(f"partition {k} is not a congruence: {c}") from None
             key = image.space.key()
             if key not in ideal_index:
                 raise AssertionError(f"image of congruence {k} is not an enumerated ideal")

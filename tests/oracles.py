@@ -6,7 +6,10 @@ every set partition, the join-closure that forms every join it
 tabulates, refinement of two partitions and its order matrix over a
 congruence list, the residue of a vector against RREF rows, the
 Zassenhaus intersection of two subspaces, containment of two special
-ideals and their meet.  No command and no verdict of ``check_theorems``
+ideals and their meet.  Two are earlier versions the package replaced
+with faster ones: the congruence test that keys every element's row and
+column, and the image of a congruence built with its generating
+relations up front.  No command and no verdict of ``check_theorems``
 reaches them, so they live with the tests.
 """
 
@@ -21,6 +24,7 @@ from pathcong import (
     generate_ideal,
     row_reduce,
 )
+from pathcong.ideals import Relation, SpecialIdeal
 from pathcong import _kernels
 from pathcong.semigroup import _finest_first
 
@@ -52,6 +56,21 @@ def congruences_bruteforce(mult: bytes, n: int) -> list[bytes]:
             a[k] = 0
             b[k] = m
     return results
+
+
+def is_congruence_labels_keyed(p, mult: bytes, n: int) -> bool:
+    """``_kernels.is_congruence_labels`` keying each element's row and column.
+
+    Every element's row and column of the table, read through p, must
+    equal those of the first member of its block.
+    """
+    image = mult.translate(bytes(p).ljust(256, b"\0"))
+    first: dict[int, tuple[bytes, bytes]] = {}
+    for x in range(n):
+        key = (image[x * n : x * n + n], image[x::n])
+        if first.setdefault(p[x], key) != key:
+            return False
+    return True
 
 
 def enumerate_congruences_bruteforce(s, max_elements: int = 10) -> list[Congruence]:
@@ -166,3 +185,30 @@ def ideal_meet(a, b):
         raise ValueError("ideals live over different quivers")
     inter = subspace_intersection(a.space, b.space)
     return generate_ideal(a.quiver, [r for r in all_relations(a.quiver) if inter.contains(r.vectorize())])
+
+
+def congruence_to_ideal_eager(s, c: Congruence) -> SpecialIdeal:
+    """The special ideal a congruence determines: the span of every x - y
+    with x and y in one block, the zero element standing for 0.
+
+    That span is already an ideal, since x ~ y gives u*x*v ~ u*y*v, so
+    its RREF rows are written straight from the blocks: a nonzero element
+    z of the zero block gives the row z, and every element b of another
+    block but its greatest, b_k, gives the row b - b_k.  Each row's pivot
+    has entry 1 and its one other column, b_k, is no pivot, so the rows
+    are reduced.  The recorded generators are k - 1 per block: monomials
+    for the zero block, each other element less the block's least one.
+    Raises ``ValueError`` if the partition is not a congruence.
+    """
+    if c.semigroup != s:
+        raise ValueError("congruence does not live on this semigroup")
+    if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
+        raise ValueError("partition is not a congruence")
+    gens = [Relation(e - 1) for e in c.blocks[0] if e != 0]
+    rows = {e - 1: {e - 1: 1} for e in c.blocks[0] if e != 0}
+    for block in c.blocks[1:]:
+        least, last = block[0] - 1, block[-1] - 1
+        for e in block[:-1]:
+            rows[e - 1] = {e - 1: 1, last: -1}
+        gens.extend(Relation(least, e - 1) for e in block[1:])
+    return SpecialIdeal(s.quiver, frozenset(gens), Subspace(len(s.paths), rows))

@@ -29,7 +29,13 @@ from pathcong import (
 )
 from pathcong.semigroup import CapExceeded, Congruence
 
-from oracles import ideal_meet, ideal_subset, refines, subspace_intersection
+from oracles import (
+    congruence_to_ideal_eager,
+    ideal_meet,
+    ideal_subset,
+    refines,
+    subspace_intersection,
+)
 
 
 QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
@@ -178,8 +184,15 @@ def test_relabelled_identity_maps_to_the_zero_ideal():
     # left uncanonicalized, block 0 would be {e1} and the image span{e1}
     s = build_semigroup(parse_quiver((QUIVER_DIR / "kronecker.quiver").read_text()))
     relabelled = Congruence(s, bytes([1, 0, 2, 3, 4]))
-    assert relabelled.zero_block == (0,)
+    assert relabelled.blocks[0] == (0,)
     assert congruence_to_ideal(s, relabelled).dim == 0
+
+
+def test_residue_labels_refuse_semigroups_beyond_one_byte_per_label():
+    # 253 parallel arrows: 256 elements, one more than a byte label holds
+    q = Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(253)])
+    with pytest.raises(CapExceeded, match="exceeds the kernel table limit of 255"):
+        zero_ideal(q).relations
 
 
 def test_ideal_to_congruence_bounds(single_arrow):
@@ -280,7 +293,7 @@ def test_ideal_json_shape(kronecker):
 
 def all_pairs_generators(c):
     """The earlier generators of ``congruence_to_ideal``: every pair inside a nonzero block."""
-    gens = [monomial_relation(e - 1) for e in c.zero_block if e != 0]
+    gens = [monomial_relation(e - 1) for e in c.blocks[0] if e != 0]
     for block in c.blocks[1:]:
         for i in range(len(block)):
             for j in range(i + 1, len(block)):
@@ -314,6 +327,39 @@ def test_recorded_generators_generate_the_written_space(name):
     for c in enumerate_congruences(s):
         image = congruence_to_ideal(s, c)
         assert generate_ideal(q, image.generators).space == image.space
+
+
+def assert_images_match_the_eager_oracle(q):
+    s = build_semigroup(q)
+    for c in enumerate_congruences(s):
+        image, eager = congruence_to_ideal(s, c), congruence_to_ideal_eager(s, c)
+        assert image.space == eager.space
+        assert image.generators == eager.generators
+
+
+def kronecker_quiver(arrows):
+    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
+
+
+def star_quiver(leaves):
+    tips = [f"l{i}" for i in range(1, leaves + 1)]
+    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_images_match_the_eager_oracle_on_shipped_quivers(name):
+    assert_images_match_the_eager_oracle(parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text()))
+
+
+@pytest.mark.parametrize("q", [kronecker_quiver(5), star_quiver(5)], ids=["kronecker5", "star5"])
+def test_images_match_the_eager_oracle_on_wide_quivers(q):
+    assert_images_match_the_eager_oracle(q)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_images_match_the_eager_oracle_on_random_quivers(seed):
+    assert_images_match_the_eager_oracle(random_acyclic_quiver(random.Random(seed), 4, 5, 12))
 
 
 def assert_relation_rows_match_contains(q):

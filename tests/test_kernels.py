@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import congruences_bruteforce
+from oracles import congruences_bruteforce, is_congruence_labels_keyed
 from pathcong import Quiver, _kernels, build_semigroup, parse_quiver, random_acyclic_quiver
 
 # one kernel module; the "pure" id keeps the suite's test names
@@ -201,6 +201,21 @@ def test_join_and_congruence_on_random_quivers(seed):
     rng = random.Random(seed)
     mult, n, _ = semigroup_table(random_acyclic_quiver(rng, 4, 5, 12))
     check_kernels_on_table(mult, n, rng)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_is_congruence_matches_the_keyed_oracle_on_random_labels(data):
+    # labels merging blocks of a congruence are a congruence sometimes;
+    # labels drawn freely almost never are
+    q = random_acyclic_quiver(random.Random(data.draw(st.integers(0, 2**32 - 1))), 4, 5, 12)
+    s = build_semigroup(q)
+    mult, n = s.table_bytes, s.n
+    base = data.draw(st.sampled_from(s.congruence_closure[0]))
+    merge = data.draw(st.lists(st.integers(0, 3), min_size=max(base) + 1, max_size=max(base) + 1))
+    free = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    for p in (base, bytes(merge[lab] for lab in base), _kernels.canonical_labels(free)):
+        assert _kernels.is_congruence_labels(p, mult, n) == is_congruence_labels_keyed(p, mult, n)
 
 
 def near_identity(n, merges, rng):

@@ -224,7 +224,7 @@ def test_is_rees(s2, s6):
 def test_zero_block_is_an_ideal(s2, s6, s4):
     for s in (s2, s6, s4):
         for c in enumerate_congruences(s):
-            zero = set(c.zero_block)
+            zero = set(c.blocks[0])
             for x in zero:
                 for a in range(s.n):
                     assert s.table[a][x] in zero

@@ -245,6 +245,16 @@ def test_join_closures_read_most_joins_from_their_tables(monkeypatch):
     assert 0 < len(label_joins) < 500
 
 
+def test_check_reads_each_ideals_residues_once(monkeypatch, triple_arrow):
+    # the relation row in the closure and the round trip share one residue pass
+    residues = count_calls(monkeypatch, linalg.Subspace, "unit_residues")
+    for q in (triple_arrow, three_components()):
+        residues.clear()
+        report = check_theorems(q)
+        assert report.ok
+        assert len(residues) == report.quiver_summary["ideals"]
+
+
 def test_cli_lattice_runs_one_closure(monkeypatch, capsys):
     closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
     assert main(["lattice", str(QUIVER_DIR / "kronecker.quiver")]) == 0
@@ -441,6 +451,24 @@ def test_random_check_reports_an_undecided_lattice_and_carries_on(monkeypatch, c
     assert "trial 1: 2 vertices, 3 arrows, 6 elements, 18 congruences: VIOLATION\n" in out
     assert "quiver was:\n" + quiver_to_text(triple_arrow) in out
     assert out.endswith("trial 2: 3 vertices, 2 arrows, 6 elements, 13 congruences: ok\n")
+
+
+def test_closure_entry_that_is_no_congruence_fails_the_isomorphism(
+    monkeypatch, capsys, tmp_path, triple_arrow
+):
+    # {e1, e2} is no congruence: e1 * alpha = alpha but e2 * alpha = 0
+    def edit(labels, S, pairs):
+        return (labels[0], bytes([0, 1, 1, 2, 3, 4]), *labels[2:]), S, pairs
+
+    patch_closure(monkeypatch, triple_arrow, edit)
+    detail = "partition 1 is not a congruence: {0} {1,2} {alpha} {beta} {gamma}"
+    report = check_theorems(triple_arrow)
+    assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, detail)
+    assert report.verdicts[4][1:] == (False, "skipped: isomorphism check failed")
+    path = tmp_path / "q.quiver"
+    path.write_text(quiver_to_text(triple_arrow))
+    assert main(["check", str(path)]) == 3
+    assert f"VIOLATION  congruence/ideal lattice isomorphism [{detail}]" in capsys.readouterr().out
 
 
 def test_join_table_indexing_nothing_fails_the_isomorphism(monkeypatch, capsys, tmp_path, triple_arrow):
