@@ -121,10 +121,10 @@ class SpecialIdeal:
 
     @property
     def residue_labels(self) -> bytes:
-        """Canonical labels of the elements' residues against the rows (element 0 is
-        the zero vector, element e that of path e - 1); computed on first read and kept."""
+        """Canonical byte labels of the residues against the rows (element 0: the zero vector,
+        element e: path e - 1), kept from the first read; CapExceeded above 255 elements."""
         if self._residue_labels is None:
-            if self.space.dim_ambient >= KERNEL_TABLE_LIMIT:  # labels are single bytes
+            if self.space.dim_ambient >= KERNEL_TABLE_LIMIT:
                 build_semigroup(self.quiver).check_kernel_limit()
             self._residue_labels = _kernels.canonical_labels([(), *self.space.unit_residues()])
         return self._residue_labels
@@ -134,7 +134,8 @@ class SpecialIdeal:
         """One byte per relation of ``all_relations(quiver)``: 1 where the
         ideal contains it, else 0; computed on first read and kept.  The
         residue map is linear, so y lies in the ideal iff its residue label
-        is the zero element's, 0, and x - y iff x and y have equal labels."""
+        is the zero element's, 0, and x - y iff x and y have equal labels
+        (read off ``residue_labels``, so it needs at most 255 elements)."""
         if self._relations is None:
             lab = self.residue_labels
             self._relations = bytes(
@@ -264,12 +265,11 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     """
     if c.semigroup != s:
         raise ValueError("congruence does not live on this semigroup")
-    labels = c.labels
-    if not _kernels.is_congruence_labels(labels, s.table_bytes, s.n):
+    if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
         raise ValueError("partition is not a congruence")
-    last = dict(zip(labels, range(-1, s.n - 1)))  # label -> greatest path index in the block
+    last = dict(zip(c.labels, range(-1, s.n - 1)))  # label -> greatest path index in the block
     rows = {}
-    for e, lab in enumerate(labels[1:]):  # e: path index of element e + 1
+    for e, lab in enumerate(c.labels[1:]):  # e: path index of element e + 1
         if not lab:
             rows[e] = {e: 1}
         elif last[lab] != e:

@@ -10,7 +10,9 @@ ideals and their meet.  Two are earlier versions the package replaced
 with faster ones: the congruence test that keys every element's row and
 column, and the image of a congruence built with its generating
 relations up front.  No command and no verdict of ``check_theorems``
-reaches them, so they live with the tests.
+reaches them, so they live with the tests.  The module also builds the
+two quiver families the tests share: k parallel arrows (Kronecker) and
+a star of k arrows out of one centre.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from pathcong import (
     CapExceeded,
     Congruence,
     PathVector,
+    Quiver,
     Subspace,
     all_relations,
     generate_ideal,
@@ -27,6 +30,15 @@ from pathcong import (
 from pathcong.ideals import Relation, SpecialIdeal
 from pathcong import _kernels
 from pathcong.semigroup import _finest_first
+
+
+def kronecker_quiver(arrows):
+    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
+
+
+def star_quiver(leaves):
+    tips = [f"l{i}" for i in range(1, leaves + 1)]
+    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
 
 
 def congruences_bruteforce(mult: bytes, n: int) -> list[bytes]:

@@ -17,10 +17,9 @@ from lattice_oracles import (
     law_modular,
     semimodularity_masks,
 )
-from oracles import congruence_leq_matrix
+from oracles import congruence_leq_matrix, kronecker_quiver, star_quiver
 from pathcong import (
     LatticeError,
-    Quiver,
     build_lattice,
     build_semigroup,
     commutative_relation,
@@ -365,15 +364,6 @@ def test_properties_match_law_scans_on_shipped_quivers(name):
     assert_congruence_lattice_matches_law_scans(q)
     ideals = ideal_lattice(q)
     assert_matches_law_scans(ideals, ideals.lattice())
-
-
-def kronecker_quiver(arrows):
-    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
-
-
-def star_quiver(leaves):
-    tips = [f"l{i}" for i in range(1, leaves + 1)]
-    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
 
 
 @pytest.mark.parametrize("q", [kronecker_quiver(5), star_quiver(5)], ids=["kronecker5", "star5"])

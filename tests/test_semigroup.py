@@ -33,7 +33,12 @@ from pathcong import (
 from pathcong.semigroup import _finest_first
 from pathcong.verify import congruence_label, congruence_lattice
 
-from oracles import direct_join_closure, enumerate_congruences_bruteforce
+from oracles import (
+    direct_join_closure,
+    enumerate_congruences_bruteforce,
+    kronecker_quiver,
+    star_quiver,
+)
 
 QUIVER_FILES_DIR = Path(__file__).resolve().parent.parent / "quivers"
 
@@ -472,15 +477,6 @@ def assert_generators_are_join_irreducible(q):
     assert set(kept) == irreducible
     for x, y, lab in generators:
         assert _kernels.principal_labels(s.table_bytes, s.n, x, y) == lab
-
-
-def kronecker_quiver(arrows):
-    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
-
-
-def star_quiver(leaves):
-    tips = [f"l{i}" for i in range(1, leaves + 1)]
-    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
 
 
 # Shapes the Kronecker and star families lack: parallel paths of length 2

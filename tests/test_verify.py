@@ -27,7 +27,14 @@ from pathcong import (
     underlying_graph_is_tree,
 )
 from lattice_oracles import congruence_table, ideal_lattice, transitive_reduction
-from oracles import _containment, congruence_leq_matrix, ideal_subset, refines
+from oracles import (
+    _containment,
+    congruence_leq_matrix,
+    ideal_subset,
+    kronecker_quiver,
+    refines,
+    star_quiver,
+)
 from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
 from pathcong.ideals import SpecialIdeal
 from pathcong.cli import main
@@ -35,11 +42,6 @@ from pathcong.verify import PROPERTY_NAMES, congruence_label, congruence_lattice
 
 
 QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
-
-
-def star(leaves):
-    tips = [f"l{i}" for i in range(1, leaves + 1)]
-    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
 
 
 def three_components():
@@ -106,7 +108,7 @@ def assert_leq_matrix_matches_refines(q):
 def test_congruence_leq_matrix_matches_refines(kronecker):
     shipped = [parse_quiver(path.read_text()) for path in sorted(QUIVER_DIR.glob("*.quiver"))]
     assert len(shipped) == 4
-    for q in (kronecker, star(5), *shipped):
+    for q in (kronecker, star_quiver(5), *shipped):
         assert_leq_matrix_matches_refines(q)
 
 
@@ -445,7 +447,7 @@ def test_undecided_properties_fail_the_property_verdict(
 
 def test_random_check_reports_an_undecided_lattice_and_carries_on(monkeypatch, capsys, triple_arrow):
     corrupt_join_table(monkeypatch, triple_arrow, (14, 5), 8)
-    monkeypatch.setattr(cli, "random_suite", lambda *args: [triple_arrow, star(2)])
+    monkeypatch.setattr(cli, "random_suite", lambda *args: [triple_arrow, star_quiver(2)])
     assert main(["random-check", "--trials", "2"]) == 3
     out = capsys.readouterr().out
     assert "trial 1: 2 vertices, 3 arrows, 6 elements, 18 congruences: VIOLATION\n" in out
@@ -490,7 +492,7 @@ def test_join_table_indexing_nothing_fails_the_isomorphism(monkeypatch, capsys, 
     assert main(["lattice", str(path)]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
-    monkeypatch.setattr(cli, "random_suite", lambda *args: [triple_arrow, star(2)])
+    monkeypatch.setattr(cli, "random_suite", lambda *args: [triple_arrow, star_quiver(2)])
     assert main(["random-check", "--trials", "2"]) == 3
     out = capsys.readouterr().out
     assert "trial 1: 2 vertices, 3 arrows, 6 elements, 18 congruences: VIOLATION\n" in out
@@ -529,10 +531,6 @@ def test_congruence_label(single_arrow):
     assert congruence_label(c) == "{0,alpha} {1} {2}"
 
 
-def kronecker(arrows):
-    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
-
-
 def assert_matches_pairwise(q):
     """Lindig covers are the transitive reduction of the refinement order, and
     each join-table entry is one partition-join kernel call, looked up in the list."""
@@ -551,7 +549,7 @@ def test_congruence_lattice_matches_pairwise_on_shipped_quivers(name):
     assert_matches_pairwise(parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text()))
 
 
-@pytest.mark.parametrize("q", [kronecker(5), star(5)], ids=["kronecker5", "star5"])
+@pytest.mark.parametrize("q", [kronecker_quiver(5), star_quiver(5)], ids=["kronecker5", "star5"])
 def test_congruence_lattice_matches_pairwise_on_wide_quivers(q):
     assert_matches_pairwise(q)
 
@@ -563,7 +561,7 @@ def test_congruence_lattice_matches_pairwise_on_random_quivers(seed):
 
 
 def test_property_mismatch_names_its_witness(monkeypatch):
-    q = kronecker(3)
+    q = kronecker_quiver(3)
     real = verify.predict_properties
     monkeypatch.setattr(verify, "predict_properties", lambda q: {**real(q), "modular": True})
     name, ok, detail = check_theorems(q).verdicts[1]
@@ -577,7 +575,7 @@ def test_property_mismatch_names_its_witness(monkeypatch):
     assert L[a, c] and M[J[a, b], c] != J[a, M[b, c]]
 
 
-@pytest.mark.parametrize("q", [kronecker(3), three_components()], ids=["kronecker3", "3-components"])
+@pytest.mark.parametrize("q", [kronecker_quiver(3), three_components()], ids=["kronecker3", "3-components"])
 def test_bijection_maps_each_congruence_once_each_way(monkeypatch, q):
     calls = {"congruence_to_ideal": 0, "ideal_to_congruence": 0}
     for name in calls:
@@ -595,7 +593,7 @@ def test_bijection_maps_each_congruence_once_each_way(monkeypatch, q):
 
 
 def test_wrong_ideal_to_congruence_fails_the_round_trip(monkeypatch):
-    q = kronecker(3)
+    q = kronecker_quiver(3)
     s = build_semigroup(q)
     k = 5
     target = congruence_to_ideal(s, enumerate_congruences(s)[k]).space
@@ -614,7 +612,7 @@ def test_congruence_lattice_memory_stays_small():
     # numpy reports its buffers to tracemalloc; the peak includes the
     # table and the closure of a fresh semigroup, and one m x m int64
     # table would be 6.2 MB at m = 880
-    for q, m, mib in ((star(5), 275, 4), (kronecker(6), 880, 8)):
+    for q, m, mib in ((star_quiver(5), 275, 4), (kronecker_quiver(6), 880, 8)):
         s = build_semigroup(q)
         tracemalloc.start()
         try:
@@ -640,7 +638,7 @@ def bell(n):
 def test_kronecker_family_count_on_both_routes(k):
     # {0, arrows} is a null ideal, so every partition of it is a congruence;
     # a class touching a vertex idempotent forces one of 3 collapses
-    q = kronecker(k)
+    q = kronecker_quiver(k)
     expected = bell(k + 1) + 3
     assert len(enumerate_congruences(build_semigroup(q))) == expected
     assert len(enumerate_special_ideals(q)) == expected
@@ -650,7 +648,7 @@ def test_kronecker_family_count_on_both_routes(k):
 def test_star_family_count_on_both_routes(k):
     # distributive, so every congruence is Rees: 2^k ideals contain the
     # centre and 3^k do not
-    q = star(k)
+    q = star_quiver(k)
     expected = 3**k + 2**k
     assert len(enumerate_congruences(build_semigroup(q))) == expected
     assert len(enumerate_special_ideals(q)) == expected
@@ -662,9 +660,9 @@ def test_star_family_count_on_both_routes(k):
 
 @pytest.mark.parametrize("k", [7])
 def test_kronecker_family_count_on_the_congruence_route(k):
-    assert len(enumerate_congruences(build_semigroup(kronecker(k)))) == bell(k + 1) + 3
+    assert len(enumerate_congruences(build_semigroup(kronecker_quiver(k)))) == bell(k + 1) + 3
 
 
 @pytest.mark.parametrize("k", [7, 8])
 def test_star_family_count_on_the_congruence_route(k):
-    assert len(enumerate_congruences(build_semigroup(star(k)))) == 3**k + 2**k
+    assert len(enumerate_congruences(build_semigroup(star_quiver(k)))) == 3**k + 2**k

@@ -1,6 +1,6 @@
 """Time verdict 1's per-congruence loop of ``check_theorems``.
 
-    PYTHONPATH=src python3 tools/bench_bijection.py --label change [--repeats 9]
+    PYTHONPATH=src python3 tools/bench_bijection.py --label change
 
 For each input quiver both routes are built as ``check_theorems`` builds
 them: the congruence closure, and the ideals by ``ideal_join_closure``.
@@ -9,7 +9,7 @@ The loop of verdict 1 then runs over every congruence: its image by
 enumerated ideals, and the round trip of that ideal through
 ``ideal_to_congruence``.  Each repeat takes fresh congruence objects, as
 each ``check_theorems`` call does, and only the loop is timed.  The
-result is the median of the repeats, in microseconds per congruence.
+result is the median of ``REPEATS`` repeats, in microseconds per congruence.
 
 The figures are merged into ``--out`` under ``--label``, so one file
 holds a parent and a change measured alternately on one host: run the
@@ -30,15 +30,10 @@ from pathlib import Path
 from pathcong import Quiver, build_semigroup, enumerate_congruences
 from pathcong.ideals import congruence_to_ideal, ideal_join_closure, ideal_to_congruence
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import kronecker, star  # noqa: E402
 
-def kronecker(arrows: int) -> Quiver:
-    return Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, arrows + 1)])
-
-
-def star(leaves: int) -> Quiver:
-    tips = [f"l{i}" for i in range(1, leaves + 1)]
-    return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
-
+REPEATS = 9
 
 INPUTS = {
     "star(5)": star(5),
@@ -48,13 +43,13 @@ INPUTS = {
 }
 
 
-def time_loop(q: Quiver, repeats: int) -> dict:
-    """Verdict 1's loop over ``repeats`` runs: median and quartiles per congruence."""
+def time_loop(q: Quiver) -> dict:
+    """Verdict 1's loop over ``REPEATS`` runs: median and quartiles per congruence."""
     s = build_semigroup(q)
     ideals, _ = ideal_join_closure(q)
     ideal_index = {ideal.space.key(): k for k, ideal in enumerate(ideals)}
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         congs = enumerate_congruences(s)
         start = time.perf_counter()
         for c in congs:
@@ -62,7 +57,7 @@ def time_loop(q: Quiver, repeats: int) -> dict:
             if ideal_to_congruence(s, ideals[k]) != c:
                 raise SystemExit(f"round trip fails on {q}")
         samples.append((time.perf_counter() - start) / len(congs))
-    q1, median, q3 = statistics.quantiles(samples, n=4) if repeats > 1 else samples * 3
+    q1, median, q3 = statistics.quantiles(samples, n=4)
     return {
         "congruences": len(congs),
         "us_per_congruence": round(median * 1e6, 2),
@@ -73,13 +68,10 @@ def time_loop(q: Quiver, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--out", type=Path, default=Path("BENCH_bijection.json"))
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
-    result = {name: time_loop(q, args.repeats) for name, q in INPUTS.items()}
+    result = {name: time_loop(q) for name, q in INPUTS.items()}
     for name, row in result.items():
         print(f"{args.label:>8} {name:<13} {row['congruences']:>6} congruences"
               f"  {row['us_per_congruence']:7.2f} us per congruence")
@@ -93,7 +85,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
     }
-    doc.setdefault("runs", {})[args.label] = {"repeats": args.repeats, "inputs": result}
+    doc.setdefault("runs", {})[args.label] = {"repeats": REPEATS, "inputs": result}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
