@@ -5,8 +5,9 @@ it is modular exactly when no two vertices are joined by more than two
 paths, and distributive (equivalently: every congruence is Rees) exactly
 when no two vertices are joined by more than one.  Trees therefore force
 distributivity, and modularity/distributivity hold iff they hold on every
-connected component.  ``check_theorems`` recomputes everything two ways
-and reports any inconsistency as a violation.
+connected component.  ``build_evidence`` recomputes everything two ways
+into an ``Evidence`` record; ``check_theorems`` runs the five functions in
+``VERDICTS`` on it and reports any inconsistency as a violation.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .quiver import (
 )
 from .semigroup import (
     DEFAULT_MAX_ELEMENTS,
+    Congruence,
     PathSemigroup,
     build_semigroup,
     congruence_label,
@@ -94,10 +96,16 @@ def congruence_lattice(
     identity, is closed under joins with every generator, and each member
     is a join of generators, so it is closed under partition joins: a
     finite join-closed family with a bottom, hence a lattice whose join is
-    the partition join.  Refuses semigroups above ``max_elements``.
+    the partition join.  Refuses semigroups above ``max_elements``.  A
+    ``LatticeError`` carries the congruences as ``elements``, for a caller
+    that reports the fault without enumerating them again.
     """
     congs = enumerate_congruences(s, max_elements)
-    return build_lattice(congs, s.congruence_closure[1])
+    try:
+        return build_lattice(congs, s.congruence_closure[1])
+    except LatticeError as exc:
+        exc.elements = tuple(congs)
+        raise
 
 
 def ideal_leq_matrix(ideals) -> np.ndarray:
@@ -152,56 +160,45 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TheoremReport:
-    """Run the full two-route verification on one acyclic quiver.
+@dataclass
+class Evidence:
+    """What both routes found about one acyclic quiver.  ``failed`` maps each stage that
+    could not finish, ``"lattice"``, ``"bijection"`` or ``"properties"``, to why."""
 
-    Enumerates congruences and special ideals independently, each with
-    its join table over one generator per relation; checks that the
-    bijection between them maps one table onto the other, compares
-    predicted against computed lattice properties, and verifies the Rees,
-    component, and cover-step characterizations.  Every verdict should be
-    consistent; a violation indicates an implementation bug.
-    """
+    semigroup: PathSemigroup  # with its quiver
+    mpp: int  # max parallel paths
+    predicted: dict[str, bool]
+    congs: tuple[Congruence, ...]  # the identity first
+    ideals: list[SpecialIdeal]  # the zero ideal first
+    ideal_table: np.ndarray  # [i, k]: the index of ideals[i] + (r_k)
+    lattice: FiniteLattice | None  # None: failed["lattice"] says why
+    failed: dict[str, str]
+    perm: np.ndarray | None = None  # congs[k] maps to ideals[perm[k]]
+    computed: dict[str, bool | None] = field(default_factory=dict)  # None: undecided
+    witnesses: dict[str, tuple | None] = field(default_factory=dict)
+    comp_props: list[dict[str, bool]] = field(default_factory=list)  # empty if connected
+
+
+def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evidence:
+    """Congruences and special ideals, enumerated independently with their join tables
+    over one generator per relation; the match between them; each lattice's properties."""
     if not is_acyclic(q):
         raise CyclicQuiverError("theorem checks require an acyclic quiver")
-
     s = build_semigroup(q)
-    # a join table that indexes no lattice fails verdict 1, and the
-    # verdicts that read the lattice are skipped
-    no_lattice = ""
     try:
-        lat_c = congruence_lattice(s, max_elements)
-        congs = lat_c.elements
+        lat, failed = congruence_lattice(s, max_elements), {}
+        congs = lat.elements
     except LatticeError as exc:
-        no_lattice = str(exc)
-        congs = enumerate_congruences(s, max_elements)
+        lat, congs, failed = None, exc.elements, {"lattice": str(exc)}
     ideals, S_i = ideal_join_closure(q, max_elements)
-
-    mpp = max_parallel_paths(q)
-    predicted = predict_properties(q)
-    summary = {
-        "vertices": len(q.vertices),
-        "arrows": len(q.arrows),
-        "paths": len(s.paths),
-        "elements": s.n,
-        "max_parallel_paths": mpp,
-        "is_tree": underlying_graph_is_tree(q),
-        "congruences": len(congs),
-        "ideals": len(ideals),
-    }
-
-    verdicts: list[tuple[str, bool, str]] = []
-
-    # 1. bijection and lattice isomorphism
-    iso_detail = ""
-    perm = np.empty(len(congs), dtype=np.intp)
-    ideal_covers = None
+    ev = Evidence(s, max_parallel_paths(q), predict_properties(q), congs, ideals, S_i, lat, failed)
     try:
-        if no_lattice:
-            raise AssertionError(no_lattice)
+        if lat is None:
+            raise AssertionError(failed["lattice"])
         if len(congs) != len(ideals):
             raise AssertionError(f"{len(congs)} congruences vs {len(ideals)} ideals")
         ideal_index = {ideal.space.key(): k for k, ideal in enumerate(ideals)}
+        ev.perm = perm = np.empty(len(congs), dtype=np.intp)
         for k, c in enumerate(congs):
             # the image is written from c's labels, not generated; only a
             # true ideal can match one of the independently enumerated ones
@@ -236,72 +233,95 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
         # (r_pi(k)), it preserves all joins.  A bijective join-homomorphism
         # is an order isomorphism (a <= b iff a v b = b), so it carries the
         # verified congruence covers onto the ideal covers.
-        if perm[0] != 0 or not np.array_equal(S_i[perm][:, pi], perm[lat_c.succ]):
+        if perm[0] != 0 or not np.array_equal(S_i[perm][:, pi], perm[lat.succ]):
             raise AssertionError("bijection does not preserve order")
-        ideal_covers = sorted((int(perm[lo]), int(perm[hi])) for lo, hi in lat_c.covers)
     except AssertionError as exc:
-        iso_detail = str(exc)
-    verdicts.append(("congruence/ideal lattice isomorphism", not iso_detail, iso_detail))
+        failed["bijection"] = str(exc)
+    # a list that is not the lattice it is taken for leaves its properties None
+    ev.computed = dict.fromkeys(PROPERTY_NAMES)
+    ev.computed["all_rees"] = all(is_rees(c) for c in congs)
+    try:
+        if lat is None:
+            raise LatticeError("skipped: no congruence lattice")
+        ev.computed.update(lattice_properties(lat))
+        comps = connected_components(q)
+        if len(comps) > 1:
+            for comp in comps:
+                comp_lat = congruence_lattice(build_semigroup(comp), max_elements)
+                ev.comp_props.append(lattice_properties(comp_lat))
+        if any(ev.computed[k] != ev.predicted[k] for k in PREDICTED_KEYS):
+            ev.witnesses = property_witnesses(lat)
+    except LatticeError as exc:
+        failed["properties"] = str(exc)
+    return ev
 
-    # 2. predicted vs computed properties.  A list that is not the lattice it
-    # is taken for, whole or a component's, fails this verdict with the reason.
-    computed = dict.fromkeys(PROPERTY_NAMES)  # None where left undecided
-    computed["all_rees"] = all(is_rees(c) for c in congs)
-    comps = connected_components(q)
-    comp_props, mismatches, witnesses, undecided = [], [], {}, ""
-    if no_lattice:
-        undecided = "skipped: no congruence lattice"
-    else:
-        try:
-            computed.update(lattice_properties(lat_c))
-            if len(comps) > 1:
-                for comp in comps:
-                    comp_lat = congruence_lattice(build_semigroup(comp), max_elements)
-                    comp_props.append(lattice_properties(comp_lat))
-            mismatches = [k for k in PREDICTED_KEYS if computed[k] != predicted[k]]
-            # the verdicts come through lattice_properties, the layer perfbench times;
-            # the witnesses of failed properties are recomputed only on a mismatch
-            witnesses = property_witnesses(lat_c) if mismatches else {}
-        except LatticeError as exc:
-            undecided = str(exc)
-    details = [undecided] if undecided else []
-    for key in mismatches:
-        witness = witnesses.get(key)
-        if witness is not None:
-            key += " (witness " + ", ".join(repr(congruence_label(congs[i])) for i in witness) + ")"
-        details.append(key)
-    verdicts.append(("predicted properties match computed", not details, ", ".join(details)))
 
-    # 3. all congruences Rees iff at most one parallel path
-    rees_ok = computed["all_rees"] == (mpp <= 1)
-    verdicts.append(
-        ("all congruences Rees iff max parallel paths <= 1", rees_ok, f"max parallel paths {mpp}")
-    )
+def isomorphism_verdict(ev: Evidence) -> tuple[bool, str]:
+    """1. The map congs -> ideals is a bijection carrying one join table onto the other."""
+    return "bijection" not in ev.failed, ev.failed.get("bijection", "")
 
-    # 4. componentwise modularity and distributivity
-    comp_ok = not undecided
-    comp_detail = "skipped: lattice properties undecided" if undecided else "single component"
-    if comp_props and not undecided:
-        for key in ("modular", "distributive"):
-            if computed[key] != all(p[key] for p in comp_props):
-                comp_ok = False
-        comp_detail = f"{len(comps)} components"
-    verdicts.append(("modular/distributive iff every component is", comp_ok, comp_detail))
 
-    # 5. cover steps in the ideal lattice.  Under verdict 1 each cover is
-    # a -> a + (r) for a relation r not in a, so b is one new relation's
-    # step over a exactly when dim b = dim a + 1.
-    cover_detail = ""
-    if ideal_covers is None:
-        cover_detail = "skipped: isomorphism check failed"
-    else:
-        for lo, hi in ideal_covers:
-            a, b = ideals[lo], ideals[hi]
-            if b.dim != a.dim + 1:
-                cover_detail = f"cover {lo} -> {hi} jumps {a.dim} -> {b.dim}"
-                break
-    verdicts.append(
-        ("every ideal cover is one new relation's step", not cover_detail, cover_detail)
-    )
+def properties_verdict(ev: Evidence) -> tuple[bool, str]:
+    """2. The lattice has the properties the path counts predict."""
+    if "properties" in ev.failed:
+        return False, ev.failed["properties"]
+    details = [key for key in PREDICTED_KEYS if ev.computed[key] != ev.predicted[key]]
+    for j, key in enumerate(details):
+        if ev.witnesses.get(key) is not None:
+            labels = (repr(congruence_label(ev.congs[i])) for i in ev.witnesses[key])
+            details[j] += " (witness " + ", ".join(labels) + ")"
+    return not details, ", ".join(details)
 
-    return TheoremReport(summary, predicted, computed, verdicts)
+
+def rees_verdict(ev: Evidence) -> tuple[bool, str]:
+    """3. Every congruence is Rees iff at most one path joins two vertices."""
+    return ev.computed["all_rees"] == (ev.mpp <= 1), f"max parallel paths {ev.mpp}"
+
+
+def components_verdict(ev: Evidence) -> tuple[bool, str]:
+    """4. The lattice is modular, or distributive, iff every component's is."""
+    if "properties" in ev.failed:
+        return False, "skipped: lattice properties undecided"
+    if not ev.comp_props:
+        return True, "single component"
+    keys = ("modular", "distributive")
+    ok = all(ev.computed[k] == all(p[k] for p in ev.comp_props) for k in keys)
+    return ok, f"{len(ev.comp_props)} components"
+
+
+def cover_verdict(ev: Evidence) -> tuple[bool, str]:
+    """5. Under verdict 1 each cover is a -> a + (r) for a relation r not in a,
+    so b is one new relation's step over a exactly when dim b = dim a + 1."""
+    if "bijection" in ev.failed:
+        return False, "skipped: isomorphism check failed"
+    for lo, hi in sorted((int(ev.perm[lo]), int(ev.perm[hi])) for lo, hi in ev.lattice.covers):
+        a, b = ev.ideals[lo].dim, ev.ideals[hi].dim
+        if b != a + 1:
+            return False, f"cover {lo} -> {hi} jumps {a} -> {b}"
+    return True, ""
+
+
+VERDICTS = (
+    ("congruence/ideal lattice isomorphism", isomorphism_verdict),
+    ("predicted properties match computed", properties_verdict),
+    ("all congruences Rees iff max parallel paths <= 1", rees_verdict),
+    ("modular/distributive iff every component is", components_verdict),
+    ("every ideal cover is one new relation's step", cover_verdict),
+)
+
+
+def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TheoremReport:
+    """Run each of ``VERDICTS`` on one acyclic quiver's ``Evidence``; a violation is a bug."""
+    ev = build_evidence(q, max_elements)
+    summary = {
+        "vertices": len(q.vertices),
+        "arrows": len(q.arrows),
+        "paths": len(ev.semigroup.paths),
+        "elements": ev.semigroup.n,
+        "max_parallel_paths": ev.mpp,
+        "is_tree": underlying_graph_is_tree(q),
+        "congruences": len(ev.congs),
+        "ideals": len(ev.ideals),
+    }
+    verdicts = [(name, *verdict(ev)) for name, verdict in VERDICTS]
+    return TheoremReport(summary, ev.predicted, ev.computed, verdicts)
