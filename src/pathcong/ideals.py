@@ -11,9 +11,6 @@ unique).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_sum
@@ -69,39 +66,35 @@ def _validate_relation(r: Relation, s: PathSemigroup) -> None:
             raise ValueError("invalid relation: paths are not parallel")
 
 
-# Bounded like build_semigroup's cache, so a long run over many quivers
-# does not keep every relation list alive.
-@lru_cache(maxsize=256)
 def all_relations(q: Quiver) -> tuple[Relation, ...]:
-    """Every relation: one monomial per path plus one commutative relation
-    per unordered pair of distinct parallel paths."""
-    s = build_semigroup(q)
-    rels = [Relation(i) for i in range(len(s.paths))]
-    by_endpoints: dict[tuple[str, str], list[int]] = {}
-    for i, p in enumerate(s.paths):
-        by_endpoints.setdefault((p.source, p.target), []).append(i)
-    for group in by_endpoints.values():
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                rels.append(Relation(group[a], group[b]))
-    return tuple(rels)
+    """Every relation: the monomial of each path, in path order, then x - y
+    for each pair of distinct parallel paths x < y, in lexicographic order.
+
+    That is the order of ``congruence_join_closure``'s generators, on
+    purpose: column k of both join tables is then one relation.  The two
+    lists are built apart, and verdict 1 checks one against the other.
+    """
+    paths = build_semigroup(q).paths
+    n = len(paths)
+    ends = [(p.source, p.target) for p in paths]
+    parallel = [Relation(x, y) for x in range(n) for y in range(x + 1, n) if ends[x] == ends[y]]
+    return (*map(Relation, range(n)), *parallel)
 
 
 class SpecialIdeal:
     """An ideal generated by relations, with its vector space in RREF form.
 
     Two ideals are equal exactly when their spaces are; the recorded
-    generating set is one of possibly many.  An ideal is generated by the
-    relations it contains, so ``relations`` describes it fully.
+    generating set is one of possibly many.
     """
 
-    __slots__ = ("quiver", "_generators", "space", "_residue_labels", "_relations")
+    __slots__ = ("quiver", "_generators", "space", "_residue_labels")
 
     def __init__(self, quiver: Quiver, generators: frozenset | Congruence, space: Subspace):
         self.quiver = quiver
         self._generators = generators  # a frozenset, or the congruence an image comes from
         self.space = space
-        self._residue_labels = self._relations = None
+        self._residue_labels = None
 
     @property
     def generators(self) -> frozenset[Relation]:
@@ -129,21 +122,6 @@ class SpecialIdeal:
             self._residue_labels = _kernels.canonical_labels([(), *self.space.unit_residues()])
         return self._residue_labels
 
-    @property
-    def relations(self) -> bytes:
-        """One byte per relation of ``all_relations(quiver)``: 1 where the
-        ideal contains it, else 0; computed on first read and kept.  The
-        residue map is linear, so y lies in the ideal iff its residue label
-        is the zero element's, 0, and x - y iff x and y have equal labels
-        (read off ``residue_labels``, so it needs at most 255 elements)."""
-        if self._relations is None:
-            lab = self.residue_labels
-            self._relations = bytes(
-                lab[r.first + 1] == (0 if r.second is None else lab[r.second + 1])
-                for r in all_relations(self.quiver)
-            )
-        return self._relations
-
     def to_json_dict(self) -> dict:
         paths = build_semigroup(self.quiver).paths
         names = [p.name for p in paths]
@@ -165,6 +143,14 @@ class SpecialIdeal:
 
     def __repr__(self):
         return f"SpecialIdeal(dim {self.dim})"
+
+
+def contains_relation(ideal: SpecialIdeal, r: Relation) -> bool:
+    """Whether the ideal contains r, read off its ``residue_labels`` (so at
+    most 255 elements).  The residue map is linear, so y lies in the ideal
+    iff its label is the zero element's, 0, and x - y iff x and y share one."""
+    lab = ideal.residue_labels
+    return lab[r.first + 1] == (0 if r.second is None else lab[r.second + 1])
 
 
 def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
@@ -217,7 +203,7 @@ def ideal_join(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
 
 def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """Every special ideal, by join-closure over single-relation ideals,
-    and the m x K table of ideal i + (r_k) for each relation r_k.
+    and the read-only m x K table of ideal i + (r_k), r_k the k-th of ``all_relations``.
 
     Deduplicated by RREF space; ordered by (dimension, basis), so the
     zero ideal comes first and the whole path algebra last.  Refuses
@@ -227,22 +213,20 @@ def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
     s = build_semigroup(q)
     s.check_element_cap(max_elements)
     s.check_kernel_limit()
-    # one atom (r) per relation r, keeping r's index, and no two equal:
-    # (y) has y as its shortest path; (x - y) is spanned by the u*x*v -
-    # u*y*v, whose supports are disjoint, so it holds no monomial and its
+    # one atom (r) per relation r, kept with r, and no two equal: (y) has
+    # y as its shortest path; (x - y) is spanned by the u*x*v - u*y*v,
+    # whose supports are disjoint, so it holds no monomial and its
     # shortest two-term vector is x - y.  A two-sided ideal contains (r)
-    # exactly when it contains r, so the below-test is one byte of the
-    # current ideal's relation row
-    found, succ = join_closure(
+    # exactly when it contains r, so the below-test reads r off the
+    # current ideal's residue labels
+    return join_closure(
         zero_ideal(q),
-        [(i, generate_ideal(q, (r,))) for i, r in enumerate(all_relations(q))],
-        below=lambda cur, atom: cur.relations[atom[0]],
+        [(r, generate_ideal(q, (r,))) for r in all_relations(q)],
+        below=lambda cur, atom: contains_relation(cur, atom[0]),
         join=lambda cur, atom: ideal_join(cur, atom[1]),
         key=lambda ideal: ideal.space.key(),
+        order=lambda ideal: (ideal.dim, ideal.space.key()),
     )
-    order = sorted(range(len(found)), key=lambda i: (found[i].dim, found[i].space.key()))
-    S = np.argsort(order)[np.array(succ, dtype=np.intp)[order]]  # argsort inverts order
-    return [found[i] for i in order], S
 
 
 def enumerate_special_ideals(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list:

@@ -278,15 +278,15 @@ def _finest_first(lab: bytes):
     return -max(lab), lab
 
 
-def join_closure(seed, atoms, below, join, key):
+def join_closure(seed, atoms, below, join, key, order):
     """Every join of ``seed`` with atoms, found breadth first, and their join table.
 
     ``below(x, atom)`` says that atom lies below x, so their join is x and
     is skipped.  Joins are deduplicated by ``key``; the first element found
-    for a key is kept.  Returns the elements in the order found, seed first,
-    and one row per element giving, for each atom, the index of the
-    element's join with it.  Complete when every element of the lattice is
-    the seed joined with the atoms below it.
+    for a key is kept.  Returns the elements sorted by ``order`` and their
+    read-only join table, re-indexed to match: row i, column k is the index
+    of element i joined with atom k.  Complete when every element of the
+    lattice is the seed joined with the atoms below it.
 
     Each element after the seed was first found as p v a_j, with row p
     already complete.  Its join with a_k is then (p v a_k) v a_j, read
@@ -319,7 +319,10 @@ def join_closure(seed, atoms, below, join, key):
                 origin.append((i, k))
             row.append(j)
         succ.append(row)
-    return elements, succ
+    rank = sorted(range(len(elements)), key=lambda i: order(elements[i]))
+    table = np.argsort(rank)[np.array(succ, dtype=np.intp)[rank]]  # argsort inverts rank
+    table.flags.writeable = False
+    return [elements[i] for i in rank], table
 
 
 def enumerate_congruences(
@@ -357,9 +360,9 @@ def congruence_join_closure(s: PathSemigroup):
     - theta(0, y) has y as the shortest path of its zero block, and
       theta(x, y) collapses nothing to 0, so no two generators are equal.
 
-    Returns the label vectors finest first, their m x K join table with
-    the generators, re-indexed to that order, and the generator pairs
-    (x, y), one per column.
+    Returns the label vectors finest first, their read-only m x K join
+    table with the generators, and the generator pairs (x, y), one per
+    column, in lexicographic order: the order of ``ideals.all_relations``.
     """
     mult = s.table_bytes
     n = s.n
@@ -370,17 +373,15 @@ def congruence_join_closure(s: PathSemigroup):
         for y in range(x + 1, n)
         if not x or ends[x] == ends[y]
     ]
-    found, succ = join_closure(
+    found, S = join_closure(
         bytes(range(n)),
         generators,
         below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],  # theta(x, y) <= cur
         join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
         key=lambda lab: lab,
+        order=_finest_first,
     )
-    order = sorted(range(len(found)), key=lambda i: _finest_first(found[i]))
-    S = np.argsort(order)[np.array(succ, dtype=np.intp)[order]]  # argsort inverts order
-    S.flags.writeable = False  # cached on the semigroup, so shared by every caller
-    return tuple(found[i] for i in order), S, tuple((x, y) for x, y, _ in generators)
+    return tuple(found), S, tuple((x, y) for x, y, _ in generators)
 
 
 def is_rees(c: Congruence) -> bool:

@@ -21,6 +21,7 @@ from .ideals import (
     SpecialIdeal,
     all_relations,
     congruence_to_ideal,
+    contains_relation,
     ideal_join_closure,
     ideal_to_congruence,
 )
@@ -112,11 +113,11 @@ def ideal_leq_matrix(ideals) -> np.ndarray:
     """Containment order over ideal spaces, exact; ``check_theorems`` does not need it.
 
     A special ideal is generated by the relations it contains, so a <= b
-    exactly when every relation in a lies in b: its ``relations`` row.
+    exactly when every relation in a lies in b, read off their residue labels.
     """
-    rows = [i.relations for i in ideals]
-    width = len(rows[0]) if rows else 0
-    marks = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(rows), width)
+    rels = all_relations(ideals[0].quiver) if ideals else ()
+    marks = np.array([[contains_relation(i, r) for r in rels] for i in ideals], dtype=bool)
+    marks = marks.reshape(len(ideals), len(rels))  # no ideals give shape (0, 0)
     return ~(marks @ ~marks.T)  # boolean product: some relation of a is missing from b
 
 
@@ -220,20 +221,19 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
         # between lists of equal length, so it is a bijection, and the loop
         # has mapped every enumerated ideal I back to the one c whose image
         # is I, so ideal_to_congruence(I) == c and congruence_to_ideal of it is I.
-        # pi: the column of (y) for theta(0, y), of (x - y) for theta(x, y)
-        column = {r: k for k, r in enumerate(all_relations(q))}
-        pairs = s.congruence_closure[2]
-        pi = [column.get(Relation(x - 1, y - 1) if x else Relation(y - 1)) for x, y in pairs]
-        if None in pi:
-            raise AssertionError(f"generator {pairs[pi.index(None)]} maps to no relation")
-        if sorted(pi) != list(range(len(column))):
-            raise AssertionError("generators do not map one to one onto relations")
+        # column k of both tables: theta(0, y) for (y), theta(x, y) for (x - y)
+        pairs, rels = s.congruence_closure[2], all_relations(q)
+        if len(pairs) != len(rels):
+            raise AssertionError(f"{len(pairs)} generators vs {len(rels)} relations")
+        for (x, y), r in zip(pairs, rels):
+            if (Relation(x - 1, y - 1) if x else Relation(y - 1)) != r:
+                raise AssertionError(f"generator {(x, y)} is not relation {r.display(s.paths)}")
         # Every congruence is the identity joined with generators along the
         # table, so if perm sends the identity to 0 and c v g_k to perm(c) +
-        # (r_pi(k)), it preserves all joins.  A bijective join-homomorphism
-        # is an order isomorphism (a <= b iff a v b = b), so it carries the
+        # (r_k), it preserves all joins.  A bijective join-homomorphism is
+        # an order isomorphism (a <= b iff a v b = b), so it carries the
         # verified congruence covers onto the ideal covers.
-        if perm[0] != 0 or not np.array_equal(S_i[perm][:, pi], perm[lat.succ]):
+        if perm[0] != 0 or not np.array_equal(S_i[perm], perm[lat.succ]):
             raise AssertionError("bijection does not preserve order")
     except AssertionError as exc:
         failed["bijection"] = str(exc)

@@ -1,9 +1,9 @@
 import pytest
 
-from pathcong import Quiver, ideals, semigroup
+from pathcong import Quiver, semigroup
 
 # every cache keyed by quiver: a semigroup carries its table and congruence closure
-QUIVER_CACHES = (semigroup.build_semigroup, ideals.all_relations)
+QUIVER_CACHES = (semigroup.build_semigroup,)
 
 
 @pytest.fixture(autouse=True)

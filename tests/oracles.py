@@ -97,12 +97,11 @@ def enumerate_congruences_bruteforce(s, max_elements: int = 10) -> list[Congruen
     return [Congruence(s, lab) for lab in sorted(labels, key=_finest_first)]
 
 
-def direct_join_closure(seed, atoms, below, join, key):
+def direct_join_closure(seed, atoms, below, join, key, order):
     """``semigroup.join_closure`` forming every join it tabulates, none read from the table.
 
-    Same arguments and result: the elements in the order found, seed
-    first, and one row per element giving the index of its join with
-    each atom.
+    Same arguments and result: the elements sorted by ``order``, and one
+    row per element giving the index of its join with each atom.
     """
     found = {key(seed): 0}
     elements = [seed]
@@ -121,7 +120,9 @@ def direct_join_closure(seed, atoms, below, join, key):
                 elements.append(joined)
             row.append(j)
         succ.append(row)
-    return elements, succ
+    rank = sorted(range(len(elements)), key=lambda i: order(elements[i]))
+    new_index = {old: new for new, old in enumerate(rank)}
+    return [elements[i] for i in rank], [[new_index[j] for j in succ[i]] for i in rank]
 
 
 def refines(a: Congruence, b: Congruence) -> bool:

@@ -10,6 +10,7 @@ from pathcong import (
     Quiver,
     all_relations,
     build_semigroup,
+    check_theorems,
     commutative_relation,
     congruence_from_blocks,
     congruence_to_ideal,
@@ -27,6 +28,7 @@ from pathcong import (
     universal_congruence,
     zero_ideal,
 )
+from pathcong.ideals import Relation, contains_relation
 from pathcong.semigroup import CapExceeded, Congruence
 
 from oracles import (
@@ -194,7 +196,7 @@ def test_residue_labels_refuse_semigroups_beyond_one_byte_per_label():
     # 253 parallel arrows: 256 elements, one more than a byte label holds
     q = Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(253)])
     with pytest.raises(CapExceeded, match="exceeds the kernel table limit of 255"):
-        zero_ideal(q).relations
+        zero_ideal(q).residue_labels
 
 
 def test_ideal_to_congruence_bounds(single_arrow):
@@ -344,10 +346,11 @@ def test_recorded_generators_generate_the_written_space(name):
 def assert_relation_rows_match_contains(q):
     rels = all_relations(q)
     ideals = enumerate_special_ideals(q)
-    for ideal in ideals:
-        assert ideal.relations == bytes(ideal.space.contains(r.vectorize()) for r in rels)
-    assert ideals[0].relations == bytes(len(rels))
-    assert ideals[-1].relations == b"\x01" * len(rels)
+    rows = [[contains_relation(ideal, r) for r in rels] for ideal in ideals]
+    for ideal, row in zip(ideals, rows):
+        assert row == [ideal.space.contains(r.vectorize()) for r in rels]
+    assert rows[0] == [False] * len(rels)
+    assert rows[-1] == [True] * len(rels)
 
 
 @pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
@@ -368,6 +371,18 @@ def test_relation_rows_match_contains_on_random_quivers(seed):
 
 
 def test_quiver_caches_are_bounded():
-    for cached in (build_semigroup, all_relations):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+    maxsize = build_semigroup.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_all_relations_follow_the_congruence_generators_where_classes_interleave():
+    # p, r, t run from a to b and q, s from a to c, so the two parallel
+    # classes interleave in path order; the relations still come in
+    # lexicographic order, one per generator pair of the congruence side
+    q = Quiver(["a", "b", "c"], [(x, "a", "b" if x in "prt" else "c") for x in "pqrst"])
+    rels = all_relations(q)
+    assert list(rels) == sorted(rels, key=Relation.sort_key)
+    pairs = build_semigroup(q).congruence_closure[2]
+    expected = [(0, r.first + 1) if r.second is None else (r.first + 1, r.second + 1) for r in rels]
+    assert expected == list(pairs)
+    assert check_theorems(q).ok

@@ -248,7 +248,7 @@ def test_join_closures_read_most_joins_from_their_tables(monkeypatch):
 
 
 def test_check_reads_each_ideals_residues_once(monkeypatch, triple_arrow):
-    # the relation row in the closure and the round trip share one residue pass
+    # the closure's below-test and the round trip share one residue pass
     residues = count_calls(monkeypatch, linalg.Subspace, "unit_residues")
     for q in (triple_arrow, three_components()):
         residues.clear()
@@ -328,7 +328,7 @@ def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
 
 
 def test_check_path_tests_no_subspace_containment(monkeypatch, triple_arrow):
-    # the closure reads the ideals' relation rows off their residues, and
+    # the closure reads each relation off the ideals' residue labels, and
     # verdicts 1 and 5 compare join tables and dimensions, so no subspace
     # is tested against a vector or another subspace, and no m x m order
     # is built
@@ -388,9 +388,9 @@ def corrupt_join_table(monkeypatch, q, entry, value):
 @pytest.mark.parametrize(
     "pair, detail",
     [
-        ((1, 2), "generator (1, 2) maps to no relation"),  # the two vertices are not parallel
-        ((4, 3), "generator (4, 3) maps to no relation"),
-        ((3, 4), "generators do not map one to one onto relations"),  # a second theta(3, 4)
+        ((1, 2), "generator (1, 2) is not relation alpha - gamma"),  # two vertices, not parallel
+        ((4, 3), "generator (4, 3) is not relation alpha - gamma"),
+        ((3, 4), "generator (3, 4) is not relation alpha - gamma"),  # a second theta(3, 4)
     ],
     ids=["not-parallel", "reversed", "repeated"],
 )
@@ -408,6 +408,39 @@ def test_generator_without_its_own_relation_fails_the_isomorphism(
     report = check_theorems(triple_arrow)
     assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, detail)
     assert report.verdicts[4][1:] == (False, "skipped: isomorphism check failed")
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        # congruence 2 a copy of congruence 1: both round-trip through one ideal
+        (
+            lambda labels, S, pairs: ((*labels[:2], labels[1], *labels[3:]), S, pairs),
+            "congruence-to-ideal map is not injective",
+        ),
+        (lambda labels, S, pairs: (labels, S, pairs[:-1]), "7 generators vs 8 relations"),
+    ],
+    ids=["repeated-congruence", "dropped-generator"],
+)
+def test_closure_edit_fails_the_isomorphism(monkeypatch, triple_arrow, edit, detail):
+    patch_closure(monkeypatch, triple_arrow, edit)
+    report = check_theorems(triple_arrow)
+    assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, detail)
+    assert report.verdicts[4][1:] == (False, "skipped: isomorphism check failed")
+
+
+def test_missing_ideal_fails_the_isomorphism(monkeypatch, triple_arrow):
+    real = verify.ideal_join_closure
+
+    def without_the_top(q, max_elements):
+        found, S = real(q, max_elements)
+        return found[:-1], S[:-1]
+
+    monkeypatch.setattr(verify, "ideal_join_closure", without_the_top)
+    report = check_theorems(triple_arrow)
+    detail = "18 congruences vs 17 ideals"
+    assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, detail)
+    assert report.quiver_summary["ideals"] == 17
 
 
 def test_dropped_cover_fails_the_isomorphism(monkeypatch, triple_arrow):
@@ -505,7 +538,7 @@ def test_check_theorems_on_the_quiver_with_no_vertices():
     report = check_theorems(q)
     assert report.ok, report.format()
     assert report.quiver_summary["congruences"] == report.quiver_summary["ideals"] == 1
-    assert [ideal.relations for ideal in enumerate_special_ideals(q)] == [b""]
+    assert [ideal.residue_labels for ideal in enumerate_special_ideals(q)] == [b"\x00"]
 
 
 def test_check_theorems_rejects_cycles():
