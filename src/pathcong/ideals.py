@@ -154,35 +154,31 @@ def contains_relation(ideal: SpecialIdeal, r: Relation) -> bool:
 
 
 def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
-    """The ideal generated by the given relations.
-
-    Its space is the span of every nonzero product u*g*v with u, v paths
-    (trivial ones included), which closes the span multiplicatively.
+    """The ideal generated by the given relations: the span of every product
+    u*g*v with u, v paths (trivial ones included) meeting g's ends, which is
+    closed under multiplication.  Each product is formed here, by joining
+    arrow tuples: the semigroup's table is the congruence route's alone.
     """
     s = build_semigroup(q)
     gens = frozenset(gens)
     for r in gens:
         _validate_relation(r, s)
-    by_target: dict[str, list[int]] = {}
-    by_source: dict[str, list[int]] = {}
-    for i, p in enumerate(s.paths):
-        by_target.setdefault(p.target, []).append(i)
-        by_source.setdefault(p.source, []).append(i)
-    table = s.table
+    paths = s.paths
+    index = {p.arrows or p.source: i for i, p in enumerate(paths)}
+    into, out_of = {}, {}  # vertex -> arrow tuples of the paths into, out of it
+    for p in paths:
+        into.setdefault(p.target, []).append(p.arrows)
+        out_of.setdefault(p.source, []).append(p.arrows)
     vectors = []
     for g in gens:
-        head = s.paths[g.first]
-        for u in by_target.get(head.source, ()):
-            left_first = table[u + 1][g.first + 1]
-            left_second = None if g.second is None else table[u + 1][g.second + 1]
-            for v in by_source.get(head.target, ()):
-                w1 = table[left_first][v + 1] - 1
-                if g.second is None:
-                    vectors.append(PathVector({w1: 1}))
-                else:
-                    w2 = table[left_second][v + 1] - 1
-                    vectors.append(PathVector({w1: 1, w2: -1}))
-    return SpecialIdeal(q, gens, row_reduce(vectors, len(s.paths)))
+        head = paths[g.first]
+        tail = None if g.second is None else paths[g.second].arrows
+        for u in into.get(head.source, ()):
+            for v in out_of.get(head.target, ()):
+                w1 = index[u + head.arrows + v or head.source]
+                coeffs = {w1: 1} if tail is None else {w1: 1, index[u + tail + v]: -1}
+                vectors.append(PathVector(coeffs))
+    return SpecialIdeal(q, gens, row_reduce(vectors, len(paths)))
 
 
 def zero_ideal(q: Quiver) -> SpecialIdeal:

@@ -46,11 +46,6 @@ class Path:
         return not self.arrows
 
     @property
-    def base(self) -> str:
-        """The vertex a trivial path sits at (equals ``source``)."""
-        return self.source
-
-    @property
     def name(self) -> str:
         return ".".join(self.arrows) if self.arrows else self.source
 
@@ -61,9 +56,10 @@ class Path:
 class Quiver:
     """Ordered vertex and arrow lists with source/target maps.
 
-    Vertex identifiers are pairwise distinct; arrow names are pairwise
-    distinct, disjoint from the vertex identifiers, and may only connect
-    declared vertices.  Instances are immutable and hashable.
+    Every name is a valid identifier (``_valid_identifier``).  Vertex
+    identifiers are pairwise distinct; arrow names are pairwise distinct,
+    disjoint from the vertex identifiers, and may only connect declared
+    vertices.  Instances are immutable and hashable.
     """
 
     __slots__ = ("vertices", "arrows", "_vertex_index", "_hash")
@@ -73,6 +69,9 @@ class Quiver:
         self.arrows: tuple[Arrow, ...] = tuple(
             a if isinstance(a, Arrow) else Arrow(*a) for a in arrows
         )
+        for name in (*self.vertices, *(a.name for a in self.arrows)):
+            if not _valid_identifier(name):
+                raise QuiverError(f"invalid identifier {name!r}")
         seen = set()
         for v in self.vertices:
             if v in seen:
@@ -115,7 +114,8 @@ class Quiver:
 
 
 def _valid_identifier(token: str) -> bool:
-    return bool(token) and ":" not in token and not any(c.isspace() for c in token)
+    """Nonempty, no ':', '.' or whitespace, and not ``0``, so no element names collide."""
+    return token != "0" and ":" not in token and "." not in token and token.split() == [token]
 
 
 def parse_quiver(text: str) -> Quiver:
@@ -225,7 +225,7 @@ def enumerate_paths(q: Quiver) -> list[Path]:
         ]
 
     def key(p: Path):
-        return (p.length, p.arrows, q.vertex_index(p.base) if p.is_trivial else -1)
+        return (p.length, p.arrows, q.vertex_index(p.source) if p.is_trivial else -1)
 
     paths.sort(key=key)
     return paths

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -26,33 +27,38 @@ class PathSemigroup:
     """All paths of an acyclic quiver plus an absorbing zero, with its table.
 
     Element 0 is the zero; element i >= 1 is ``paths[i-1]`` in path
-    enumeration order.  ``table[i][j]`` is the index of the product:
-    concatenation when the endpoints meet, zero otherwise.
+    enumeration order.  ``table_bytes[i * n + j]`` is the index of the
+    product: concatenation when the endpoints meet, zero otherwise.  Only
+    the congruence route reads that table; the ideal route forms its own
+    products from ``paths``.
 
     Only the element count ``n`` is computed up front, from path counts,
     so a size cap can refuse a semigroup before any path or table exists.
-    ``paths``, the name index, ``table`` and ``congruence_closure`` are
-    built on first use.  Semigroups of equal quivers compare equal.
+    ``paths``, the name index, ``table_bytes`` and ``congruence_closure``
+    are built on first use.  Semigroups of equal quivers compare equal.
     """
 
-    __slots__ = ("quiver", "n", "_paths", "_name_to_index", "_table", "_table_bytes", "_closure")
+    __slots__ = ("quiver", "n", "_paths", "_name_to_index", "_table_bytes", "_closure")
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
         self.n = 1 + sum(path_counts(quiver).values())
-        self._paths = self._name_to_index = self._table = self._table_bytes = self._closure = None
+        self._paths = self._name_to_index = self._table_bytes = self._closure = None
 
     @property
     def paths(self) -> tuple[Path, ...]:
+        """The enumerated paths, each (source, target) count checked against ``path_counts``."""
         if self._paths is None:
-            self._paths = tuple(enumerate_paths(self.quiver))
+            paths = tuple(enumerate_paths(self.quiver))
+            listed = Counter((p.source, p.target) for p in paths)
+            counted = Counter(path_counts(self.quiver))
+            for e in listed | counted:
+                if listed[e] != counted[e]:
+                    raise RuntimeError(
+                        f"{e[0]} -> {e[1]}: {listed[e]} paths listed, path counts say {counted[e]}"
+                    )
+            self._paths = paths
         return self._paths
-
-    @property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        if self._table is None:
-            self._table = _product_table(self.paths)
-        return self._table
 
     @property
     def congruence_closure(self) -> tuple[tuple[bytes, ...], np.ndarray, tuple]:
@@ -90,7 +96,7 @@ class PathSemigroup:
         """Row-major table encoding for the kernels (needs n <= KERNEL_TABLE_LIMIT)."""
         if self._table_bytes is None:
             self.check_kernel_limit()
-            self._table_bytes = bytes(v for row in self.table for v in row)
+            self._table_bytes = _product_table(self.paths)
         return self._table_bytes
 
     def __eq__(self, other):
@@ -103,21 +109,17 @@ class PathSemigroup:
         return f"PathSemigroup({self.n} elements)"
 
 
-def _product_table(paths) -> tuple[tuple[int, ...], ...]:
-    """The multiplication table over zero plus ``paths`` (in that index order)."""
-    index: dict = {}
-    for i, p in enumerate(paths, start=1):
-        index[p.base if p.is_trivial else p.arrows] = i
+def _product_table(paths) -> bytes:
+    """The row-major multiplication table over zero plus ``paths`` (in that index order)."""
+    index = {p.arrows or p.source: i for i, p in enumerate(paths, start=1)}
     n = len(paths) + 1
-    table = [[0] * n for _ in range(n)]
+    table = bytearray(n * n)
     for i, p in enumerate(paths, start=1):
-        row = table[i]
+        row = i * n
         for j, r in enumerate(paths, start=1):
-            if p.target != r.source:
-                continue
-            arrows = p.arrows + r.arrows
-            row[j] = index[arrows if arrows else p.base]
-    return tuple(tuple(row) for row in table)
+            if p.target == r.source:
+                table[row + j] = index[p.arrows + r.arrows or p.source]
+    return bytes(table)
 
 
 # The package's one semigroup cache.  It is bounded, so a long run over

@@ -12,7 +12,8 @@ column, and the image of a congruence built with its generating
 relations up front.  No command and no verdict of ``check_theorems``
 reaches them, so they live with the tests.  The module also builds the
 two quiver families the tests share: k parallel arrows (Kronecker) and
-a star of k arrows out of one centre.
+a star of k arrows out of one centre, and reads the multiplication
+table row by row.
 """
 
 import numpy as np
@@ -39,6 +40,12 @@ def kronecker_quiver(arrows):
 def star_quiver(leaves):
     tips = [f"l{i}" for i in range(1, leaves + 1)]
     return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+def table_rows(s) -> list[bytes]:
+    """The rows of ``s.table_bytes``: ``table_rows(s)[x][y]`` is the index of x*y."""
+    t, n = s.table_bytes, s.n
+    return [t[i * n : (i + 1) * n] for i in range(n)]
 
 
 def congruences_bruteforce(mult: bytes, n: int) -> list[bytes]:

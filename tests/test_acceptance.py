@@ -25,6 +25,7 @@ from oracles import (
     enumerate_congruences_bruteforce,
     ideal_meet,
     subspace_intersection,
+    table_rows,
 )
 from pathcong import (
     PathVector,
@@ -278,7 +279,7 @@ def test_criterion_8_semigroup_axioms(suite):
         data, _ = suite
         for entry in data:
             s = entry.s
-            t = s.table
+            t = table_rows(s)
             for x, y, z in itertools.product(range(s.n), repeat=3):
                 assert t[t[x][y]][z] == t[x][t[y][z]]
             lengths = [None] + [p.length for p in s.paths]

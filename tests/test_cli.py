@@ -80,6 +80,25 @@ def test_congruences_text(qfile, capsys):
     assert "{0,alpha} {1} {2}" in lines
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices: 0 1\narrow a: 0 -> 1\n", "line 1: invalid vertex identifier '0'"),
+        (
+            "vertices: 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow a.b: 1 -> 3\n",
+            "line 4: invalid arrow name 'a.b'",
+        ),
+    ],
+    ids=["zero vertex", "dotted arrow"],
+)
+def test_names_that_collide_with_element_names_exit_1(qfile, capsys, text, message):
+    # printed, 0 and the path a.b would read like the zero element and the arrow a.b
+    assert main(["congruences", qfile(text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_congruences_json(qfile, capsys):
     assert main(["congruences", "--json", qfile(SINGLE)]) == 0
     blob = json.loads(capsys.readouterr().out)

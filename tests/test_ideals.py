@@ -39,6 +39,7 @@ from oracles import (
     refines,
     star_quiver,
     subspace_intersection,
+    table_rows,
 )
 
 
@@ -98,16 +99,19 @@ def test_generate_rejects_invalid_relations(chain3):
 
 
 def test_ideal_spaces_are_multiplicatively_closed(chain3, triple_arrow):
+    # generate_ideal forms its products by concatenation; multiplying by the
+    # semigroup's table instead cross-checks the one against the other
     rng = random.Random(61)
     for q in (chain3, triple_arrow, random_acyclic_quiver(rng), random_acyclic_quiver(rng)):
         s = build_semigroup(q)
+        t = table_rows(s)
         for ideal in enumerate_special_ideals(q):
             for w in ideal.space.basis:
                 for u in range(s.n):
                     for v in range(s.n):
                         moved = {}
                         for idx, c in w.coeffs.items():
-                            out = s.table[s.table[u][idx + 1]][v]
+                            out = t[t[u][idx + 1]][v]
                             if out != 0:
                                 moved[out - 1] = moved.get(out - 1, 0) + c
                         assert ideal.space.contains(PathVector(moved))

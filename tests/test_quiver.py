@@ -76,6 +76,40 @@ def test_parse_rejects_duplicate_arrow_name():
         parse_quiver("vertices: 1 2\narrow a: 1 -> 2\narrow a: 1 -> 2\n")
 
 
+# Element 0 prints as ``0`` and a composite path as its arrow names joined
+# by dots, so a vertex ``0`` or a name holding a dot would print like
+# another element.
+COLLIDING_TEXTS = {
+    "zero vertex": ("vertices: 0 1\narrow a: 0 -> 1\n", 1, "invalid vertex identifier '0'"),
+    "dotted arrow": (
+        "vertices: 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow a.b: 1 -> 3\n",
+        4,
+        "invalid arrow name 'a.b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, line, message", COLLIDING_TEXTS.values(), ids=COLLIDING_TEXTS)
+def test_parse_refuses_names_that_collide_with_element_names(text, line, message):
+    with pytest.raises(QuiverParseError, match=message) as err:
+        parse_quiver(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "vertices, arrows",
+    [
+        (["0", "1"], [("a", "0", "1")]),
+        (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("a.b", "1", "3")]),
+        (["1", "x.y"], []),
+    ],
+    ids=["zero vertex", "dotted arrow", "dotted vertex"],
+)
+def test_quiver_refuses_names_that_collide_with_element_names(vertices, arrows):
+    with pytest.raises(QuiverError, match="invalid identifier"):
+        Quiver(vertices, arrows)
+
+
 def test_parse_roundtrip(kronecker):
     assert parse_quiver(quiver_to_text(kronecker)) == kronecker
 
@@ -130,7 +164,7 @@ def test_enumerate_paths_matches_dfs_oracle(chain3, triple_arrow):
     rng = random.Random(7)
     quivers = [chain3, triple_arrow] + [random_acyclic_quiver(rng) for _ in range(10)]
     for q in quivers:
-        got = sorted(p.arrows if not p.is_trivial else (p.base,) for p in enumerate_paths(q))
+        got = sorted(p.arrows if not p.is_trivial else (p.source,) for p in enumerate_paths(q))
         want = sorted(t if t else (v,) for t, v in _tagged_dfs(q))
         assert got == want
 

@@ -80,8 +80,8 @@ def oriented_trees(draw):
     for v in range(1, n):
         u = draw(st.integers(0, v - 1))
         ends = (u, v) if draw(st.booleans()) else (v, u)
-        arrows.append((f"a{v}", *map(str, ends)))
-    return Quiver([str(v) for v in range(n)], arrows)
+        arrows.append((f"a{v}", *(f"v{e}" for e in ends)))
+    return Quiver([f"v{v}" for v in range(n)], arrows)
 
 
 @given(oriented_trees())
