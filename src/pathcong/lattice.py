@@ -1,18 +1,18 @@
 """Finite lattices given by their joins with a generating set.
 
 A lattice is given by its element list and the m x K table ``succ`` whose
-entry [c, k] is the index of c v g_k for K generators g_k of which every
-element is a join.  The covers are read off ``succ`` by Lindig's
-upper-neighbour test, meets by the generators below each element, and the
-six structural properties are decided from covers alone, with witnesses.
-No m x m array is built.
+entry [c][k] is the index of c v g_k for K generators g_k of which every
+element is a join.  Sets of generators are int bitmasks, bit k for g_k.
+The covers are read off ``succ`` by Lindig's upper-neighbour test, meets
+by the generators below each element, and the six structural properties
+are decided from covers alone, with witnesses.  No m x m table is built.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-import numpy as np
+import operator
+from functools import reduce
+from itertools import combinations, compress, repeat
 
 
 class LatticeError(ValueError):
@@ -20,13 +20,18 @@ class LatticeError(ValueError):
 
 
 class FiniteLattice:
-    """Elements with their generator join table, its cover mask, and covers."""
+    """Elements with their generator join table, generator sets, cover masks, and covers.
 
-    __slots__ = ("elements", "succ", "cover_mask", "covers")
+    ``below[c]`` has bit k where g_k <= c, ``cover_mask[c]`` where c v g_k
+    covers c; ``covers`` lists the pairs (lo, hi) in order.
+    """
 
-    def __init__(self, elements, succ, cover_mask, covers):
+    __slots__ = ("elements", "succ", "below", "cover_mask", "covers")
+
+    def __init__(self, elements, succ, below, cover_mask, covers):
         self.elements = elements
         self.succ = succ
+        self.below = below
         self.cover_mask = cover_mask
         self.covers = covers
 
@@ -42,27 +47,34 @@ class FiniteLattice:
         return f"FiniteLattice({self.n} elements, {len(self.covers)} covers)"
 
 
-def _cover_mask(S: np.ndarray) -> np.ndarray:
-    """[c, k] says that c v g_k covers c, by Lindig's upper-neighbour test.
+def _cover_mask(S, G, bits) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """Bit k of mask [c] says that c v g_k covers c, by Lindig's upper-neighbour test.
 
     d = c v g_k covers c iff d != c and every generator g below d (d v g
     = d) has c v g in {c, d}: an element e strictly between c and d is a
-    join of generators, one of which joins c to something in (c, e].
-    C. Lindig, "Fast Concept Analysis", ICCS 2000.  K passes of m x K.
+    join of generators, one of which joins c to something in (c, e].  So
+    with eq_c(d) the columns of row c that hold d, d covers c iff
+    G(d) & ~(G(c) | eq_c(d)) is empty.  C. Lindig, "Fast Concept
+    Analysis", ICCS 2000.  O(m K) dict and bit operations.  Returns the
+    masks and the covers (c, d), row by row.
     """
-    rows = np.arange(len(S))[:, None]
-    mask = S != rows
-    for k in range(S.shape[1]):
-        d = S[:, k, None]
-        between = (S[d[:, 0]] == d) & (S != rows) & (S != d)
-        mask[:, k] &= ~between.any(axis=1)
-    return mask
+    masks, covers = [], []
+    for c, row in enumerate(S):
+        eq = {}
+        for d, bit in zip(row, bits):
+            eq[d] = eq.get(d, 0) | bit
+        inside = G[c]
+        upper = [d for d, cols in eq.items() if d != c and not G[d] & ~(inside | cols)]
+        masks.append(reduce(operator.or_, map(eq.__getitem__, upper), 0))
+        upper.sort()
+        covers += zip(repeat(c), upper)
+    return masks, tuple(covers)
 
 
 def build_lattice(elements, succ) -> FiniteLattice:
     """A finite lattice from its generator join table.
 
-    ``succ[c, k]`` is the index of the join of element c with generator k.
+    ``succ[c][k]`` is the index of the join of element c with generator k.
     The caller vouches that every element is a join of generators and that
     the table is complete, so the list is a finite join-semilattice with a
     bottom, which is a lattice.
@@ -71,30 +83,35 @@ def build_lattice(elements, succ) -> FiniteLattice:
     n = len(elements)
     if n == 0:
         raise LatticeError("a lattice needs at least one element")
-    S = np.array(succ, dtype=np.intp)  # a copy: it is frozen below
-    if S.ndim != 2 or len(S) != n or S.size and not 0 <= S.min() <= S.max() < n:
-        raise LatticeError(f"join table of shape {S.shape} does not index {n} elements")
-    C = _cover_mask(S)
-    S.flags.writeable = C.flags.writeable = False
-    lo, k = np.nonzero(C)
-    covers = tuple(sorted(set(zip(lo.tolist(), S[lo, k].tolist()))))
-    return FiniteLattice(elements, S, C, covers)
+    try:  # an immutable copy, as a tuple of int tuples
+        S = tuple(tuple(map(operator.index, row)) for row in succ)
+    except TypeError:  # entries that are no integers, as in a 3-D table
+        raise LatticeError(f"join table of non-integers does not index {n} elements") from None
+    shape = (len(S), *sorted(set(map(len, S))))  # more than two entries: ragged
+    values = set().union(*S)
+    if len(shape) != 2 or len(S) != n or values and not 0 <= min(values) <= max(values) < n:
+        raise LatticeError(f"join table of shape {shape} does not index {n} elements")
+    bits = [1 << k for k in range(shape[1])]
+    G = [sum(compress(bits, map(operator.eq, row, repeat(c)))) for c, row in enumerate(S)]
+    C, covers = _cover_mask(S, G, bits)
+    return FiniteLattice(elements, S, G, C, covers)
+
+
+def _is_cover(lat: FiniteLattice, lo: int, hi: int) -> bool:
+    """hi covers lo, given lo < hi: a generator below hi and not lo joins lo to hi, as a cover."""
+    outside = lat.below[hi] & ~lat.below[lo]
+    k = (outside & -outside).bit_length() - 1
+    return bool(outside) and lat.succ[lo][k] == hi and bool(lat.cover_mask[lo] >> k & 1)
 
 
 def _between(lat: FiniteLattice, lo: int, hi: int) -> int:
-    """An element strictly between lo < hi, where hi does not cover lo."""
-    S = lat.succ
-    row = S[lo]
-    hit = np.flatnonzero((S[hi] == hi) & (row != lo) & (row != hi))
-    if not len(hit):
+    """The least element strictly between lo < hi, where hi does not cover lo."""
+    G = lat.below[hi]
+    inside = [d for k, d in enumerate(lat.succ[lo]) if G >> k & 1 and d != lo and d != hi]
+    if not inside:
         pair = f"{lat.labels[lo]!r} and {lat.labels[hi]!r}"
         raise LatticeError(f"nothing lies strictly between {pair}, yet they are no cover")
-    return int(row[hit[0]])
-
-
-def _distinct_per_row(X: np.ndarray) -> np.ndarray:
-    """Number of distinct values in each row, less one."""
-    return (np.diff(np.sort(X, axis=1), axis=1) != 0).sum(axis=1)
+    return min(inside)
 
 
 PROPERTY_NAMES = (
@@ -110,71 +127,74 @@ PROPERTY_NAMES = (
 def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
     """First failure witness of each property in ``PROPERTY_NAMES``, or None where it holds.
 
-    Upper semimodular: for distinct covers a = c v g and b = c v h of c,
-    a v b = a v h covers a and b v g covers b; else the pair (a, b).
-    Lower semimodular: for distinct lower covers a, b of d, their meet is
-    covered by both; else the pair.  Each c is the join of its generators
-    G(c) = {k : c v g_k = c}, so a ^ b is the one with G(a) & G(b).  Modular
-    iff both (Birkhoff, at finite length), else a triple (a, b, c), a <= c,
-    breaking the modular law.  The strong variants equal the plain ones at
-    finite length (M. Stern, *Semimodular Lattices*, 1999).  Distributive
-    iff modular and no element has three upper covers with one pairwise
-    join: G. Grätzer, *Lattice Theory: Foundation* (2011), a modular
-    lattice of finite length is distributive if and only if it contains no
+    Upper semimodular: for distinct covers a and b = c v g_k of c, a v b =
+    a v g_k covers a; else the pair (a, b).  Lower semimodular: for
+    distinct lower covers a, b of d, their meet is covered by both; else
+    the pair.  Each c is the join of its generators G(c) = {k : c v g_k =
+    c}, so a ^ b is the one with G(a) & G(b).  Modular iff both (Birkhoff,
+    at finite length), else a triple (a, b, c), a <= c, breaking the
+    modular law.  The strong variants equal the plain ones at finite
+    length (M. Stern, *Semimodular Lattices*, 1999).  Distributive iff
+    modular and no element has three upper covers with one pairwise join:
+    G. Grätzer, *Lattice Theory: Foundation* (2011), a modular lattice of
+    finite length is distributive if and only if it contains no
     cover-preserving diamond M3.  Else a triple (a, b, c) breaking
-    (a v b) ^ c == (a ^ c) v (b ^ c).
+    (a v b) ^ c == (a ^ c) v (b ^ c).  Witnesses are the first in element
+    order, so they do not depend on the generators.
     """
-    S, C = lat.succ, lat.cover_mask
-    upper = modular = None
-    for k in range(S.shape[1]):  # b = c v g_k; a v b = a v g_k = S[a, k]
-        b = S[:, k, None]
-        bad = C & C[:, k, None] & (S != b) & ~C[S, k]
-        if bad.any():
-            c, j = np.argwhere(bad)[0]
-            a = int(S[c, j])
-            upper = (a, int(b[c, 0]))
-            modular = (*upper, _between(lat, a, int(S[a, k])))
-            break
-
-    below = [[] for _ in range(lat.n)]
+    S, G, C = lat.succ, lat.below, lat.cover_mask
+    lower_covers = [[] for _ in range(lat.n)]
+    upper_covers = [[] for _ in range(lat.n)]
     for lo, hi in lat.covers:
-        below[hi].append(lo)
-    covers = set(lat.covers)
-    G = np.packbits(S == np.arange(lat.n)[:, None], axis=1)
-    index = {g.tobytes(): i for i, g in enumerate(G)}
-    lower = None
-    for a, b in (pair for lows in below for pair in combinations(lows, 2)):
-        e = index.get((G[a] & G[b]).tobytes())
+        lower_covers[hi].append(lo)
+        upper_covers[lo].append(hi)
+    index = {g: c for c, g in enumerate(G)}
+    lower = modular = None
+    for a, b in (pair for lows in lower_covers for pair in combinations(lows, 2)):
+        e = index.get(G[a] & G[b])
         if e is None:
             pair = f"{lat.labels[a]!r} and {lat.labels[b]!r}"
             raise LatticeError(f"meet of {pair} is not in the list")
-        if (e, a) not in covers or (e, b) not in covers:
-            lower = (a, b)
-            if modular is None:  # z in (e, a) or (e, b): (z, b, a) breaks the law
-                a, b = (a, b) if (e, a) not in covers else (b, a)
-                modular = (_between(lat, e, a), b, a)
+        if not (_is_cover(lat, e, a) and _is_cover(lat, e, b)):
+            lower = (a, b)  # z in (e, a) or (e, b): (z, b, a) breaks the law
+            a, b = (a, b) if not _is_cover(lat, e, a) else (b, a)
+            modular = (_between(lat, e, a), b, a)
             break
 
-    # Modular, so for distinct covers a, x, y of c, a v x = a v y covers x
-    # and is x v y as well: a cover-preserving diamond.  Find it as two
-    # other covers of c with one join with a = c v g_k.
-    distributive = modular
-    if modular is None:
-        for k in range(S.shape[1]):
-            a = S[:, k]
-            other = C & C[:, k, None] & (S != a[:, None])
-            covers_c = np.where(other, S, -1)
-            joins = np.where(other, S[a], -1)
-            hit = np.flatnonzero(_distinct_per_row(joins) < _distinct_per_row(covers_c))
-            if len(hit):
-                c, first = hit[0], {}
-                for j, x in zip(joins[c].tolist(), covers_c[c].tolist()):
-                    if x >= 0 and first.setdefault(j, x) != x:
-                        distributive = (int(a[c]), first[j], x)
-                        break
+    # For a cover a of c, the columns of C(c) that join c to a are those in
+    # G(a), so the covers b = c v g_k with a v b = a v g_k not covering a
+    # are the bits of C(c) & ~G(a) & ~C(a).  While the lattice may be
+    # modular, look for a cover-preserving diamond too.
+    upper = diamond = None
+    for c, ups in enumerate(upper_covers):
+        for a in ups:
+            bad = C[c] & ~G[a] & ~C[a]
+            if bad:  # every column of b is in bad, as each joins a to a v b
+                row = S[c]
+                upper = (a, min(d for k, d in enumerate(row) if bad >> k & 1))
+                modular = (*upper, _between(lat, a, S[a][row.index(upper[1])]))
                 break
-
+        if upper is not None:
+            break
+        if lower is None and diamond is None:
+            diamond = _diamond(S, C[c], G, ups)
+    distributive = modular if modular is not None else diamond
     return dict(zip(PROPERTY_NAMES, (distributive, modular, upper, lower, upper, lower)))
+
+
+def _diamond(S, cover_mask: int, G, ups) -> tuple | None:
+    """Upper covers (a, x, y) of one element c with a v x = a v y, or None.
+
+    ``cover_mask`` is C(c) and ``ups`` its covers in order; x = c v g_k
+    for the lowest k in C(c) & G(x), so a v x = a v g_k.
+    """
+    column = [(x, ((cols := cover_mask & G[x]) & -cols).bit_length() - 1) for x in ups]
+    for a in ups:
+        seen = {}
+        for x, k in column:
+            if x != a and seen.setdefault(S[a][k], x) != x:
+                return (a, seen[S[a][k]], x)
+    return None
 
 
 def lattice_properties(lat: FiniteLattice) -> dict[str, bool]:

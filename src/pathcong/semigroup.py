@@ -6,8 +6,6 @@ import operator
 from collections import Counter
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels
 from .quiver import Path, Quiver, enumerate_paths, path_counts
 
@@ -61,7 +59,7 @@ class PathSemigroup:
         return self._paths
 
     @property
-    def congruence_closure(self) -> tuple[tuple[bytes, ...], np.ndarray, tuple]:
+    def congruence_closure(self) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...], tuple]:
         """``congruence_join_closure`` of this semigroup: congruences, join table, generators."""
         if self._closure is None:
             self._closure = congruence_join_closure(self)
@@ -286,9 +284,9 @@ def join_closure(seed, atoms, below, join, key, order):
     ``below(x, atom)`` says that atom lies below x, so their join is x and
     is skipped.  Joins are deduplicated by ``key``; the first element found
     for a key is kept.  Returns the elements sorted by ``order`` and their
-    read-only join table, re-indexed to match: row i, column k is the index
-    of element i joined with atom k.  Complete when every element of the
-    lattice is the seed joined with the atoms below it.
+    join table as a tuple of int tuples, re-indexed to match: row i, column
+    k is the index of element i joined with atom k.  Complete when every
+    element of the lattice is the seed joined with the atoms below it.
 
     Each element after the seed was first found as p v a_j, with row p
     already complete.  Its join with a_k is then (p v a_k) v a_j, read
@@ -322,8 +320,10 @@ def join_closure(seed, atoms, below, join, key, order):
             row.append(j)
         succ.append(row)
     rank = sorted(range(len(elements)), key=lambda i: order(elements[i]))
-    table = np.argsort(rank)[np.array(succ, dtype=np.intp)[rank]]  # argsort inverts rank
-    table.flags.writeable = False
+    place = [0] * len(rank)  # inverts rank: elements[i] goes to place[i]
+    for r, i in enumerate(rank):
+        place[i] = r
+    table = tuple(tuple(map(place.__getitem__, succ[i])) for i in rank)
     return [elements[i] for i in rank], table
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .ideals import (
     Relation,
     SpecialIdeal,
@@ -109,16 +107,15 @@ def congruence_lattice(
         raise
 
 
-def ideal_leq_matrix(ideals) -> np.ndarray:
+def ideal_leq_matrix(ideals) -> list[list[bool]]:
     """Containment order over ideal spaces, exact; ``check_theorems`` does not need it.
 
     A special ideal is generated by the relations it contains, so a <= b
     exactly when every relation in a lies in b, read off their residue labels.
     """
     rels = all_relations(ideals[0].quiver) if ideals else ()
-    marks = np.array([[contains_relation(i, r) for r in rels] for i in ideals], dtype=bool)
-    marks = marks.reshape(len(ideals), len(rels))  # no ideals give shape (0, 0)
-    return ~(marks @ ~marks.T)  # boolean product: some relation of a is missing from b
+    marks = [sum(1 << k for k, r in enumerate(rels) if contains_relation(i, r)) for i in ideals]
+    return [[not a & ~b for b in marks] for a in marks]
 
 
 @dataclass
@@ -171,10 +168,10 @@ class Evidence:
     predicted: dict[str, bool]
     congs: tuple[Congruence, ...]  # the identity first
     ideals: list[SpecialIdeal]  # the zero ideal first
-    ideal_table: np.ndarray  # [i, k]: the index of ideals[i] + (r_k)
+    ideal_table: tuple[tuple[int, ...], ...]  # [i][k]: the index of ideals[i] + (r_k)
     lattice: FiniteLattice | None  # None: failed["lattice"] says why
     failed: dict[str, str]
-    perm: np.ndarray | None = None  # congs[k] maps to ideals[perm[k]]
+    perm: list[int] | None = None  # congs[k] maps to ideals[perm[k]]
     computed: dict[str, bool | None] = field(default_factory=dict)  # None: undecided
     witnesses: dict[str, tuple | None] = field(default_factory=dict)
     comp_props: list[dict[str, bool]] = field(default_factory=list)  # empty if connected
@@ -199,7 +196,7 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
         if len(congs) != len(ideals):
             raise AssertionError(f"{len(congs)} congruences vs {len(ideals)} ideals")
         ideal_index = {ideal.space.key(): k for k, ideal in enumerate(ideals)}
-        ev.perm = perm = np.empty(len(congs), dtype=np.intp)
+        ev.perm = perm = [0] * len(congs)
         for k, c in enumerate(congs):
             # the image is written from c's labels, not generated; only a
             # true ideal can match one of the independently enumerated ones
@@ -215,7 +212,7 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
             # does not read back the rows congruence_to_ideal just wrote
             if ideal_to_congruence(s, ideals[perm[k]]) != c:
                 raise AssertionError(f"round trip fails at congruence {k}")
-        if len(set(perm.tolist())) != len(congs):
+        if len(set(perm)) != len(congs):
             raise AssertionError("congruence-to-ideal map is not injective")
         # No round trip from the ideal side is needed: perm is injective
         # between lists of equal length, so it is a bijection, and the loop
@@ -233,7 +230,9 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
         # (r_k), it preserves all joins.  A bijective join-homomorphism is
         # an order isomorphism (a <= b iff a v b = b), so it carries the
         # verified congruence covers onto the ideal covers.
-        if perm[0] != 0 or not np.array_equal(S_i[perm], perm[lat.succ]):
+        if perm[0] != 0 or any(
+            S_i[perm[c]] != tuple(map(perm.__getitem__, row)) for c, row in enumerate(lat.succ)
+        ):
             raise AssertionError("bijection does not preserve order")
     except AssertionError as exc:
         failed["bijection"] = str(exc)
@@ -294,7 +293,7 @@ def cover_verdict(ev: Evidence) -> tuple[bool, str]:
     so b is one new relation's step over a exactly when dim b = dim a + 1."""
     if "bijection" in ev.failed:
         return False, "skipped: isomorphism check failed"
-    for lo, hi in sorted((int(ev.perm[lo]), int(ev.perm[hi])) for lo, hi in ev.lattice.covers):
+    for lo, hi in sorted((ev.perm[lo], ev.perm[hi]) for lo, hi in ev.lattice.covers):
         a, b = ev.ideals[lo].dim, ev.ideals[hi].dim
         if b != a + 1:
             return False, f"cover {lo} -> {hi} jumps {a} -> {b}"

@@ -97,7 +97,7 @@ class QuiverData:
             for ideal in self.ideals
         )
         self.leq_c = congruence_leq_matrix(self.congs)
-        self.leq_i = ideal_leq_matrix(self.ideals)
+        self.leq_i = np.array(ideal_leq_matrix(self.ideals), dtype=bool)
         self.order_preserved = bool(
             (self.leq_i[np.ix_(self.perm, self.perm)] == self.leq_c).all()
         )

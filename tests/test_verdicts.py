@@ -6,7 +6,6 @@ reads, so each verdict is seen to read nothing else.
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from oracles import kronecker_quiver
@@ -108,7 +107,7 @@ def test_components_verdict():
 def test_cover_verdict():
     # congruences 1 and 2 sit between 0 and 3 and map to ideals 2 and 1
     lattice = SimpleNamespace(covers=((0, 1), (0, 2), (1, 3), (2, 3)))
-    perm = np.array([0, 2, 1, 3])
+    perm = [0, 2, 1, 3]
 
     def ideals(*dims):
         return [SimpleNamespace(dim=d) for d in dims]

@@ -1,0 +1,145 @@
+"""Time ``import pathcong``, the lattice stage, and whole checks on large quivers.
+
+    PYTHONPATH=src python3 tools/bench_lattice.py --label change
+
+Three measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
+
+- ``import_s``: seconds of ``import pathcong`` in a fresh interpreter,
+  the median of ``REPEATS`` processes;
+- ``lattice_ms``: the lattice stage of ``check_theorems``, that is
+  ``build_lattice`` on the cached congruence join table plus
+  ``lattice_properties``, in milliseconds, the median of ``REPEATS``
+  in-process runs on each of ``LATTICE_INPUTS``;
+- ``check``: ``check_theorems`` on each of ``CHECK_INPUTS`` in a fresh
+  interpreter, its seconds and the process's peak resident memory.
+
+Each run is appended to the list under ``--label`` in ``--out``, so one
+file holds parent and change runs taken alternately on one host: run the
+script with ``PYTHONPATH`` pointing at each tree's ``src`` in turn.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from pathcong import (
+    Quiver,
+    build_lattice,
+    build_semigroup,
+    enumerate_congruences,
+    lattice_properties,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.workloads import kronecker, star  # noqa: E402
+
+REPEATS = 9
+
+LATTICE_INPUTS = ("kronecker(5)", "star(5)", "kronecker(7)", "star(8)")
+CHECK_INPUTS = ("kronecker(7)", "star(8)", "wide", "kronecker(8)")
+
+
+def quiver(name: str):
+    """``kronecker(k)``, ``star(k)``, or ``wide``: 3 arrows u -> v and 2 arrows v -> w."""
+    if name == "wide":
+        arrows = [(a, "u", "v") for a in "abc"] + [(a, "v", "w") for a in "de"]
+        return Quiver(["u", "v", "w"], arrows)
+    family, k = name.rstrip(")").split("(")
+    return {"kronecker": kronecker, "star": star}[family](int(k))
+
+
+IMPORT_CHILD = """
+import time
+start = time.perf_counter()
+import pathcong
+print(time.perf_counter() - start)
+"""
+
+CHECK_CHILD = """
+import resource, sys, time
+sys.path.insert(0, {tools!r})
+from bench_lattice import quiver
+from pathcong import check_theorems
+q = quiver({name!r})
+start = time.perf_counter()
+report = check_theorems(q)
+seconds = time.perf_counter() - start
+if not report.ok:
+    sys.exit(report.format())
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def child(code: str) -> list[float]:
+    """The numbers a fresh interpreter prints for ``code``."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return [float(x) for x in out.stdout.split()]
+
+
+def import_seconds() -> float:
+    return statistics.median(child(IMPORT_CHILD)[0] for _ in range(REPEATS))
+
+
+def lattice_milliseconds(q) -> dict:
+    """Median and quartiles of ``build_lattice`` plus ``lattice_properties`` on q."""
+    s = build_semigroup(q)
+    congs = enumerate_congruences(s)  # fills the cached closure
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        lattice_properties(build_lattice(congs, s.congruence_closure[1]))
+        samples.append((time.perf_counter() - start) * 1e3)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    quartiles = [round(q1, 2), round(q3, 2)]
+    return {"congruences": len(congs), "ms": round(median, 2), "q1_q3_ms": quartiles}
+
+
+def check_run(name: str) -> dict:
+    seconds, peak = child(CHECK_CHILD.format(tools=str(ROOT / "tools"), name=name))
+    return {"s": round(seconds, 3), "peak_rss_mb": round(peak, 1)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--out", type=Path, default=Path("BENCH_lattice.json"))
+    args = parser.parse_args(argv)
+
+    run = {
+        "import_s": round(import_seconds(), 4),
+        "lattice_ms": {name: lattice_milliseconds(quiver(name)) for name in LATTICE_INPUTS},
+        "check": {name: check_run(name) for name in CHECK_INPUTS},
+    }
+    print(f"{args.label:>8} import pathcong {run['import_s']:.4f} s")
+    for name, row in run["lattice_ms"].items():
+        print(f"{args.label:>8} lattice {name:<13} {row['congruences']:>6} congruences"
+              f" {row['ms']:8.2f} ms")
+    for name, row in run["check"].items():
+        print(f"{args.label:>8} check {name:<13} {row['s']:7.3f} s {row['peak_rss_mb']:7.1f} MB")
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["metric"] = (
+        "import_s: fresh-process import seconds, median; lattice_ms: build_lattice plus"
+        " lattice_properties, median of in-process repeats; check: check_theorems seconds"
+        " and peak RSS, one fresh process per input"
+    )
+    doc["host"] = {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+    doc.setdefault("runs", {}).setdefault(args.label, []).append({"repeats": REPEATS, **run})
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
