@@ -209,17 +209,22 @@ def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
     s = build_semigroup(q)
     s.check_element_cap(max_elements)
     s.check_kernel_limit()
-    # one atom (r) per relation r, kept with r, and no two equal: (y) has
-    # y as its shortest path; (x - y) is spanned by the u*x*v - u*y*v,
-    # whose supports are disjoint, so it holds no monomial and its
-    # shortest two-term vector is x - y.  A two-sided ideal contains (r)
-    # exactly when it contains r, so the below-test reads r off the
-    # current ideal's residue labels
+    # one atom (r) per relation r, and no two equal: (y) has y as its
+    # shortest path; (x - y) is spanned by the u*x*v - u*y*v, whose
+    # supports are disjoint, so it holds no monomial and its shortest
+    # two-term vector is x - y.  A two-sided ideal contains (r) exactly
+    # when it contains r, which its residue labels say (``contains_relation``):
+    # the elements (x, y) of r share a label, x = 0 for a monomial, as in
+    # the congruence route's theta(x, y)
+    atoms = []
+    for r in all_relations(q):
+        x, y = (-1, r.first) if r.second is None else (r.first, r.second)  # path indices, -1: zero
+        atoms.append((x + 1, y + 1, generate_ideal(q, (r,))))
     return join_closure(
         zero_ideal(q),
-        [(r, generate_ideal(q, (r,))) for r in all_relations(q)],
-        below=lambda cur, atom: contains_relation(cur, atom[0]),
-        join=lambda cur, atom: ideal_join(cur, atom[1]),
+        atoms,
+        labels=lambda ideal: ideal.residue_labels,
+        join=ideal_join,
         key=lambda ideal: ideal.space.key(),
         order=lambda ideal: (ideal.dim, ideal.space.key()),
     )

@@ -278,15 +278,18 @@ def _finest_first(lab: bytes):
     return -max(lab), lab
 
 
-def join_closure(seed, atoms, below, join, key, order):
+def join_closure(seed, atoms, labels, join, key, order):
     """Every join of ``seed`` with atoms, found breadth first, and their join table.
 
-    ``below(x, atom)`` says that atom lies below x, so their join is x and
-    is skipped.  Joins are deduplicated by ``key``; the first element found
-    for a key is kept.  Returns the elements sorted by ``order`` and their
-    join table as a tuple of int tuples, re-indexed to match: row i, column
-    k is the index of element i joined with atom k.  Complete when every
-    element of the lattice is the seed joined with the atoms below it.
+    Each atom is a triple ``(x, y, payload)``.  It lies below an element
+    whose label vector, ``labels(element)``, read once per element, puts
+    x and y in one block: their join is that element and is not formed.
+    Otherwise the join is ``join(element, payload)``.  Joins are
+    deduplicated by ``key``; the first element found for a key is kept.
+    Returns the elements sorted by ``order`` and their join table as a
+    tuple of int tuples, re-indexed to match: row i, column k is the index
+    of element i joined with atom k.  Complete when every element of the
+    lattice is the seed joined with the atoms below it.
 
     Each element after the seed was first found as p v a_j, with row p
     already complete.  Its join with a_k is then (p v a_k) v a_j, read
@@ -301,10 +304,11 @@ def join_closure(seed, atoms, below, join, key, order):
     origin = [None]  # origin[i] = (p, j): elements[i] was first found as p v a_j
     succ = []
     for i, cur in enumerate(elements):  # visits the elements appended below, in order
+        lab = labels(cur)
         row = []
         p, a = origin[i] or (None, None)
-        for k, atom in enumerate(atoms):
-            if below(cur, atom):
+        for k, (x, y, payload) in enumerate(atoms):
+            if lab[x] == lab[y]:
                 row.append(i)
                 continue
             if p is not None:
@@ -312,7 +316,7 @@ def join_closure(seed, atoms, below, join, key, order):
                 if t < i:
                     row.append(succ[t][a])
                     continue
-            joined = join(cur, atom)
+            joined = join(cur, payload)
             j = found.setdefault(key(joined), len(elements))
             if j == len(elements):
                 elements.append(joined)
@@ -378,8 +382,8 @@ def congruence_join_closure(s: PathSemigroup):
     found, S = join_closure(
         bytes(range(n)),
         generators,
-        below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],  # theta(x, y) <= cur
-        join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
+        labels=lambda lab: lab,  # theta(x, y) <= cur iff cur puts x and y in one block
+        join=_kernels.join_labels,
         key=lambda lab: lab,
         order=_finest_first,
     )
@@ -389,6 +393,8 @@ def congruence_join_closure(s: PathSemigroup):
 def is_rees(c: Congruence) -> bool:
     """True iff c collapses a semigroup ideal and nothing else.
 
-    Equivalently: every block other than the zero block is a singleton.
+    Equivalently: every block other than the zero block is a singleton,
+    so each element outside the zero block (label 0) has a block of its own.
     """
-    return all(len(block) == 1 for block in c.blocks[1:])
+    lab = c.labels
+    return len(set(lab)) - 1 == len(lab) - lab.count(0)

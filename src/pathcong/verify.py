@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import _kernels
 from .ideals import (
     Relation,
     SpecialIdeal,
     all_relations,
-    congruence_to_ideal,
     contains_relation,
     ideal_join_closure,
     ideal_to_congruence,
@@ -177,6 +177,29 @@ class Evidence:
     comp_props: list[dict[str, bool]] = field(default_factory=list)  # empty if connected
 
 
+def match_congruence(s: PathSemigroup, k: int, c: Congruence, ideals, by_labels) -> int:
+    """Index of the enumerated ideal that congruence k, c, maps to, looked up in
+    ``by_labels`` (residue labels -> index); ``AssertionError`` names a fault.
+
+    Equal labels put every generator of c's image inside the ideal (z for
+    each z ~ 0, x - y for each x ~ y), and the image has dimension
+    n - 1 - max(labels), so at that dimension the ideal is
+    ``congruence_to_ideal(s, c)``, found without building it from c.
+    """
+    i = by_labels.get(c.labels)
+    if i is None or ideals[i].dim != s.n - 1 - max(c.labels):
+        if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
+            raise AssertionError(f"partition {k} is not a congruence: {c}")
+        raise AssertionError(f"image of congruence {k} is not an enumerated ideal")
+    try:
+        back = ideal_to_congruence(s, ideals[i])
+    except RuntimeError:  # the labels, c's too, are no congruence of the table
+        raise AssertionError(f"partition {k} is not a congruence: {c}") from None
+    if back != c:
+        raise AssertionError(f"round trip fails at congruence {k}")
+    return i
+
+
 def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evidence:
     """Congruences and special ideals, enumerated independently with their join tables
     over one generator per relation; the match between them; each lattice's properties."""
@@ -195,29 +218,18 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
             raise AssertionError(failed["lattice"])
         if len(congs) != len(ideals):
             raise AssertionError(f"{len(congs)} congruences vs {len(ideals)} ideals")
-        ideal_index = {ideal.space.key(): k for k, ideal in enumerate(ideals)}
-        ev.perm = perm = [0] * len(congs)
-        for k, c in enumerate(congs):
-            # the image is written from c's labels, not generated; only a
-            # true ideal can match one of the independently enumerated ones
-            try:
-                image = congruence_to_ideal(s, c)
-            except ValueError:
-                raise AssertionError(f"partition {k} is not a congruence: {c}") from None
-            key = image.space.key()
-            if key not in ideal_index:
-                raise AssertionError(f"image of congruence {k} is not an enumerated ideal")
-            perm[k] = ideal_index[key]
-            # the enumerated ideal, not the image, so that the round trip
-            # does not read back the rows congruence_to_ideal just wrote
-            if ideal_to_congruence(s, ideals[perm[k]]) != c:
-                raise AssertionError(f"round trip fails at congruence {k}")
+        by_labels = {}  # residue labels -> index of the enumerated ideal
+        for i, ideal in enumerate(ideals):
+            j = by_labels.setdefault(ideal.residue_labels, i)
+            if j != i:
+                raise AssertionError(f"ideals {j} and {i} share residue labels")
+        ev.perm = perm = [match_congruence(s, k, c, ideals, by_labels) for k, c in enumerate(congs)]
         if len(set(perm)) != len(congs):
             raise AssertionError("congruence-to-ideal map is not injective")
         # No round trip from the ideal side is needed: perm is injective
-        # between lists of equal length, so it is a bijection, and the loop
-        # has mapped every enumerated ideal I back to the one c whose image
-        # is I, so ideal_to_congruence(I) == c and congruence_to_ideal of it is I.
+        # between lists of equal length, so it is a bijection, and every
+        # enumerated ideal I is the image of the one c matched to it, with
+        # ideal_to_congruence(I) == c.
         # column k of both tables: theta(0, y) for (y), theta(x, y) for (x - y)
         pairs, rels = s.congruence_closure[2], all_relations(q)
         if len(pairs) != len(rels):

@@ -104,22 +104,20 @@ def enumerate_congruences_bruteforce(s, max_elements: int = 10) -> list[Congruen
     return [Congruence(s, lab) for lab in sorted(labels, key=_finest_first)]
 
 
-def direct_join_closure(seed, atoms, below, join, key, order):
+def direct_join_closure(seed, atoms, labels, join, key, order):
     """``semigroup.join_closure`` forming every join it tabulates, none read from the table.
 
     Same arguments and result: the elements sorted by ``order``, and one
-    row per element giving the index of its join with each atom.
+    row per element giving the index of its join with each atom.  It
+    joins the atoms below an element too, so it never reads ``labels``.
     """
     found = {key(seed): 0}
     elements = [seed]
     succ = []
-    for i, cur in enumerate(elements):  # visits the elements appended below, in order
+    for cur in elements:  # visits the elements appended below, in order
         row = []
-        for atom in atoms:
-            if below(cur, atom):
-                row.append(i)
-                continue
-            joined = join(cur, atom)
+        for _, _, payload in atoms:
+            joined = join(cur, payload)
             k = key(joined)
             j = found.get(k)
             if j is None:

@@ -1,23 +1,31 @@
-"""Faults in the semigroup's multiplication table reach one route only.
+"""Faults in what verdict 1 reads must end as its violations.
 
 The congruence route reads ``PathSemigroup.table_bytes``; the ideal route
 forms its products by joining arrow tuples and shares only the path list.
 So a wrong table must end as a violation of verdict 1, the congruence/ideal
 lattice isomorphism, never as a pass or a traceback.  Each fault is
 injected through ``semigroup._product_table`` on small quivers with
-parallel paths of length 2.
+parallel paths of length 2.  So must a changed row of an enumerated
+ideal, which verdict 1 reads through its residue labels and dimension,
+and a changed label byte of an enumerated congruence.
 """
+
+import re
 
 import pytest
 
+from oracles import kronecker_quiver
 from pathcong import (
+    PathVector,
     Quiver,
+    SpecialIdeal,
     build_semigroup,
     check_theorems,
     enumerate_congruences,
     enumerate_special_ideals,
+    row_reduce,
 )
-from pathcong import quiver, semigroup
+from pathcong import quiver, semigroup, verify
 from pathcong.verify import VERDICTS
 
 ISOMORPHISM = VERDICTS[0][0]
@@ -111,3 +119,96 @@ def test_path_list_is_checked_against_path_counts(monkeypatch, product_table_cal
     with pytest.raises(RuntimeError, match="1 -> 3: 1 paths listed, path counts say 2"):
         check_theorems(QUIVERS["fork"])
     assert product_table_calls == []
+
+
+# every violation text of verdict 1 that names the fault in one of the lists
+NAMED = re.compile(
+    r"partition \d+ is not a congruence: .*"
+    r"|image of congruence \d+ is not an enumerated ideal"
+    r"|round trip fails at congruence \d+"
+    r"|congruence-to-ideal map is not injective"
+    r"|ideals \d+ and \d+ share residue labels"
+    r"|bijection does not preserve order"
+)
+
+
+def assert_named_verdict_1_violation(q):
+    report = check_theorems(q)
+    name, ok, detail = report.verdicts[0]
+    assert (name, ok) == (ISOMORPHISM, False)
+    assert NAMED.fullmatch(detail), detail
+    assert f"[{detail}]" in report.format()
+
+
+def with_ideal(monkeypatch, i, ideal):
+    """check_theorems reads ``ideal`` as enumerated ideal i; the join table is unchanged."""
+    real = verify.ideal_join_closure
+
+    def replaced(q, max_elements):
+        found, S = real(q, max_elements)
+        return [ideal if j == i else other for j, other in enumerate(found)], S
+
+    monkeypatch.setattr(verify, "ideal_join_closure", replaced)
+
+
+def shifted_row(ideal):
+    """The ideal's space with e_c added to its first row, c its greatest non-pivot
+    column: a reduced basis still, of the same dimension, that spans another space."""
+    basis = ideal.space.basis
+    pivots = {min(v.coeffs) for v in basis}
+    c = max(set(range(ideal.space.dim_ambient)) - pivots)
+    first = dict(basis[0].coeffs)
+    first[c] = first.get(c, 0) + 1
+    return row_reduce([PathVector(first), *basis[1:]], ideal.space.dim_ambient)
+
+
+@pytest.mark.parametrize("name", QUIVERS)
+def test_changed_ideal_row_is_a_verdict_1_violation(monkeypatch, name):
+    q = QUIVERS[name]
+    found = enumerate_special_ideals(q)
+    changed = 0
+    for i, ideal in enumerate(found):
+        if not 0 < ideal.dim < ideal.space.dim_ambient:
+            continue  # no row to change, or no column to change it in
+        space = shifted_row(ideal)
+        assert space.dim == ideal.dim and space != ideal.space
+        with monkeypatch.context() as mp:
+            with_ideal(mp, i, SpecialIdeal(q, ideal.generators, space))
+            assert_named_verdict_1_violation(q)
+        changed += 1
+    assert changed == len(found) - 2
+
+
+@pytest.mark.parametrize("name", QUIVERS)
+def test_changed_congruence_label_is_a_verdict_1_violation(monkeypatch, name):
+    q = QUIVERS[name]
+    s = build_semigroup(q)
+    labels, S, pairs = s.congruence_closure
+    for k, lab in enumerate(labels):
+        # one byte per congruence, at a position that varies with k, moved
+        # to the next label (one past the last gives a block of its own)
+        e = k % s.n
+        edited = bytearray(lab)
+        edited[e] = lab[e] + 1
+        faulty = (*labels[:k], bytes(edited), *labels[k + 1 :])
+        with monkeypatch.context() as mp:
+            mp.setattr(semigroup.PathSemigroup, "congruence_closure", (faulty, S, pairs))
+            assert_named_verdict_1_violation(q)
+
+
+def test_extra_row_that_keeps_the_labels_fails_verdict_1(monkeypatch):
+    # a1 - a2 - a3 + a4 leaves every residue distinct, so the zero ideal
+    # plus that row has the identity's residue labels; only its dimension,
+    # 1 where the identity's image has 0, tells it from the zero ideal
+    q = kronecker_quiver(4)
+    s = build_semigroup(q)
+    a1, a2, a3, a4 = (s.index_by_name(f"a{i}") - 1 for i in range(1, 5))
+    zero = enumerate_special_ideals(q)[0]
+    space = row_reduce([PathVector({a1: 1, a2: -1, a3: -1, a4: 1})], len(s.paths))
+    fault = SpecialIdeal(q, frozenset(), space)
+    assert fault.residue_labels == zero.residue_labels == bytes(range(s.n))
+    assert (zero.dim, fault.dim) == (0, 1)
+    with_ideal(monkeypatch, 0, fault)
+    assert check_theorems(q).verdicts[0] == (
+        ISOMORPHISM, False, "image of congruence 0 is not an enumerated ideal"
+    )

@@ -35,6 +35,13 @@ LIBRARY_ENTRY_POINTS = {
     "monomial_relation",
     "commutative_relation",
     "Relation.vectorize",
+    # the paper's map from congruences to ideals, exported and tested
+    # against congruence_to_ideal_eager; verdict 1 finds each image among
+    # the enumerated ideals by residue labels and dimension instead
+    "congruence_to_ideal",
+    # the ideal closure tests containment on the label bytes inline;
+    # ideal_leq_matrix, which only the benchmark's tracer calls, reads it
+    "contains_relation",
     "console_main",  # the installed script; the runs call main()
 }
 # The benchmark builds its workloads with this (perfbench/workloads.py);

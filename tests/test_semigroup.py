@@ -231,6 +231,15 @@ def test_is_rees(s2, s6):
     assert all(is_rees(c) for c in enumerate_congruences(s2))
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_is_rees_matches_singleton_blocks_on_random_quivers(seed):
+    # is_rees counts labels; the definition reads the blocks
+    s = build_semigroup(random_acyclic_quiver(random.Random(seed), 4, 5, 12))
+    for c in enumerate_congruences(s):
+        assert is_rees(c) == all(len(block) == 1 for block in c.blocks[1:])
+
+
 def test_zero_block_is_an_ideal(s2, s6, s4):
     for s in (s2, s6, s4):
         t = table_rows(s)
@@ -441,8 +450,8 @@ def all_principal_closure(s):
     found, succ = direct_join_closure(
         bytes(range(n)),
         [(x, y, lab) for lab, (x, y) in principals.items() if irreducible(lab)],
-        below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],
-        join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
+        labels=lambda lab: lab,
+        join=_kernels.join_labels,
         key=lambda lab: lab,
         order=_finest_first,
     )
@@ -508,8 +517,8 @@ def test_join_closure_table_records_each_join(q):
     found, succ = semigroup.join_closure(
         bytes(range(s.n)),
         atoms,
-        below=lambda cur, atom: cur[atom[0]] == cur[atom[1]],
-        join=lambda cur, atom: _kernels.join_labels(cur, atom[2]),
+        labels=lambda lab: lab,
+        join=_kernels.join_labels,
         key=lambda lab: lab,
         order=lambda lab: lab,
     )
@@ -544,8 +553,10 @@ def assert_closure_matches_direct(q, route):
         run(q)
     [(seed, atoms, kwargs, (found, succ))] = calls
     if route == "ideals":
-        keys = {ideal.space.key() for _, ideal in atoms}
+        keys = {ideal.space.key() for _, _, ideal in atoms}
         assert len(keys) == len(atoms) == len(ideals.all_relations(q))
+    # both routes test "below" on the elements (x, y) of one relation per column
+    assert [(x, y) for x, y, _ in atoms] == list(build_semigroup(q).congruence_closure[2])
     expected, expected_succ = direct_join_closure(seed, atoms, **kwargs)
     key = kwargs["key"]
     assert [key(e) for e in found] == [key(e) for e in expected]

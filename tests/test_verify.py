@@ -272,10 +272,19 @@ def test_cover_verdict_names_first_failing_cover(monkeypatch, triple_arrow):
     first = min(c for c in covers if c[1] == target)
     assert first != covers[-1] and target == len(found) - 1
     # one dimension more keeps the top ideal last, and every cover into it
-    # now jumps two
+    # now jumps two; it is added once the evidence is built, since
+    # verdict 1 compares each ideal's dimension with its congruence's
     upper = found[target]
     real = SpecialIdeal.dim.fget
-    monkeypatch.setattr(SpecialIdeal, "dim", property(lambda self: real(self) + (self == upper)))
+    build = verify.build_evidence
+
+    def bumped_after_the_bijection(q, max_elements):
+        ev = build(q, max_elements)
+        bumped = property(lambda self: real(self) + (self == upper))
+        monkeypatch.setattr(SpecialIdeal, "dim", bumped)
+        return ev
+
+    monkeypatch.setattr(verify, "build_evidence", bumped_after_the_bijection)
     report = check_theorems(triple_arrow)
     assert report.verdicts[0][1]
     low = found[first[0]].dim
@@ -306,20 +315,20 @@ def test_cover_verdict_builds_no_subspace(monkeypatch, triple_arrow):
 
 
 def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
-    # the images are written from the blocks without closing them under
-    # multiplication; one that is no ideal matches no enumerated ideal
+    # the enumerated ideal congruence k maps to is swapped for a space that
+    # is no ideal, so congruence k finds no ideal with its residue labels
     k = 3
-    target = enumerate_congruences(build_semigroup(kronecker))[k].labels
-    real = verify.congruence_to_ideal
+    s = build_semigroup(kronecker)
+    image = congruence_to_ideal(s, enumerate_congruences(s)[k])
+    real = verify.ideal_join_closure
 
-    def lone_trivial_path_at_target(s, c):
-        if c.labels != target:
-            return real(s, c)
+    def lone_trivial_path_at_image(q, max_elements):
+        found, S = real(q, max_elements)
         # the span of e1 alone lacks e1 * alpha = alpha, so it is no ideal
         e1 = linalg.row_reduce([linalg.PathVector({0: 1})], len(s.paths))
-        return SpecialIdeal(s.quiver, frozenset(), e1)
+        return [SpecialIdeal(q, frozenset(), e1) if i == image else i for i in found], S
 
-    monkeypatch.setattr(verify, "congruence_to_ideal", lone_trivial_path_at_target)
+    monkeypatch.setattr(verify, "ideal_join_closure", lone_trivial_path_at_image)
     assert check_theorems(kronecker).verdicts[0] == (
         "congruence/ideal lattice isomorphism",
         False,
@@ -613,19 +622,43 @@ def test_property_mismatch_names_its_witness(monkeypatch):
 
 @pytest.mark.parametrize("q", [kronecker_quiver(3), three_components()], ids=["kronecker3", "3-components"])
 def test_bijection_maps_each_congruence_once_each_way(monkeypatch, q):
-    calls = {"congruence_to_ideal": 0, "ideal_to_congruence": 0}
-    for name in calls:
-        real = getattr(verify, name)
-
-        def counted(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(verify, name, counted)
+    # each congruence finds its image among the enumerated ideals, which
+    # builds none, and each matched ideal goes back through its labels once
+    images = count_calls(monkeypatch, ideals, "congruence_to_ideal")
+    round_trips = count_calls(monkeypatch, ideals, "ideal_to_congruence")
     report = check_theorems(q)
     assert report.ok, report.format()
     m = report.quiver_summary["congruences"]
-    assert calls == {"congruence_to_ideal": m, "ideal_to_congruence": m}
+    assert (len(images), len(round_trips)) == (0, m)
+
+
+def test_verdict_1_builds_no_image(monkeypatch, triple_arrow):
+    # verdict 1 finds each congruence's image among the enumerated ideals
+    # by residue labels and dimension: it makes no subspace once the ideal
+    # closure has returned, and tests each congruence's labels against the
+    # table once, in its round trip
+    table_tests = count_calls(monkeypatch, _kernels, "is_congruence_labels")
+    subspaces, after_closure = [], []
+    init = linalg.Subspace.__init__
+    monkeypatch.setattr(
+        linalg.Subspace, "__init__", lambda self, *args: subspaces.append(1) or init(self, *args)
+    )
+    closure = verify.ideal_join_closure
+
+    def counted_closure(q, max_elements):
+        result = closure(q, max_elements)
+        after_closure.append(len(subspaces))
+        return result
+
+    monkeypatch.setattr(verify, "ideal_join_closure", counted_closure)
+    for q in (triple_arrow, three_components(), kronecker_quiver(3)):
+        subspaces.clear()
+        after_closure.clear()
+        table_tests.clear()
+        report = check_theorems(q)
+        assert report.ok
+        assert after_closure == [len(subspaces)] and subspaces
+        assert len(table_tests) == report.quiver_summary["congruences"]
 
 
 def test_wrong_ideal_to_congruence_fails_the_round_trip(monkeypatch):
