@@ -163,12 +163,24 @@ def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
     gens = frozenset(gens)
     for r in gens:
         _validate_relation(r, s)
-    paths = s.paths
+    return _generate(q, gens, _product_index(s.paths))
+
+
+def _product_index(paths):
+    """The ideal route's own product index over ``paths``: path index by arrow
+    tuple (a trivial path by its vertex), and by vertex the arrow tuples of
+    the paths into it and out of it."""
     index = {p.arrows or p.source: i for i, p in enumerate(paths)}
-    into, out_of = {}, {}  # vertex -> arrow tuples of the paths into, out of it
+    into, out_of = {}, {}
     for p in paths:
         into.setdefault(p.target, []).append(p.arrows)
         out_of.setdefault(p.source, []).append(p.arrows)
+    return paths, index, into, out_of
+
+
+def _generate(q: Quiver, gens: frozenset, products) -> SpecialIdeal:
+    """``generate_ideal`` of valid relations, over a ``_product_index``."""
+    paths, index, into, out_of = products
     vectors = []
     for g in gens:
         head = paths[g.first]
@@ -216,12 +228,13 @@ def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
     # when it contains r, which its residue labels say (``contains_relation``):
     # the elements (x, y) of r share a label, x = 0 for a monomial, as in
     # the congruence route's theta(x, y)
+    products = _product_index(s.paths)  # built once for all K + 1 generations
     atoms = []
     for r in all_relations(q):
         x, y = (-1, r.first) if r.second is None else (r.first, r.second)  # path indices, -1: zero
-        atoms.append((x + 1, y + 1, generate_ideal(q, (r,))))
+        atoms.append((x + 1, y + 1, _generate(q, frozenset((r,)), products)))
     return join_closure(
-        zero_ideal(q),
+        _generate(q, frozenset(), products),
         atoms,
         labels=lambda ideal: ideal.residue_labels,
         join=ideal_join,

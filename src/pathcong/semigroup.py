@@ -294,10 +294,19 @@ def join_closure(seed, atoms, labels, join, key, order):
     Each element after the seed was first found as p v a_j, with row p
     already complete.  Its join with a_k is then (p v a_k) v a_j, read
     from the table when t = p v a_k comes before it: row t is complete
-    too, so the join is the table entry [t, j] and is not formed.  This
-    needs ``join`` to be a semilattice join (associative, commutative,
-    idempotent) and ``key`` to identify exactly the equal elements; the
-    elements, their order and the table are those of joining every pair.
+    too, so the join is the table entry [t, j] and is not formed.
+    Otherwise the row's earlier columns may decide it: an element's join
+    with a_k depends only on the pair of blocks, (lab[x], lab[y])
+    unordered, that a_k's x and y lie in.  So each row forms at most one
+    join per pair of blocks and reads the rest from a dict keyed by the
+    pair; the "below" test is the case where the two blocks are one.
+    This needs ``join`` to be a semilattice join (associative,
+    commutative, idempotent), ``key`` to identify exactly the equal
+    elements, labels that are bytes, and each payload to be the least
+    element that puts its x and y in one block: then an element c that
+    puts x' with x and y' with y has c v a = c v a' for atoms a = (x, y)
+    and a' = (x', y').  The elements, their order and the table are those
+    of joining every pair.
     """
     found = {key(seed): 0}
     elements = [seed]
@@ -306,21 +315,23 @@ def join_closure(seed, atoms, labels, join, key, order):
     for i, cur in enumerate(elements):  # visits the elements appended below, in order
         lab = labels(cur)
         row = []
+        by_pair = {}  # lo << 8 | hi -> this row's join with an atom across blocks lo < hi
         p, a = origin[i] or (None, None)
         for k, (x, y, payload) in enumerate(atoms):
-            if lab[x] == lab[y]:
+            lo, hi = lab[x], lab[y]
+            if lo == hi:
                 row.append(i)
                 continue
-            if p is not None:
-                t = succ[p][k]
-                if t < i:
-                    row.append(succ[t][a])
-                    continue
-            joined = join(cur, payload)
-            j = found.setdefault(key(joined), len(elements))
-            if j == len(elements):
-                elements.append(joined)
-                origin.append((i, k))
+            pair = lo << 8 | hi if lo < hi else hi << 8 | lo
+            if p is not None and (t := succ[p][k]) < i:
+                j = succ[t][a]
+            elif (j := by_pair.get(pair)) is None:
+                joined = join(cur, payload)
+                j = found.setdefault(key(joined), len(elements))
+                if j == len(elements):
+                    elements.append(joined)
+                    origin.append((i, k))
+            by_pair[pair] = j
             row.append(j)
         succ.append(row)
     rank = sorted(range(len(elements)), key=lambda i: order(elements[i]))

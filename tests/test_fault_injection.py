@@ -7,14 +7,17 @@ lattice isomorphism, never as a pass or a traceback.  Each fault is
 injected through ``semigroup._product_table`` on small quivers with
 parallel paths of length 2.  So must a changed row of an enumerated
 ideal, which verdict 1 reads through its residue labels and dimension,
-and a changed label byte of an enumerated congruence.
+and a changed label byte of an enumerated congruence.  So must a join
+that either closure skips: each join it forms, one at a time, returns its
+first argument, and that route finds fewer elements than the other.
 """
 
 import re
+from pathlib import Path
 
 import pytest
 
-from oracles import kronecker_quiver
+from oracles import kronecker_quiver, star_quiver
 from pathcong import (
     PathVector,
     Quiver,
@@ -23,9 +26,10 @@ from pathcong import (
     check_theorems,
     enumerate_congruences,
     enumerate_special_ideals,
+    parse_quiver,
     row_reduce,
 )
-from pathcong import quiver, semigroup, verify
+from pathcong import _kernels, ideals, quiver, semigroup, verify
 from pathcong.verify import VERDICTS
 
 ISOMORPHISM = VERDICTS[0][0]
@@ -212,3 +216,48 @@ def test_extra_row_that_keeps_the_labels_fails_verdict_1(monkeypatch):
     assert check_theorems(q).verdicts[0] == (
         ISOMORPHISM, False, "image of congruence 0 is not an enumerated ideal"
     )
+
+
+# Each route's join as its closure calls it, looked up when the closure runs.
+JOINS = {"congruences": (_kernels, "join_labels"), "ideals": (ideals, "ideal_join")}
+SKIP_QUIVERS = {
+    "star3": star_quiver(3),
+    "kronecker3": kronecker_quiver(3),
+    **{
+        p.stem: parse_quiver(p.read_text())
+        for p in sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.quiver"))
+    },
+}
+
+
+@pytest.mark.parametrize("route", JOINS)
+@pytest.mark.parametrize("name", SKIP_QUIVERS)
+def test_skipped_join_is_a_verdict_1_violation(monkeypatch, name, route):
+    # the join returns the row's element unchanged, as if the atom lay below
+    # it, so the closure misses what that join alone reached: verdict 1
+    # counts fewer elements on the faulted route than on the other
+    q = SKIP_QUIVERS[name]
+    owner, attr = JOINS[route]
+    real = getattr(owner, attr)
+    formed = []
+    with monkeypatch.context() as mp:
+        mp.setattr(owner, attr, lambda a, b: formed.append(1) or real(a, b))
+        assert check_theorems(q).ok
+    assert len(formed) == len(enumerate_congruences(build_semigroup(q))) - 1
+    for skip in range(len(formed)):
+        calls = []
+
+        def skipping(a, b):
+            calls.append(1)
+            return a if len(calls) == skip + 1 else real(a, b)
+
+        semigroup.build_semigroup.cache_clear()  # the congruence closure runs again
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, attr, skipping)
+            report = check_theorems(q)
+        assert len(calls) > skip
+        verdict, ok, detail = report.verdicts[0]
+        assert (verdict, ok) == (ISOMORPHISM, False)
+        counts = re.fullmatch(r"(\d+) congruences vs (\d+) ideals", detail)
+        found, other = map(int, counts.groups()[:: 1 if route == "congruences" else -1])
+        assert found < other

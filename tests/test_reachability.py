@@ -42,17 +42,23 @@ LIBRARY_ENTRY_POINTS = {
     # the ideal closure tests containment on the label bytes inline;
     # ideal_leq_matrix, which only the benchmark's tracer calls, reads it
     "contains_relation",
+    # the ideal closure generates its atoms and the zero ideal through
+    # ideals._generate over one product index; these check the relations
+    # a caller gives and generate from them
+    "zero_ideal",
+    "_validate_relation",
     "console_main",  # the installed script; the runs call main()
 }
 # The benchmark builds its workloads with this (perfbench/workloads.py);
 # random-check also prints it for a quiver that fails its check.
 BENCHMARK_BUILDERS = {"quiver_to_text"}
 # Functions perfbench/tracer.py wraps by name and raises without, which no
-# command reaches since check_theorems compares join tables and reads
-# meets off generator sets.  ROADMAP item 1 retires them from the
+# command reaches since check_theorems compares join tables, reads meets
+# off generator sets and generates ideals over one product index.  ROADMAP item 1 retires them from the
 # tracer's targets.
 BENCHMARK_TRACED = {
     "ideal_leq_matrix",
+    "generate_ideal",
     "Subspace.contains",
     "Subspace.contains_subspace",
     "meet_labels",

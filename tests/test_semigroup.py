@@ -586,6 +586,74 @@ def test_join_closure_matches_direct_closure_on_random_quivers(seed):
         assert_closure_matches_direct(q, route)
 
 
+# A row forms at most one join per pair of blocks its atoms' x and y lie
+# in; the rest of the row is read from its table or from that pair.
+
+
+def closure_with_formed_joins(q, route):
+    """One route's closure of q: its atoms, its key, its result, and each
+    join it formed as (key of the element, index of the atom)."""
+    module, run = ROUTES[route]
+    real = semigroup.join_closure
+    record = {}
+
+    def spy(seed, atoms, *, join, key, **kwargs):
+        column = {key(payload): k for k, (_, _, payload) in enumerate(atoms)}
+        formed = []
+
+        def counted(cur, payload):
+            formed.append((key(cur), column[key(payload)]))
+            return join(cur, payload)
+
+        result = real(seed, atoms, join=counted, key=key, **kwargs)
+        record.update(atoms=atoms, key=key, result=result, formed=formed)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "join_closure", spy)
+        run(q)
+    return record
+
+
+WIDE = Quiver(["u", "v", "w"], [(a, "u", "v") for a in "abc"] + [(a, "v", "w") for a in "de"])
+
+
+# (elements, joins formed): Kronecker(5) and star(5) form one join per
+# element after the seed; on the wide quiver 166 joins find an element
+# that another row found first
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "q, elements, joins",
+    [(kronecker_quiver(5), 206, 205), (star_quiver(5), 275, 274), (WIDE, 1445, 1610)],
+    ids=["kronecker5", "star5", "wide"],
+)
+def test_join_closure_forms_the_fewest_joins(q, elements, joins, route):
+    record = closure_with_formed_joins(q, route)
+    found, _ = record["result"]
+    assert (len(found), len(record["formed"])) == (elements, joins)
+    assert len(set(record["formed"])) == joins  # no (element, atom) join twice
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_join_closure_reads_a_join_across_the_same_blocks(route):
+    # on Kronecker(3) the row theta(0, a1), or (a1), has 0 and a1 in one
+    # block, so the atoms (0, a2) and (a1, a2) join it across the same two
+    # blocks: the first join is formed, the second read from it.  The
+    # seed's row finds theta(a1, a2) after theta(0, a1), so the table
+    # cannot decide that entry
+    q = kronecker_quiver(3)
+    a1, a2 = map(build_semigroup(q).index_by_name, ("a1", "a2"))
+    record = closure_with_formed_joins(q, route)
+    pairs = [(x, y) for x, y, _ in record["atoms"]]
+    k_a1, k0, k1 = map(pairs.index, [(0, a1), (0, a2), (a1, a2)])
+    found, table = record["result"]
+    key = record["key"]
+    row = table[0][k_a1]  # the seed comes first in both orders
+    assert (key(found[row]), k0) in record["formed"]
+    assert (key(found[row]), k1) not in record["formed"]
+    assert table[row][k1] == table[row][k0] != row
+
+
 @pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)
 def test_generators_are_join_irreducible_on_quiver_files(path):
     assert_generators_are_join_irreducible(parse_quiver(path.read_text()))

@@ -301,7 +301,7 @@ def test_cover_verdict_builds_no_subspace(monkeypatch, triple_arrow):
     # and only the ideal route generates ideals, one per relation atom and
     # the zero ideal; the bijection check writes its images from the blocks
     reductions = count_calls(monkeypatch, linalg, "row_reduce")
-    generations = count_calls(monkeypatch, ideals, "generate_ideal")
+    generations = count_calls(monkeypatch, ideals, "_generate")
     sums = count_calls(monkeypatch, linalg, "subspace_sum")
     joins = count_calls(monkeypatch, ideals, "ideal_join")
     for q in (triple_arrow, three_components()):

@@ -1,11 +1,17 @@
-"""Time ``import pathcong``, the lattice stage, and whole checks on large quivers.
+"""Time ``import pathcong``, both join-closures, the lattice stage, and whole checks.
 
     PYTHONPATH=src python3 tools/bench_lattice.py --label change
 
-Three measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
+Four measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
 
 - ``import_s``: seconds of ``import pathcong`` in a fresh interpreter,
   the median of ``REPEATS`` processes;
+- ``closure``: for each route's join-closure on each of
+  ``CLOSURE_INPUTS`` (``semigroup.congruence_join_closure`` on a semigroup
+  whose table is built, and ``ideals.ideal_join_closure``), the elements,
+  the joins it forms (``_kernels.join_labels`` or ``ideals.ideal_join``
+  calls, counted in one more untimed run), and its milliseconds, the
+  median of ``REPEATS`` in-process runs;
 - ``lattice_ms``: the lattice stage of ``check_theorems``, that is
   ``build_lattice`` on the cached congruence join table plus
   ``lattice_properties``, in milliseconds, the median of ``REPEATS``
@@ -31,12 +37,16 @@ import time
 from pathlib import Path
 
 from pathcong import (
+    PathSemigroup,
     Quiver,
+    _kernels,
     build_lattice,
     build_semigroup,
     enumerate_congruences,
+    ideals,
     lattice_properties,
 )
+from pathcong.semigroup import congruence_join_closure
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -44,6 +54,7 @@ from perfbench.workloads import kronecker, star  # noqa: E402
 
 REPEATS = 9
 
+CLOSURE_INPUTS = ("kronecker(5)", "star(5)", "kronecker(7)", "star(8)", "wide")
 LATTICE_INPUTS = ("kronecker(5)", "star(5)", "kronecker(7)", "star(8)")
 CHECK_INPUTS = ("kronecker(7)", "star(8)", "wide", "kronecker(8)")
 
@@ -89,6 +100,34 @@ def import_seconds() -> float:
     return statistics.median(child(IMPORT_CHILD)[0] for _ in range(REPEATS))
 
 
+# route -> (owner of its join, the join's name, its closure on a quiver)
+ROUTES = {
+    "congruences": (_kernels, "join_labels", lambda q, s: congruence_join_closure(s)),
+    "ideals": (ideals, "ideal_join", lambda q, s: ideals.ideal_join_closure(q)),
+}
+
+
+def closure_run(q, route: str) -> dict:
+    """Elements, joins formed, and median milliseconds of one route's closure of q."""
+    owner, name, closure = ROUTES[route]
+    s = PathSemigroup(q)
+    s.table_bytes  # the congruence route's table, built before the clock starts
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        closure(q, s)
+        samples.append((time.perf_counter() - start) * 1e3)
+    join, joins = getattr(owner, name), []
+    setattr(owner, name, lambda a, b: joins.append(1) or join(a, b))
+    try:
+        elements = len(closure(q, s)[0])
+    finally:
+        setattr(owner, name, join)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    quartiles = [round(q1, 2), round(q3, 2)]
+    return {"elements": elements, "joins": len(joins), "ms": round(median, 2), "q1_q3_ms": quartiles}
+
+
 def lattice_milliseconds(q) -> dict:
     """Median and quartiles of ``build_lattice`` plus ``lattice_properties`` on q."""
     s = build_semigroup(q)
@@ -116,10 +155,18 @@ def main(argv=None) -> int:
 
     run = {
         "import_s": round(import_seconds(), 4),
+        "closure": {
+            name: {route: closure_run(quiver(name), route) for route in ROUTES}
+            for name in CLOSURE_INPUTS
+        },
         "lattice_ms": {name: lattice_milliseconds(quiver(name)) for name in LATTICE_INPUTS},
         "check": {name: check_run(name) for name in CHECK_INPUTS},
     }
     print(f"{args.label:>8} import pathcong {run['import_s']:.4f} s")
+    for name, routes in run["closure"].items():
+        for route, row in routes.items():
+            print(f"{args.label:>8} closure {name:<13} {route:<11} {row['elements']:>6} elements"
+                  f" {row['joins']:>6} joins {row['ms']:8.2f} ms")
     for name, row in run["lattice_ms"].items():
         print(f"{args.label:>8} lattice {name:<13} {row['congruences']:>6} congruences"
               f" {row['ms']:8.2f} ms")
@@ -127,7 +174,9 @@ def main(argv=None) -> int:
         print(f"{args.label:>8} check {name:<13} {row['s']:7.3f} s {row['peak_rss_mb']:7.1f} MB")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["metric"] = (
-        "import_s: fresh-process import seconds, median; lattice_ms: build_lattice plus"
+        "import_s: fresh-process import seconds, median; closure: each route's"
+        " join-closure, its elements, joins formed and milliseconds, median of in-process"
+        " repeats; lattice_ms: build_lattice plus"
         " lattice_properties, median of in-process repeats; check: check_theorems seconds"
         " and peak RSS, one fresh process per input"
     )
