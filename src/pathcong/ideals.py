@@ -90,22 +90,38 @@ class SpecialIdeal:
 
     __slots__ = ("quiver", "_generators", "space", "_residue_labels")
 
-    def __init__(self, quiver: Quiver, generators: frozenset | Congruence, space: Subspace):
+    def __init__(self, quiver: Quiver, generators: frozenset | Congruence | tuple, space: Subspace):
         self.quiver = quiver
-        self._generators = generators  # a frozenset, or the congruence an image comes from
+        # a frozenset, the congruence an image comes from, or the two ideals a join comes from
+        self._generators = generators
         self.space = space
         self._residue_labels = None
 
     @property
     def generators(self) -> frozenset[Relation]:
-        """The recorded relations; an image of a congruence derives them on first
-        read: monomials for the zero block, each other element less its block's least."""
-        if isinstance(self._generators, Congruence):
-            zero, *rest = self._generators.blocks
-            gens = [Relation(e - 1) for e in zero[1:]]
+        """The recorded relations, derived on first read when not given: an image
+        of a congruence has monomials for the zero block and each other element
+        less its block's least; a join has the union of its operands' generators,
+        gathered with an explicit stack, so no chain of joins is too deep."""
+        gens = self._generators
+        if isinstance(gens, Congruence):
+            zero, *rest = gens.blocks
+            found = [Relation(e - 1) for e in zero[1:]]
             for block in rest:
-                gens.extend(Relation(block[0] - 1, e - 1) for e in block[1:])
-            self._generators = frozenset(gens)
+                found.extend(Relation(block[0] - 1, e - 1) for e in block[1:])
+            self._generators = frozenset(found)
+        elif type(gens) is tuple:
+            union, seen, stack = set(), set(), list(gens)
+            while stack:
+                ideal = stack.pop()
+                if id(ideal) in seen:
+                    continue
+                seen.add(id(ideal))
+                if type(ideal._generators) is tuple:
+                    stack.extend(ideal._generators)
+                else:
+                    union |= ideal.generators
+            self._generators = frozenset(union)
         return self._generators
 
     @property
@@ -119,7 +135,7 @@ class SpecialIdeal:
         if self._residue_labels is None:
             if self.space.dim_ambient >= KERNEL_TABLE_LIMIT:
                 build_semigroup(self.quiver).check_kernel_limit()
-            self._residue_labels = _kernels.canonical_labels([(), *self.space.unit_residues()])
+            self._residue_labels = _kernels.canonical_labels([(), *self.space.unit_residue_keys()])
         return self._residue_labels
 
     def to_json_dict(self) -> dict:
@@ -204,9 +220,10 @@ def _require_same_quiver(a: SpecialIdeal, b: SpecialIdeal) -> Quiver:
 
 
 def ideal_join(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
-    """Join = sum of the underlying spaces, generated by the union of generators."""
+    """Join = sum of the underlying spaces, generated by the union of generators,
+    which is formed when ``generators`` is first read."""
     q = _require_same_quiver(a, b)
-    return SpecialIdeal(q, a.generators | b.generators, subspace_sum(a.space, b.space))
+    return SpecialIdeal(q, (a, b), subspace_sum(a.space, b.space))
 
 
 def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):

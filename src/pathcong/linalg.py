@@ -151,18 +151,27 @@ class Subspace:
     def basis(self) -> tuple[PathVector, ...]:
         return tuple(_wrap(row) for row in self._rows.values())
 
-    def unit_residues(self) -> list[tuple]:
-        """The residue of each unit vector e_i, as sorted ``(index, coefficient)`` pairs.
+    def unit_residue_keys(self) -> list:
+        """One hashable key per unit vector e_i, equal exactly when the residues are.
 
         A non-pivot e_i is its own residue.  At a pivot i the row has
         entry 1, so e_i reduces to minus the rest of row i, which no other
-        pivot column touches.
+        pivot column touches.  A residue e_j has the key ``j``, the zero
+        residue ``()``, and any other its sorted ``(index, coefficient)``
+        pairs, so only rows of three or more entries are sorted.
         """
-        rows = self._rows
-        return [
-            tuple(sorted((j, -c) for j, c in rows[i].items() if j != i)) if i in rows else ((i, 1),)
-            for i in range(self.dim_ambient)
-        ]
+        keys = list(range(self.dim_ambient))
+        for i, row in self._rows.items():
+            if len(row) == 1:
+                keys[i] = ()
+            elif len(row) == 2:
+                a, b = row
+                j = b if a == i else a  # the entry beside the pivot
+                c = row[j]
+                keys[i] = j if c == -1 else ((j, -c),)
+            else:
+                keys[i] = tuple(sorted((j, -c) for j, c in row.items() if j != i))
+        return keys
 
     def contains(self, v: PathVector) -> bool:
         return not _residue(v.coeffs, self._rows)

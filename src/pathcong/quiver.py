@@ -100,7 +100,7 @@ class Quiver:
         return Path((), v, v)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Quiver)
             and self.vertices == other.vertices
             and self.arrows == other.arrows

@@ -305,10 +305,16 @@ def cover_verdict(ev: Evidence) -> tuple[bool, str]:
     so b is one new relation's step over a exactly when dim b = dim a + 1."""
     if "bijection" in ev.failed:
         return False, "skipped: isomorphism check failed"
-    for lo, hi in sorted((ev.perm[lo], ev.perm[hi]) for lo, hi in ev.lattice.covers):
-        a, b = ev.ideals[lo].dim, ev.ideals[hi].dim
-        if b != a + 1:
-            return False, f"cover {lo} -> {hi} jumps {a} -> {b}"
+    dims = [ideal.dim for ideal in ev.ideals]
+    perm = ev.perm
+    bad = [
+        (perm[lo], perm[hi])
+        for lo, hi in ev.lattice.covers
+        if dims[perm[hi]] != dims[perm[lo]] + 1
+    ]
+    if bad:
+        lo, hi = min(bad)  # the first failing cover in ideal order
+        return False, f"cover {lo} -> {hi} jumps {dims[lo]} -> {dims[hi]}"
     return True, ""
 
 

@@ -6,10 +6,10 @@ every set partition, the join-closure that forms every join it
 tabulates, refinement of two partitions and its order matrix over a
 congruence list, the residue of a vector against RREF rows, the
 Zassenhaus intersection of two subspaces, containment of two special
-ideals and their meet.  Two are earlier versions the package replaced
+ideals and their meet.  Three are earlier versions the package replaced
 with faster ones: the congruence test that keys every element's row and
-column, and the image of a congruence built with its generating
-relations up front.  No command and no verdict of ``check_theorems``
+column, the image of a congruence built with its generating relations
+up front, and the residue of each unit vector as a sorted tuple.  No command and no verdict of ``check_theorems``
 reaches them, so they live with the tests.  The module also builds the
 two quiver families the tests share: k parallel arrows (Kronecker) and
 a star of k arrows out of one centre, and reads the multiplication
@@ -169,6 +169,21 @@ def residue(space: Subspace, v: PathVector) -> PathVector:
         for i, rc in row.coeffs.items():
             coeffs[i] = coeffs.get(i, 0) - c * rc
     return PathVector(coeffs)
+
+
+def unit_residues(space: Subspace) -> list[tuple]:
+    """The residue of each unit vector e_i, as sorted ``(index, coefficient)`` pairs.
+
+    A non-pivot e_i is its own residue.  At a pivot i the row has entry
+    1, so e_i reduces to minus the rest of row i, which no other pivot
+    column touches.  ``Subspace.unit_residue_keys`` gives one shorter key
+    per residue instead.
+    """
+    rows = {min(v.coeffs): v.coeffs for v in space.basis}
+    return [
+        tuple(sorted((j, -c) for j, c in rows[i].items() if j != i)) if i in rows else ((i, 1),)
+        for i in range(space.dim_ambient)
+    ]
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

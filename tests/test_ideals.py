@@ -28,11 +28,13 @@ from pathcong import (
     universal_congruence,
     zero_ideal,
 )
-from pathcong.ideals import Relation, contains_relation
+from pathcong.ideals import Relation, SpecialIdeal, contains_relation
+from pathcong.linalg import subspace_sum
 from pathcong.semigroup import CapExceeded, Congruence
 
 from oracles import (
     congruence_to_ideal_eager,
+    direct_join_closure,
     ideal_meet,
     ideal_subset,
     kronecker_quiver,
@@ -390,3 +392,58 @@ def test_all_relations_follow_the_congruence_generators_where_classes_interleave
     expected = [(0, r.first + 1) if r.second is None else (r.first + 1, r.second + 1) for r in rels]
     assert expected == list(pairs)
     assert check_theorems(q).ok
+
+
+def eager_join(a, b):
+    """``ideal_join`` forming the union of generators at once."""
+    return SpecialIdeal(a.quiver, a.generators | b.generators, subspace_sum(a.space, b.space))
+
+
+def assert_generators_match_eager_closure(q):
+    # the closure joins the zero ideal with one atom (r) per relation; the
+    # oracle forms every join eagerly, and an ideal is first found by the
+    # same join on both sides
+    atoms = [(0, 0, generate_ideal(q, [r])) for r in all_relations(q)]
+    expected, _ = direct_join_closure(
+        zero_ideal(q),
+        atoms,
+        labels=None,
+        join=eager_join,
+        key=lambda ideal: ideal.space.key(),
+        order=lambda ideal: (ideal.dim, ideal.space.key()),
+    )
+    found = enumerate_special_ideals(q)
+    assert [ideal.space for ideal in found] == [ideal.space for ideal in expected]
+    # read from the top down, so no operand of a join has formed its union yet
+    for ideal, eager in reversed(list(zip(found, expected))):
+        assert type(eager._generators) is frozenset
+        assert ideal.generators == eager.generators
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_join_generators_match_eager_union_on_shipped_quivers(name):
+    assert_generators_match_eager_closure(parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text()))
+
+
+def test_join_generators_match_eager_union_on_the_random_suite():
+    for q in random_suite(30, 0):
+        assert_generators_match_eager_closure(q)
+
+
+def test_join_generators_are_derived_once_and_release_the_operands(kronecker):
+    a, b = (generate_ideal(kronecker, [r]) for r in all_relations(kronecker)[2:4])
+    joined = ideal_join(a, b)
+    assert joined._generators == (a, b)
+    assert joined.generators == a.generators | b.generators
+    assert type(joined._generators) is frozenset
+    assert joined.generators is joined.generators
+
+
+def test_long_join_chain_reads_its_generators_without_recursion(kronecker):
+    # 3,000 joins deep, far past the interpreter's recursion limit
+    rels = all_relations(kronecker)
+    atoms = [generate_ideal(kronecker, [r]) for r in rels]
+    ideal = zero_ideal(kronecker)
+    for k in range(3000):
+        ideal = ideal_join(ideal, atoms[k % len(atoms)])
+    assert ideal.generators == frozenset(rels)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import residue, subspace_intersection
-from pathcong import enumerate_special_ideals, parse_quiver
+from oracles import residue, subspace_intersection, unit_residues
+from pathcong import _kernels, enumerate_special_ideals, parse_quiver
 from pathcong.linalg import (
     PathVector,
     format_path_vector,
@@ -286,10 +286,17 @@ def test_integer_fast_path_matches_fraction_reference(avs, bvs, probes):
 
 
 def assert_unit_residues_match_reduce(sp):
-    residues = sp.unit_residues()
+    residues = unit_residues(sp)
     assert len(residues) == sp.dim_ambient
     for i, unit_residue in enumerate(residues):
         assert unit_residue == tuple(residue(sp, PathVector({i: 1})).items())
+
+
+def assert_residue_keys_match_residues(sp):
+    keys = sp.unit_residue_keys()
+    assert len(keys) == sp.dim_ambient
+    expected = _kernels.canonical_labels([(), *unit_residues(sp)])
+    assert _kernels.canonical_labels([(), *keys]) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -303,6 +310,40 @@ def test_unit_residues_match_reduce_on_shipped_quivers(name):
     q = parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text())
     for ideal in enumerate_special_ideals(q):
         assert_unit_residues_match_reduce(ideal.space)
+        assert_residue_keys_match_residues(ideal.space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_vectors(6))
+def test_residue_keys_label_like_residues(vs):
+    # about half the examples reduce to a row of three or more entries
+    # with a Fraction coefficient, which the sorted-tuple keys serve
+    assert_residue_keys_match_residues(row_reduce(vs, _DIM))
+
+
+def test_residue_keys_cover_every_kind():
+    # a pivot row e_0 (zero residue), e_1 - e_2 (residue e_2), 2e_3 - e_4
+    # (residue e_4 / 2), e_5 + 3/2 e_6 - e_7 (a three-entry row)
+    sp = row_reduce(
+        [
+            PathVector({0: 1}),
+            PathVector({1: 1, 2: -1}),
+            PathVector({3: 2, 4: -1}),
+            PathVector({5: 1, 6: Fraction(3, 2), 7: -1}),
+        ],
+        _DIM,
+    )
+    assert sp.unit_residue_keys() == [
+        (),
+        2,
+        2,
+        ((4, Fraction(1, 2)),),
+        4,
+        ((6, Fraction(-3, 2)), (7, 1)),
+        6,
+        7,
+    ]
+    assert_residue_keys_match_residues(sp)
 
 
 def test_integral_coefficients_are_stored_as_int():

@@ -122,6 +122,16 @@ def test_cover_verdict():
     assert cover_verdict(ev) == (False, "skipped: isomorphism check failed")
 
 
+def test_cover_verdict_reports_least_failing_cover_in_ideal_order():
+    # the congruence covers (0, 1) and (0, 2) map to the ideal covers
+    # (0, 2) and (0, 1), read in that order; both jump, by different
+    # amounts, and the detail names the lesser ideal pair, (0, 1)
+    lattice = SimpleNamespace(covers=((0, 1), (0, 2), (1, 3), (2, 3)))
+    ideals = [SimpleNamespace(dim=d) for d in (0, 2, 3, 4)]
+    ev = record(lattice=lattice, perm=[0, 2, 1, 3], ideals=ideals)
+    assert cover_verdict(ev) == (False, "cover 0 -> 1 jumps 0 -> 2")
+
+
 def test_table_indexing_no_lattice_enumerates_once(monkeypatch, triple_arrow):
     corrupt_join_table(monkeypatch, triple_arrow, (3, 2), 18)
     enumerations = count_calls(monkeypatch, semigroup, "enumerate_congruences")

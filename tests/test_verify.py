@@ -249,7 +249,7 @@ def test_join_closures_read_most_joins_from_their_tables(monkeypatch):
 
 def test_check_reads_each_ideals_residues_once(monkeypatch, triple_arrow):
     # the closure's below-test and the round trip share one residue pass
-    residues = count_calls(monkeypatch, linalg.Subspace, "unit_residues")
+    residues = count_calls(monkeypatch, linalg.Subspace, "unit_residue_keys")
     for q in (triple_arrow, three_components()):
         residues.clear()
         report = check_theorems(q)
