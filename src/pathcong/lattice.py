@@ -3,9 +3,10 @@
 A lattice is given by its element list and the m x K table ``succ`` whose
 entry [c][k] is the index of c v g_k for K generators g_k of which every
 element is a join.  Sets of generators are int bitmasks, bit k for g_k.
-The covers are read off ``succ`` by Lindig's upper-neighbour test, meets
-by the generators below each element, and the six structural properties
-are decided from covers alone, with witnesses.  No m x m table is built.
+The covers are read off ``succ`` by Lindig's upper-neighbour test and kept
+once, as each element's sorted upper covers, meets by the generators below
+each element, and the six structural properties are decided from covers
+alone, with witnesses.  No m x m table is built.
 """
 
 from __future__ import annotations
@@ -20,20 +21,21 @@ class LatticeError(ValueError):
 
 
 class FiniteLattice:
-    """Elements with their generator join table, generator sets, cover masks, and covers.
+    """Elements with their generator join table, generator sets, cover masks, and upper covers.
 
     ``below[c]`` has bit k where g_k <= c, ``cover_mask[c]`` where c v g_k
-    covers c; ``covers`` lists the pairs (lo, hi) in order.
+    covers c; ``upper_covers[c]`` is the sorted tuple of the elements that
+    cover c.  ``covers`` derives the pairs (lo, hi) in order from it.
     """
 
-    __slots__ = ("elements", "succ", "below", "cover_mask", "covers")
+    __slots__ = ("elements", "succ", "below", "cover_mask", "upper_covers")
 
-    def __init__(self, elements, succ, below, cover_mask, covers):
+    def __init__(self, elements, succ, below, cover_mask, upper_covers):
         self.elements = elements
         self.succ = succ
         self.below = below
         self.cover_mask = cover_mask
-        self.covers = covers
+        self.upper_covers = upper_covers
 
     @property
     def n(self) -> int:
@@ -43,11 +45,16 @@ class FiniteLattice:
     def labels(self) -> tuple[str, ...]:
         return tuple(map(str, self.elements))
 
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Every cover pair (lo, hi), sorted."""
+        return tuple((lo, hi) for lo, ups in enumerate(self.upper_covers) for hi in ups)
+
     def __repr__(self):
         return f"FiniteLattice({self.n} elements, {len(self.covers)} covers)"
 
 
-def _cover_mask(S, G, bits) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+def _cover_mask(S, G, bits) -> tuple[list[int], list[tuple[int, ...]]]:
     """Bit k of mask [c] says that c v g_k covers c, by Lindig's upper-neighbour test.
 
     d = c v g_k covers c iff d != c and every generator g below d (d v g
@@ -56,19 +63,19 @@ def _cover_mask(S, G, bits) -> tuple[list[int], tuple[tuple[int, int], ...]]:
     with eq_c(d) the columns of row c that hold d, d covers c iff
     G(d) & ~(G(c) | eq_c(d)) is empty.  C. Lindig, "Fast Concept
     Analysis", ICCS 2000.  O(m K) dict and bit operations.  Returns the
-    masks and the covers (c, d), row by row.
+    masks and each row's sorted upper covers.
     """
-    masks, covers = [], []
+    masks, upper_covers = [], []
     for c, row in enumerate(S):
         eq = {}
         for d, bit in zip(row, bits):
-            eq[d] = eq.get(d, 0) | bit
+            if d != c:  # c is never its own cover
+                eq[d] = eq.get(d, 0) | bit
         inside = G[c]
-        upper = [d for d, cols in eq.items() if d != c and not G[d] & ~(inside | cols)]
+        upper = sorted(d for d, cols in eq.items() if not G[d] & ~(inside | cols))
         masks.append(reduce(operator.or_, map(eq.__getitem__, upper), 0))
-        upper.sort()
-        covers += zip(repeat(c), upper)
-    return masks, tuple(covers)
+        upper_covers.append(tuple(upper))
+    return masks, upper_covers
 
 
 def build_lattice(elements, succ) -> FiniteLattice:
@@ -93,15 +100,8 @@ def build_lattice(elements, succ) -> FiniteLattice:
         raise LatticeError(f"join table of shape {shape} does not index {n} elements")
     bits = [1 << k for k in range(shape[1])]
     G = [sum(compress(bits, map(operator.eq, row, repeat(c)))) for c, row in enumerate(S)]
-    C, covers = _cover_mask(S, G, bits)
-    return FiniteLattice(elements, S, G, C, covers)
-
-
-def _is_cover(lat: FiniteLattice, lo: int, hi: int) -> bool:
-    """hi covers lo, given lo < hi: a generator below hi and not lo joins lo to hi, as a cover."""
-    outside = lat.below[hi] & ~lat.below[lo]
-    k = (outside & -outside).bit_length() - 1
-    return bool(outside) and lat.succ[lo][k] == hi and bool(lat.cover_mask[lo] >> k & 1)
+    C, upper_covers = _cover_mask(S, G, bits)
+    return FiniteLattice(elements, S, G, C, upper_covers)
 
 
 def _between(lat: FiniteLattice, lo: int, hi: int) -> int:
@@ -138,35 +138,42 @@ def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
     modular and no element has three upper covers with one pairwise join:
     G. Grätzer, *Lattice Theory: Foundation* (2011), a modular lattice of
     finite length is distributive if and only if it contains no
-    cover-preserving diamond M3.  Else a triple (a, b, c) breaking
-    (a v b) ^ c == (a ^ c) v (b ^ c).  Witnesses are the first in element
-    order, so they do not depend on the generators.
+    cover-preserving diamond M3, which sits at c exactly when two pairs of
+    lower covers of one d meet in c (proof in the README).  Else a triple
+    (a, b, c) breaking (a v b) ^ c == (a ^ c) v (b ^ c).  Witnesses are the
+    first in element order, so they do not depend on the generators.
     """
-    S, G, C = lat.succ, lat.below, lat.cover_mask
+    S, G, C, U = lat.succ, lat.below, lat.cover_mask, lat.upper_covers
     lower_covers = [[] for _ in range(lat.n)]
-    upper_covers = [[] for _ in range(lat.n)]
-    for lo, hi in lat.covers:
-        lower_covers[hi].append(lo)
-        upper_covers[lo].append(hi)
+    for lo, ups in enumerate(U):
+        for hi in ups:
+            lower_covers[hi].append(lo)
     index = {g: c for c, g in enumerate(G)}
     lower = modular = None
-    for a, b in (pair for lows in lower_covers for pair in combinations(lows, 2)):
-        e = index.get(G[a] & G[b])
-        if e is None:
-            pair = f"{lat.labels[a]!r} and {lat.labels[b]!r}"
-            raise LatticeError(f"meet of {pair} is not in the list")
-        if not (_is_cover(lat, e, a) and _is_cover(lat, e, b)):
-            lower = (a, b)  # z in (e, a) or (e, b): (z, b, a) breaks the law
-            a, b = (a, b) if not _is_cover(lat, e, a) else (b, a)
-            modular = (_between(lat, e, a), b, a)
+    met, repeated = {}, lat.n  # met[e]: the latest d two of whose lower covers meet in e
+    for d, lows in enumerate(lower_covers):
+        for a, b in combinations(lows, 2):
+            e = index.get(G[a] & G[b])
+            if e is None:
+                pair = f"{lat.labels[a]!r} and {lat.labels[b]!r}"
+                raise LatticeError(f"meet of {pair} is not in the list")
+            ups = U[e]  # exactly the elements that cover e
+            if a not in ups or b not in ups:
+                lower = (a, b)  # z in (e, a) or (e, b): (z, b, a) breaks the law
+                a, b = (b, a) if a in ups else (a, b)
+                modular = (_between(lat, e, a), b, a)
+                break
+            if met.get(e) == d:
+                repeated = min(repeated, e)
+            met[e] = d
+        if lower is not None:
             break
 
     # For a cover a of c, the columns of C(c) that join c to a are those in
     # G(a), so the covers b = c v g_k with a v b = a v g_k not covering a
-    # are the bits of C(c) & ~G(a) & ~C(a).  While the lattice may be
-    # modular, look for a cover-preserving diamond too.
-    upper = diamond = None
-    for c, ups in enumerate(upper_covers):
+    # are the bits of C(c) & ~G(a) & ~C(a).
+    upper = None
+    for c, ups in enumerate(U):
         for a in ups:
             bad = C[c] & ~G[a] & ~C[a]
             if bad:  # every column of b is in bad, as each joins a to a v b
@@ -176,9 +183,9 @@ def property_witnesses(lat: FiniteLattice) -> dict[str, tuple | None]:
                 break
         if upper is not None:
             break
-        if lower is None and diamond is None:
-            diamond = _diamond(S, C[c], G, ups)
-    distributive = modular if modular is not None else diamond
+    distributive = modular
+    if modular is None and repeated < lat.n:
+        distributive = _diamond(S, C[repeated], G, U[repeated])
     return dict(zip(PROPERTY_NAMES, (distributive, modular, upper, lower, upper, lower)))
 
 

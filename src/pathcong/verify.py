@@ -309,7 +309,7 @@ def cover_verdict(ev: Evidence) -> tuple[bool, str]:
     perm = ev.perm
     bad = [
         (perm[lo], perm[hi])
-        for lo, hi in ev.lattice.covers
+        for lo, ups in enumerate(ev.lattice.upper_covers) for hi in ups
         if dims[perm[hi]] != dims[perm[lo]] + 1
     ]
     if bad:

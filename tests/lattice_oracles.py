@@ -5,16 +5,19 @@ join and meet of every pair by one call of the given operations, and the
 covers as the transitive reduction of the order.  The law scans, the
 pentagon and diamond searches and ``ideal_lattice`` work on these tables,
 independently of ``pathcong.lattice``, which reads covers and properties
-off a generator join table.
+off a generator join table.  ``reference_witnesses`` is the earlier
+``property_witnesses``, pair by pair, that the single pass must match.
 """
 
 from functools import reduce
+from itertools import combinations
 from operator import and_
 
 import numpy as np
 
 from oracles import congruence_leq_matrix, ideal_meet
 from pathcong import _kernels, build_lattice, build_semigroup, enumerate_special_ideals, ideal_join
+from pathcong.lattice import PROPERTY_NAMES, LatticeError, _between, _diamond
 from pathcong.verify import congruence_label, ideal_label, ideal_leq_matrix
 
 
@@ -199,3 +202,48 @@ def find_diamond(t):
             assert is_diamond_sublattice(t, witness)
             return witness
     return None
+
+
+def _is_cover(lat, lo, hi):
+    """hi covers lo, given lo < hi: a generator below hi and not lo joins lo to hi, as a cover."""
+    outside = lat.below[hi] & ~lat.below[lo]
+    k = (outside & -outside).bit_length() - 1
+    return bool(outside) and lat.succ[lo][k] == hi and bool(lat.cover_mask[lo] >> k & 1)
+
+
+def reference_witnesses(lat):
+    """``property_witnesses`` as it was: Lindig's test twice per pair of lower
+    covers, and one ``_diamond`` scan per element while the lattice may be modular."""
+    S, G, C = lat.succ, lat.below, lat.cover_mask
+    lower_covers = [[] for _ in range(lat.n)]
+    upper_covers = [[] for _ in range(lat.n)]
+    for lo, hi in lat.covers:
+        lower_covers[hi].append(lo)
+        upper_covers[lo].append(hi)
+    index = {g: c for c, g in enumerate(G)}
+    lower = modular = None
+    for a, b in (pair for lows in lower_covers for pair in combinations(lows, 2)):
+        e = index.get(G[a] & G[b])
+        if e is None:
+            pair = f"{lat.labels[a]!r} and {lat.labels[b]!r}"
+            raise LatticeError(f"meet of {pair} is not in the list")
+        if not (_is_cover(lat, e, a) and _is_cover(lat, e, b)):
+            lower = (a, b)
+            a, b = (a, b) if not _is_cover(lat, e, a) else (b, a)
+            modular = (_between(lat, e, a), b, a)
+            break
+    upper = diamond = None
+    for c, ups in enumerate(upper_covers):
+        for a in ups:
+            bad = C[c] & ~G[a] & ~C[a]
+            if bad:
+                row = S[c]
+                upper = (a, min(d for k, d in enumerate(row) if bad >> k & 1))
+                modular = (*upper, _between(lat, a, S[a][row.index(upper[1])]))
+                break
+        if upper is not None:
+            break
+        if lower is None and diamond is None:
+            diamond = _diamond(S, C[c], G, ups)
+    distributive = modular if modular is not None else diamond
+    return dict(zip(PROPERTY_NAMES, (distributive, modular, upper, lower, upper, lower)))

@@ -11,9 +11,9 @@ with faster ones: the congruence test that keys every element's row and
 column, the image of a congruence built with its generating relations
 up front, and the residue of each unit vector as a sorted tuple.  No command and no verdict of ``check_theorems``
 reaches them, so they live with the tests.  The module also builds the
-two quiver families the tests share: k parallel arrows (Kronecker) and
-a star of k arrows out of one centre, and reads the multiplication
-table row by row.
+three quiver families the tests share: k parallel arrows (Kronecker), a
+star of k arrows out of one centre and a chain of k doubled arrows, and
+reads the multiplication table row by row.
 """
 
 import numpy as np
@@ -40,6 +40,15 @@ def kronecker_quiver(arrows):
 def star_quiver(leaves):
     tips = [f"l{i}" for i in range(1, leaves + 1)]
     return Quiver(["c", *tips], [(f"a{i}", "c", t) for i, t in enumerate(tips, start=1)])
+
+
+def doubled_chain_quiver(pairs):
+    vertices = [f"v{i}" for i in range(pairs + 1)]
+    arrows = []
+    for i in range(pairs):
+        arrows.append((f"a{i}", vertices[i], vertices[i + 1]))
+        arrows.append((f"b{i}", vertices[i], vertices[i + 1]))
+    return Quiver(vertices, arrows)
 
 
 def table_rows(s) -> list[bytes]:

@@ -1,6 +1,8 @@
 """Smoke test of ``tools/bench_lattice.py``, which no command runs."""
 
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -30,3 +32,32 @@ def test_closure_stage_counts_the_joins_each_route_forms(monkeypatch):
         row = bench.closure_run(bench.quiver("star(2)"), route)
         assert (row["elements"], row["joins"]) == (13, 12)
         assert row["ms"] > 0
+
+
+def test_git_state_names_the_commit_or_nothing(monkeypatch, tmp_path):
+    bench = load_bench(monkeypatch)
+    assert bench.git_state(tmp_path) == {"git_commit": None, "dirty": None}
+    state = bench.git_state(SCRIPT.parent)
+    if state["git_commit"] is not None:  # a git work tree
+        assert re.fullmatch("[0-9a-f]{40}", state["git_commit"])
+        assert isinstance(state["dirty"], bool)
+
+
+def test_every_run_record_names_its_commit(monkeypatch, tmp_path):
+    bench = load_bench(monkeypatch)
+    for stage in ("import_seconds", "closure_run", "lattice_milliseconds", "check_run"):
+        monkeypatch.setattr(bench, stage, lambda *args, row=FAKE_ROWS[stage]: row)
+    out = tmp_path / "bench.json"
+    for _ in range(2):
+        assert bench.main(["--label", "change", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]["change"]
+    assert len(runs) == 2
+    assert all({"git_commit", "dirty"} <= set(run) for run in runs)
+
+
+FAKE_ROWS = {
+    "import_seconds": 0.01,
+    "closure_run": {"elements": 1, "joins": 0, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
+    "lattice_milliseconds": {"congruences": 1, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
+    "check_run": {"s": 0.1, "peak_rss_mb": 1.0},
+}

@@ -11,9 +11,9 @@ import sys
 
 import pytest
 
+from oracles import doubled_chain_quiver as doubled_chain
 from pathcong import (
     CapExceeded,
-    Quiver,
     build_semigroup,
     check_theorems,
     enumerate_special_ideals,
@@ -28,15 +28,6 @@ BUILDERS = {
     "enumerate_paths": quiver.enumerate_paths,
     "_product_table": semigroup._product_table,
 }
-
-
-def doubled_chain(pairs):
-    vertices = [f"v{i}" for i in range(pairs + 1)]
-    arrows = []
-    for i in range(pairs):
-        arrows.append((f"a{i}", vertices[i], vertices[i + 1]))
-        arrows.append((f"b{i}", vertices[i], vertices[i + 1]))
-    return Quiver(vertices, arrows)
 
 
 def chain_elements(pairs):

@@ -15,9 +15,10 @@ from lattice_oracles import (
     is_pentagon_sublattice,
     law_distributive,
     law_modular,
+    reference_witnesses,
     semimodularity_masks,
 )
-from oracles import congruence_leq_matrix, kronecker_quiver, star_quiver
+from oracles import congruence_leq_matrix, doubled_chain_quiver, kronecker_quiver, star_quiver
 from pathcong import (
     LatticeError,
     build_lattice,
@@ -326,6 +327,7 @@ def test_build_copies_the_callers_order(chain_lattice):
 def assert_matches_law_scans(t, lat):
     w = property_witnesses(lat)
     assert tuple(w) == PROPERTY_NAMES
+    assert w == reference_witnesses(lat)
     assert lat.covers == t.covers
     assert (w["distributive"] is None) == law_distributive(t)[0]
     assert (w["modular"] is None) == law_modular(t)[0]
@@ -418,6 +420,81 @@ def test_distributive_iff_join_irreducibles_count_the_length(t):
         height[hi] = max(height[hi], height[lo] + 1)
     if w["modular"] is None:
         assert (w["distributive"] is None) == (len(t.join_irreducibles()) == max(height))
+
+
+# The one pass over each element's covers against ``reference_witnesses``,
+# which tests every pair of lower covers with Lindig's test and scans each
+# element for a diamond: every witness must be the same.
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_witnesses_match_reference_on_random_quivers(seed):
+    q = random_acyclic_quiver(random.Random(seed), 4, 5, 16)
+    lat = congruence_lattice(build_semigroup(q))
+    assert property_witnesses(lat) == reference_witnesses(lat)
+
+
+# (modular, distributive) of each family member, so all three kinds are met
+FAMILIES = [
+    *((f"kronecker{k}", kronecker_quiver(k), (k < 3, k < 2)) for k in range(2, 7)),
+    *((f"star{k}", star_quiver(k), (True, True)) for k in range(2, 7)),
+    ("doubled1", doubled_chain_quiver(1), (True, False)),
+    ("doubled2", doubled_chain_quiver(2), (False, False)),
+]
+
+
+@pytest.mark.parametrize(
+    "q, kind", [family[1:] for family in FAMILIES], ids=[family[0] for family in FAMILIES]
+)
+def test_witnesses_match_reference_on_quiver_families(q, kind):
+    lat = congruence_lattice(build_semigroup(q))
+    w = property_witnesses(lat)
+    assert w == reference_witnesses(lat)
+    assert (w["modular"] is None, w["distributive"] is None) == kind
+
+
+def spy_diamond(monkeypatch):
+    calls = []
+    real = lattice._diamond
+    monkeypatch.setattr(lattice, "_diamond", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_diamond_search_runs_only_for_its_witness(monkeypatch):
+    calls = spy_diamond(monkeypatch)
+    lattice_properties(congruence_lattice(build_semigroup(star_quiver(5))))
+    assert calls == []  # distributive: no meet repeats
+    lat = congruence_lattice(build_semigroup(kronecker_quiver(2)))
+    assert property_witnesses(lat)["distributive"] is not None
+    assert len(calls) == 1
+
+
+def test_diamond_witness_above_the_bottom(monkeypatch):
+    # 0 < p under an M3 on p, whose atoms are p+a, p+b, p+c: the only
+    # diamond sits at p, where a congruence lattice always has its first
+    t = closure_lattice([0b0000, 0b0001, 0b0011, 0b0101, 0b1001, 0b1111])
+    lat = t.lattice()
+    calls = spy_diamond(monkeypatch)
+    w = property_witnesses(lat)
+    assert w == reference_witnesses(lat)
+    assert w["modular"] is None and w["distributive"] == (2, 3, 4)
+    assert len(calls) == 1 and calls[0][3] == lat.upper_covers[1]
+
+
+def test_repeated_meet_before_a_lower_failure_gives_no_diamond(monkeypatch):
+    # an M3 on 0, 1, 2, 3, 4 under an N5 on 4, 5, 6, 7, 8 (4 < 5 < 6 < 8,
+    # 4 < 7 < 8): the lower covers of 4 repeat their meet 0 before the
+    # lower covers 6, 7 of 8 fail, so the distributive witness is the
+    # modular one, not a diamond
+    t = closure_lattice([0, 0b1, 0b10, 0b100, 0b111, 0b1111, 0b11111, 0b100111, 0b111111])
+    lat = t.lattice()
+    calls = spy_diamond(monkeypatch)
+    w = property_witnesses(lat)
+    assert w == reference_witnesses(lat)
+    assert w["lower_semimodular"] == (6, 7)
+    assert w["distributive"] == w["modular"] is not None
+    assert calls == []
 
 
 def test_lattice_properties_builds_the_cover_matrix_once(monkeypatch, kronecker):

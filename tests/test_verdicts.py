@@ -106,7 +106,9 @@ def test_components_verdict():
 
 def test_cover_verdict():
     # congruences 1 and 2 sit between 0 and 3 and map to ideals 2 and 1
-    lattice = SimpleNamespace(covers=((0, 1), (0, 2), (1, 3), (2, 3)))
+    lattice = SimpleNamespace(
+        covers=((0, 1), (0, 2), (1, 3), (2, 3)), upper_covers=((1, 2), (3,), (3,), ())
+    )
     perm = [0, 2, 1, 3]
 
     def ideals(*dims):
@@ -126,7 +128,9 @@ def test_cover_verdict_reports_least_failing_cover_in_ideal_order():
     # the congruence covers (0, 1) and (0, 2) map to the ideal covers
     # (0, 2) and (0, 1), read in that order; both jump, by different
     # amounts, and the detail names the lesser ideal pair, (0, 1)
-    lattice = SimpleNamespace(covers=((0, 1), (0, 2), (1, 3), (2, 3)))
+    lattice = SimpleNamespace(
+        covers=((0, 1), (0, 2), (1, 3), (2, 3)), upper_covers=((1, 2), (3,), (3,), ())
+    )
     ideals = [SimpleNamespace(dim=d) for d in (0, 2, 3, 4)]
     ev = record(lattice=lattice, perm=[0, 2, 1, 3], ideals=ideals)
     assert cover_verdict(ev) == (False, "cover 0 -> 1 jumps 0 -> 2")

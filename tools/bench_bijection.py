@@ -15,6 +15,8 @@ microseconds per congruence.
 The figures are merged into ``--out`` under ``--label``, so one file
 holds a parent and a change measured alternately on one host: run each
 tree's copy of the script with ``PYTHONPATH`` pointing at its ``src``.
+The run names the commit of the measured ``pathcong`` and whether its
+work tree had changes, as ``bench_lattice.git_state`` reads them.
 """
 
 from __future__ import annotations
@@ -28,11 +30,14 @@ import sys
 import time
 from pathlib import Path
 
+import pathcong
 from pathcong import Quiver, build_semigroup, enumerate_congruences
 from pathcong.ideals import ideal_join_closure
 from pathcong.verify import match_congruence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_lattice import git_state  # noqa: E402
 from perfbench.workloads import kronecker, star  # noqa: E402
 
 REPEATS = 9
@@ -86,6 +91,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
     }
     doc.setdefault("runs", {})[args.label] = {
+        **git_state(Path(pathcong.__file__).resolve().parent),
         "timed": "verify.match_congruence: label lookup, dimension, round trip",
         "repeats": REPEATS,
         "inputs": result,

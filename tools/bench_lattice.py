@@ -21,7 +21,10 @@ Four measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
 
 Each run is appended to the list under ``--label`` in ``--out``, so one
 file holds parent and change runs taken alternately on one host: run the
-script with ``PYTHONPATH`` pointing at each tree's ``src`` in turn.
+script with ``PYTHONPATH`` pointing at each tree's ``src`` in turn.  Every
+run records the commit of the measured ``pathcong`` as ``git_commit``
+and whether its work tree had changes as ``dirty``, both null outside a
+git work tree.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import sys
 import time
 from pathlib import Path
 
+import pathcong
 from pathcong import (
     PathSemigroup,
     Quiver,
@@ -96,6 +100,24 @@ def child(code: str) -> list[float]:
     return [float(x) for x in out.stdout.split()]
 
 
+def git_state(path: Path) -> dict:
+    """The commit checked out at ``path`` and whether its work tree has changes.
+
+    Both are None outside a git work tree or without git.
+    """
+    def git(*args):
+        out = subprocess.run(["git", "-C", str(path), *args], capture_output=True, text=True)
+        return out.stdout if out.returncode == 0 else None
+
+    try:
+        commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    except FileNotFoundError:  # no git on the PATH
+        commit = status = None
+    if commit is None or status is None:
+        return {"git_commit": None, "dirty": None}
+    return {"git_commit": commit.strip(), "dirty": bool(status.strip())}
+
+
 def import_seconds() -> float:
     return statistics.median(child(IMPORT_CHILD)[0] for _ in range(REPEATS))
 
@@ -154,6 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     run = {
+        **git_state(Path(pathcong.__file__).resolve().parent),
         "import_s": round(import_seconds(), 4),
         "closure": {
             name: {route: closure_run(quiver(name), route) for route in ROUTES}
