@@ -43,10 +43,19 @@ def test_git_state_names_the_commit_or_nothing(monkeypatch, tmp_path):
         assert isinstance(state["dirty"], bool)
 
 
+# one row of each timed stage, so main writes a record without timing anything
+FAKE_ROWS = {
+    "import_seconds": 0.01,
+    "closure_run": {"elements": 1, "joins": 0, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
+    "lattice_milliseconds": {"congruences": 1, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
+    "check_run": {"s": 0.1, "peak_rss_mb": 1.0},
+}
+
+
 def test_every_run_record_names_its_commit(monkeypatch, tmp_path):
     bench = load_bench(monkeypatch)
-    for stage in ("import_seconds", "closure_run", "lattice_milliseconds", "check_run"):
-        monkeypatch.setattr(bench, stage, lambda *args, row=FAKE_ROWS[stage]: row)
+    for stage, row in FAKE_ROWS.items():
+        monkeypatch.setattr(bench, stage, lambda *args, row=row: row)
     out = tmp_path / "bench.json"
     for _ in range(2):
         assert bench.main(["--label", "change", "--out", str(out)]) == 0
@@ -54,10 +63,3 @@ def test_every_run_record_names_its_commit(monkeypatch, tmp_path):
     assert len(runs) == 2
     assert all({"git_commit", "dirty"} <= set(run) for run in runs)
 
-
-FAKE_ROWS = {
-    "import_seconds": 0.01,
-    "closure_run": {"elements": 1, "joins": 0, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
-    "lattice_milliseconds": {"congruences": 1, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
-    "check_run": {"s": 0.1, "peak_rss_mb": 1.0},
-}
