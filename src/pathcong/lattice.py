@@ -4,9 +4,9 @@ A lattice is given by its element list and the m x K table ``succ`` whose
 entry [c][k] is the index of c v g_k for K generators g_k of which every
 element is a join.  Sets of generators are int bitmasks, bit k for g_k.
 The covers are read off ``succ`` by Lindig's upper-neighbour test and kept
-once, as each element's sorted upper covers, meets by the generators below
-each element, and the six structural properties are decided from covers
-alone, with witnesses.  No m x m table is built.
+once, as each element's sorted upper covers; meets are read off the
+generators below each element; the six structural properties are decided
+from covers alone, with witnesses.  No m x m table is built.
 """
 
 from __future__ import annotations
