@@ -90,27 +90,20 @@ class SpecialIdeal:
 
     __slots__ = ("quiver", "_generators", "space", "_residue_labels")
 
-    def __init__(self, quiver: Quiver, generators: frozenset | Congruence | tuple, space: Subspace):
+    def __init__(self, quiver: Quiver, generators: frozenset | tuple, space: Subspace):
         self.quiver = quiver
-        # a frozenset, the congruence an image comes from, or the two ideals a join comes from
+        # a frozenset, or the two ideals a join comes from
         self._generators = generators
         self.space = space
         self._residue_labels = None
 
     @property
     def generators(self) -> frozenset[Relation]:
-        """The recorded relations, derived on first read when not given: an image
-        of a congruence has monomials for the zero block and each other element
-        less its block's least; a join has the union of its operands' generators,
-        gathered with an explicit stack, so no chain of joins is too deep."""
+        """The recorded relations; a join's are the union of its operands',
+        formed on first read with an explicit stack, so no chain of joins is
+        too deep."""
         gens = self._generators
-        if isinstance(gens, Congruence):
-            zero, *rest = gens.blocks
-            found = [Relation(e - 1) for e in zero[1:]]
-            for block in rest:
-                found.extend(Relation(block[0] - 1, e - 1) for e in block[1:])
-            self._generators = frozenset(found)
-        elif type(gens) is tuple:
+        if type(gens) is tuple:
             union, seen, stack = set(), set(), list(gens)
             while stack:
                 ideal = stack.pop()
@@ -274,22 +267,27 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     pivot order: a nonzero element z of the zero block gives the row z,
     and every element b of another block but its greatest, b_k, gives the
     row b - b_k.  Each row's pivot has entry 1 and its one other column,
-    b_k, is no pivot, so the rows are reduced.  The generators are derived
-    from the blocks when first read.  Raises ``ValueError`` if the
-    partition is not a congruence.
+    b_k, is no pivot, so the rows are reduced.  The same pass records the
+    generators: each nonzero element z of the zero block, and x - y for
+    every other element y of a block and its least, x.  Raises
+    ``ValueError`` if the partition is not a congruence.
     """
     if c.semigroup != s:
         raise ValueError("congruence does not live on this semigroup")
     if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
         raise ValueError("partition is not a congruence")
     last = dict(zip(c.labels, range(-1, s.n - 1)))  # label -> greatest path index in the block
-    rows = {}
+    least, rows, gens = {}, {}, []
     for e, lab in enumerate(c.labels[1:]):  # e: path index of element e + 1
         if not lab:
             rows[e] = {e: 1}
-        elif last[lab] != e:
+            gens.append(Relation(e))
+            continue
+        if last[lab] != e:
             rows[e] = {e: 1, last[lab]: -1}
-    return SpecialIdeal(s.quiver, c, Subspace(len(s.paths), rows))
+        if least.setdefault(lab, e) != e:
+            gens.append(Relation(least[lab], e))
+    return SpecialIdeal(s.quiver, frozenset(gens), Subspace(len(s.paths), rows))
 
 
 def ideal_to_congruence(s: PathSemigroup, ideal: SpecialIdeal) -> Congruence:

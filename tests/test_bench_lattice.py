@@ -26,6 +26,13 @@ def test_lattice_stage_runs_on_a_star(monkeypatch):
     assert (len(wide.vertices), len(wide.arrows)) == (3, 5)
 
 
+def test_match_stage_runs_on_a_star(monkeypatch):
+    bench = load_bench(monkeypatch)
+    row = bench.match_microseconds(bench.quiver("star(2)"))
+    assert row["congruences"] == 13
+    assert row["us"] > 0
+
+
 def test_closure_stage_counts_the_joins_each_route_forms(monkeypatch):
     bench = load_bench(monkeypatch)
     for route in bench.ROUTES:
@@ -48,6 +55,7 @@ FAKE_ROWS = {
     "import_seconds": 0.01,
     "closure_run": {"elements": 1, "joins": 0, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
     "lattice_milliseconds": {"congruences": 1, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
+    "match_microseconds": {"congruences": 1, "us": 1.0, "q1_q3_us": [1.0, 1.0]},
     "check_run": {"s": 0.1, "peak_rss_mb": 1.0},
 }
 
@@ -59,7 +67,12 @@ def test_every_run_record_names_its_commit(monkeypatch, tmp_path):
     out = tmp_path / "bench.json"
     for _ in range(2):
         assert bench.main(["--label", "change", "--out", str(out)]) == 0
-    runs = json.loads(out.read_text())["runs"]["change"]
+    doc = json.loads(out.read_text())
+    assert "host" not in doc  # each run names its own
+    runs = doc["runs"]["change"]
     assert len(runs) == 2
-    assert all({"git_commit", "dirty"} <= set(run) for run in runs)
+    fields = {"git_commit", "dirty", "machine", "cpus", "python", "match_us"}
+    assert all(fields <= set(run) for run in runs)
+    match = dict.fromkeys(bench.LATTICE_INPUTS, FAKE_ROWS["match_microseconds"])
+    assert all(run["match_us"] == match for run in runs)
 

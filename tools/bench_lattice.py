@@ -1,8 +1,9 @@
-"""Time ``import pathcong``, both join-closures, the lattice stage, and whole checks.
+"""Time ``import pathcong``, both join-closures, the lattice stage, verdict 1's
+match, and whole checks.
 
     PYTHONPATH=src python3 tools/bench_lattice.py --label change
 
-Four measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
+Five measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
 
 - ``import_s``: seconds of ``import pathcong`` in a fresh interpreter,
   the median of ``REPEATS`` processes;
@@ -16,6 +17,11 @@ Four measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
   ``build_lattice`` on the cached congruence join table plus
   ``lattice_properties``, in milliseconds, the median of ``REPEATS``
   in-process runs on each of ``LATTICE_INPUTS``;
+- ``match_us``: verdict 1's match, ``verify.match_congruence`` over every
+  congruence against the ideals as ``check_theorems`` indexes them, on
+  fresh congruence objects each repeat; microseconds per congruence, the
+  median of ``REPEATS`` in-process runs of the loop on each of
+  ``LATTICE_INPUTS``;
 - ``check``: ``check_theorems`` on each of ``CHECK_INPUTS`` in a fresh
   interpreter, its seconds and the process's peak resident memory.
 
@@ -24,7 +30,7 @@ file holds parent and change runs taken alternately on one host: run the
 script with ``PYTHONPATH`` pointing at each tree's ``src`` in turn.  Every
 run records the commit of the measured ``pathcong`` as ``git_commit``
 and whether its work tree had changes as ``dirty``, both null outside a
-git work tree.
+git work tree, and its host as ``machine``, ``cpus`` and ``python``.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from pathcong import (
     lattice_properties,
 )
 from pathcong.semigroup import congruence_join_closure
+from pathcong.verify import match_congruence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -118,6 +125,12 @@ def git_state(path: Path) -> dict:
     return {"git_commit": commit.strip(), "dirty": bool(status.strip())}
 
 
+def summary(samples: list[float], unit: str) -> dict:
+    """The median of ``samples`` under ``unit`` and their quartiles under ``q1_q3_<unit>``."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {unit: round(median, 2), f"q1_q3_{unit}": [round(q1, 2), round(q3, 2)]}
+
+
 def import_seconds() -> float:
     return statistics.median(child(IMPORT_CHILD)[0] for _ in range(REPEATS))
 
@@ -145,9 +158,7 @@ def closure_run(q, route: str) -> dict:
         elements = len(closure(q, s)[0])
     finally:
         setattr(owner, name, join)
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    quartiles = [round(q1, 2), round(q3, 2)]
-    return {"elements": elements, "joins": len(joins), "ms": round(median, 2), "q1_q3_ms": quartiles}
+    return {"elements": elements, "joins": len(joins), **summary(samples, "ms")}
 
 
 def lattice_milliseconds(q) -> dict:
@@ -159,9 +170,22 @@ def lattice_milliseconds(q) -> dict:
         start = time.perf_counter()
         lattice_properties(build_lattice(congs, s.congruence_closure[1]))
         samples.append((time.perf_counter() - start) * 1e3)
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    quartiles = [round(q1, 2), round(q3, 2)]
-    return {"congruences": len(congs), "ms": round(median, 2), "q1_q3_ms": quartiles}
+    return {"congruences": len(congs), **summary(samples, "ms")}
+
+
+def match_microseconds(q) -> dict:
+    """Median and quartiles of verdict 1's match on q, per congruence."""
+    s = build_semigroup(q)
+    found, _ = ideals.ideal_join_closure(q)
+    by_labels = {ideal.residue_labels: i for i, ideal in enumerate(found)}
+    samples = []
+    for _ in range(REPEATS):
+        congs = enumerate_congruences(s)
+        start = time.perf_counter()
+        for k, c in enumerate(congs):
+            match_congruence(s, k, c, found, by_labels)
+        samples.append((time.perf_counter() - start) / len(congs) * 1e6)
+    return {"congruences": len(congs), **summary(samples, "us")}
 
 
 def check_run(name: str) -> dict:
@@ -177,12 +201,16 @@ def main(argv=None) -> int:
 
     run = {
         **git_state(Path(pathcong.__file__).resolve().parent),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
         "import_s": round(import_seconds(), 4),
         "closure": {
             name: {route: closure_run(quiver(name), route) for route in ROUTES}
             for name in CLOSURE_INPUTS
         },
         "lattice_ms": {name: lattice_milliseconds(quiver(name)) for name in LATTICE_INPUTS},
+        "match_us": {name: match_microseconds(quiver(name)) for name in LATTICE_INPUTS},
         "check": {name: check_run(name) for name in CHECK_INPUTS},
     }
     print(f"{args.label:>8} import pathcong {run['import_s']:.4f} s")
@@ -193,6 +221,9 @@ def main(argv=None) -> int:
     for name, row in run["lattice_ms"].items():
         print(f"{args.label:>8} lattice {name:<13} {row['congruences']:>6} congruences"
               f" {row['ms']:8.2f} ms")
+    for name, row in run["match_us"].items():
+        print(f"{args.label:>8} match {name:<13} {row['congruences']:>6} congruences"
+              f" {row['us']:8.2f} us per congruence")
     for name, row in run["check"].items():
         print(f"{args.label:>8} check {name:<13} {row['s']:7.3f} s {row['peak_rss_mb']:7.1f} MB")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -200,14 +231,11 @@ def main(argv=None) -> int:
         "import_s: fresh-process import seconds, median; closure: each route's"
         " join-closure, its elements, joins formed and milliseconds, median of in-process"
         " repeats; lattice_ms: build_lattice plus"
-        " lattice_properties, median of in-process repeats; check: check_theorems seconds"
-        " and peak RSS, one fresh process per input"
+        " lattice_properties, median of in-process repeats; match_us: verdict 1's"
+        " verify.match_congruence over every congruence, microseconds per congruence,"
+        " median of in-process repeats; check: check_theorems seconds and peak RSS, one"
+        " fresh process per input"
     )
-    doc["host"] = {
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-    }
     doc.setdefault("runs", {}).setdefault(args.label, []).append({"repeats": REPEATS, **run})
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
