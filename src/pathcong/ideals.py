@@ -16,7 +16,7 @@ from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_sum
 from .quiver import Quiver
 from .semigroup import DEFAULT_MAX_ELEMENTS, Congruence, PathSemigroup, _canonical_congruence
-from .semigroup import KERNEL_TABLE_LIMIT, build_semigroup, join_closure
+from .semigroup import KERNEL_TABLE_LIMIT, Route, build_semigroup, join_closure
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def all_relations(q: Quiver) -> tuple[Relation, ...]:
     """Every relation: the monomial of each path, in path order, then x - y
     for each pair of distinct parallel paths x < y, in lexicographic order.
 
-    That is the order of ``congruence_join_closure``'s generators, on
+    That is the order of ``congruence_route``'s generators, on
     purpose: column k of both join tables is then one relation.  The two
     lists are built apart, and verdict 1 checks one against the other.
     """
@@ -219,14 +219,14 @@ def ideal_join(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
     return SpecialIdeal(q, (a, b), subspace_sum(a.space, b.space))
 
 
-def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
-    """Every special ideal, by join-closure over single-relation ideals,
-    and the read-only m x K table of ideal i + (r_k), r_k the k-th of ``all_relations``.
+def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
+    """The zero ideal and one atom (r) per relation r, in ``all_relations`` order.
 
-    Deduplicated by RREF space; ordered by (dimension, basis), so the
-    zero ideal comes first and the whole path algebra last.  Refuses
-    semigroups above ``max_elements`` or the kernels' table limit, as the
-    congruence side does, before any relation is listed.
+    Its ``join_closure`` is every special ideal, deduplicated by RREF
+    space and ordered by (dimension, basis): the zero ideal first, the
+    whole path algebra last.  Refuses semigroups above ``max_elements``
+    or the kernels' table limit, as the congruence side does, before any
+    relation is listed.
     """
     s = build_semigroup(q)
     s.check_element_cap(max_elements)
@@ -243,9 +243,9 @@ def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
     for r in all_relations(q):
         x, y = (-1, r.first) if r.second is None else (r.first, r.second)  # path indices, -1: zero
         atoms.append((x + 1, y + 1, _generate(q, frozenset((r,)), products)))
-    return join_closure(
+    return Route(
         _generate(q, frozenset(), products),
-        atoms,
+        tuple(atoms),
         labels=lambda ideal: ideal.residue_labels,
         join=ideal_join,
         key=lambda ideal: ideal.space.key(),
@@ -254,8 +254,8 @@ def ideal_join_closure(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS):
 
 
 def enumerate_special_ideals(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list:
-    """Every special ideal, in ``ideal_join_closure``'s order."""
-    return ideal_join_closure(q, max_elements)[0]
+    """Every special ideal, in the order of ``ideal_route``'s closure."""
+    return list(join_closure(ideal_route(q, max_elements))[0])
 
 
 def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:

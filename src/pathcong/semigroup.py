@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from . import _kernels
@@ -60,9 +60,9 @@ class PathSemigroup:
 
     @property
     def congruence_closure(self) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...], tuple]:
-        """``congruence_join_closure`` of this semigroup: congruences, join table, generators."""
+        """``join_closure(congruence_route(self))``: congruences, join table, generator pairs."""
         if self._closure is None:
-            self._closure = congruence_join_closure(self)
+            self._closure = join_closure(congruence_route(self))
         return self._closure
 
     def element_name(self, i: int) -> str:
@@ -147,6 +147,7 @@ class Congruence:
     __slots__ = ("semigroup", "labels", "_blocks")
 
     def __init__(self, semigroup: PathSemigroup, labels):
+        semigroup.check_kernel_limit()
         if len(labels) != semigroup.n:
             raise ValueError(f"{len(labels)} labels for a semigroup of {semigroup.n} elements")
         self.semigroup = semigroup
@@ -209,7 +210,7 @@ def _require_same_semigroup(a: Congruence, b: Congruence) -> PathSemigroup:
 
 
 def identity_congruence(s: PathSemigroup) -> Congruence:
-    return Congruence(s, bytes(range(s.n)))
+    return Congruence(s, range(s.n))
 
 
 def universal_congruence(s: PathSemigroup) -> Congruence:
@@ -278,18 +279,21 @@ def _finest_first(lab: bytes):
     return -max(lab), lab
 
 
-def join_closure(seed, atoms, labels, join, key, order):
-    """Every join of ``seed`` with atoms, found breadth first, and their join table.
+Route = namedtuple("Route", "seed atoms labels join key order")  # one side's closure input
+
+
+def join_closure(route: Route):
+    """Every join of the route's seed with its atoms, found breadth first, and their join table.
 
     Each atom is a triple ``(x, y, payload)``.  It lies below an element
     whose label vector, ``labels(element)``, read once per element, puts
     x and y in one block: their join is that element and is not formed.
     Otherwise the join is ``join(element, payload)``.  Joins are
     deduplicated by ``key``; the first element found for a key is kept.
-    Returns the elements sorted by ``order`` and their join table as a
-    tuple of int tuples, re-indexed to match: row i, column k is the index
-    of element i joined with atom k.  Complete when every element of the
-    lattice is the seed joined with the atoms below it.
+    Returns the elements sorted by ``order`` (a tuple), their join table
+    as a tuple of int tuples re-indexed to match, row i and column k the
+    index of element i joined with atom k, and the atoms' (x, y) pairs.
+    Complete when each lattice element is the seed joined with the atoms below it.
 
     Each element after the seed was first found as p v a_j, with row p
     already complete.  Its join with a_k is then (p v a_k) v a_j, read
@@ -308,6 +312,7 @@ def join_closure(seed, atoms, labels, join, key, order):
     and a' = (x', y').  The elements, their order and the table are those
     of joining every pair.
     """
+    seed, atoms, labels, join, key, order = route
     found = {key(seed): 0}
     elements = [seed]
     origin = [None]  # origin[i] = (p, j): elements[i] was first found as p v a_j
@@ -339,7 +344,7 @@ def join_closure(seed, atoms, labels, join, key, order):
     for r, i in enumerate(rank):
         place[i] = r
     table = tuple(tuple(map(place.__getitem__, succ[i])) for i in rank)
-    return [elements[i] for i in rank], table
+    return tuple(elements[i] for i in rank), table, tuple((x, y) for x, y, _ in atoms)
 
 
 def enumerate_congruences(
@@ -353,8 +358,8 @@ def enumerate_congruences(
     return [_canonical_congruence(s, lab) for lab in s.congruence_closure[0]]
 
 
-def congruence_join_closure(s: PathSemigroup):
-    """``join_closure`` of the identity over theta(0, y) and theta(x, y) for parallel x, y.
+def congruence_route(s: PathSemigroup) -> Route:
+    """The congruence route: the identity, and theta(0, y) and theta(x, y) for parallel x, y.
 
     Every congruence is the join of the principal congruences it contains,
     and in a finite lattice every element is the join of the
@@ -377,20 +382,19 @@ def congruence_join_closure(s: PathSemigroup):
     - theta(0, y) has y as the shortest path of its zero block, and
       theta(x, y) collapses nothing to 0, so no two generators are equal.
 
-    Returns the label vectors finest first, their read-only m x K join
-    table with the generators, and the generator pairs (x, y), one per
-    column, in lexicographic order: the order of ``ideals.all_relations``.
+    One atom per relation, their pairs (x, y) in lexicographic order, the
+    order of ``ideals.all_relations``; the closure lists them finest first.
     """
     mult = s.table_bytes
     n = s.n
     ends = [None, *((p.source, p.target) for p in s.paths)]
-    generators = [
+    generators = tuple(
         (x, y, _kernels.principal_labels(mult, n, x, y))
         for x in range(n)
         for y in range(x + 1, n)
         if not x or ends[x] == ends[y]
-    ]
-    found, S = join_closure(
+    )
+    return Route(
         bytes(range(n)),
         generators,
         labels=lambda lab: lab,  # theta(x, y) <= cur iff cur puts x and y in one block
@@ -398,7 +402,6 @@ def congruence_join_closure(s: PathSemigroup):
         key=lambda lab: lab,
         order=_finest_first,
     )
-    return tuple(found), S, tuple((x, y) for x, y, _ in generators)
 
 
 def is_rees(c: Congruence) -> bool:

@@ -20,7 +20,7 @@ from .ideals import (
     SpecialIdeal,
     all_relations,
     contains_relation,
-    ideal_join_closure,
+    ideal_route,
     ideal_to_congruence,
 )
 from .lattice import (
@@ -48,6 +48,7 @@ from .semigroup import (
     congruence_label,
     enumerate_congruences,
     is_rees,
+    join_closure,
 )
 
 PREDICTED_KEYS = PROPERTY_NAMES + ("all_rees",)
@@ -167,7 +168,7 @@ class Evidence:
     mpp: int  # max parallel paths
     predicted: dict[str, bool]
     congs: tuple[Congruence, ...]  # the identity first
-    ideals: list[SpecialIdeal]  # the zero ideal first
+    ideals: tuple[SpecialIdeal, ...]  # the zero ideal first
     ideal_table: tuple[tuple[int, ...], ...]  # [i][k]: the index of ideals[i] + (r_k)
     lattice: FiniteLattice | None  # None: failed["lattice"] says why
     failed: dict[str, str]
@@ -211,7 +212,7 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
         congs = lat.elements
     except LatticeError as exc:
         lat, congs, failed = None, exc.elements, {"lattice": str(exc)}
-    ideals, S_i = ideal_join_closure(q, max_elements)
+    ideals, S_i, relations = join_closure(ideal_route(q, max_elements))
     ev = Evidence(s, max_parallel_paths(q), predict_properties(q), congs, ideals, S_i, lat, failed)
     try:
         if lat is None:
@@ -231,12 +232,13 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
         # enumerated ideal I is the image of the one c matched to it, with
         # ideal_to_congruence(I) == c.
         # column k of both tables: theta(0, y) for (y), theta(x, y) for (x - y)
-        pairs, rels = s.congruence_closure[2], all_relations(q)
-        if len(pairs) != len(rels):
-            raise AssertionError(f"{len(pairs)} generators vs {len(rels)} relations")
-        for (x, y), r in zip(pairs, rels):
-            if (Relation(x - 1, y - 1) if x else Relation(y - 1)) != r:
-                raise AssertionError(f"generator {(x, y)} is not relation {r.display(s.paths)}")
+        pairs = s.congruence_closure[2]
+        if len(pairs) != len(relations):
+            raise AssertionError(f"{len(pairs)} generators vs {len(relations)} relations")
+        for pair, (x, y) in zip(pairs, relations):
+            if pair != (x, y):
+                r = Relation(x - 1, y - 1) if x else Relation(y - 1)
+                raise AssertionError(f"generator {pair} is not relation {r.display(s.paths)}")
         # Every congruence is the identity joined with generators along the
         # table, so if perm sends the identity to 0 and c v g_k to perm(c) +
         # (r_k), it preserves all joins.  A bijective join-homomorphism is

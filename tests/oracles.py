@@ -12,8 +12,9 @@ column, the image of a congruence built with its generating relations
 up front, and the residue of each unit vector as a sorted tuple.  No command and no verdict of ``check_theorems``
 reaches them, so they live with the tests.  The module also builds the
 three quiver families the tests share: k parallel arrows (Kronecker), a
-star of k arrows out of one centre and a chain of k doubled arrows, and
-reads the multiplication table row by row.
+star of k arrows out of one centre and a chain of k doubled arrows,
+reads the multiplication table row by row, and gives a route a stand-in
+for one element of its closure, as the fault tests need.
 """
 
 import numpy as np
@@ -30,7 +31,7 @@ from pathcong import (
 )
 from pathcong.ideals import Relation, SpecialIdeal
 from pathcong import _kernels
-from pathcong.semigroup import _finest_first
+from pathcong.semigroup import _finest_first, join_closure
 
 
 def kronecker_quiver(arrows):
@@ -113,13 +114,14 @@ def enumerate_congruences_bruteforce(s, max_elements: int = 10) -> list[Congruen
     return [Congruence(s, lab) for lab in sorted(labels, key=_finest_first)]
 
 
-def direct_join_closure(seed, atoms, labels, join, key, order):
+def direct_join_closure(route):
     """``semigroup.join_closure`` forming every join it tabulates, none read from the table.
 
-    Same arguments and result: the elements sorted by ``order``, and one
-    row per element giving the index of its join with each atom.  It
-    joins the atoms below an element too, so it never reads ``labels``.
+    Same route, and its elements sorted by ``order`` and one row per
+    element giving the index of its join with each atom.  It joins the
+    atoms below an element too, so it never reads ``labels``.
     """
+    seed, atoms, _, join, key, order = route
     found = {key(seed): 0}
     elements = [seed]
     succ = []
@@ -137,6 +139,26 @@ def direct_join_closure(seed, atoms, labels, join, key, order):
     rank = sorted(range(len(elements)), key=lambda i: order(elements[i]))
     new_index = {old: new for new, old in enumerate(rank)}
     return [elements[i] for i in rank], [[new_index[j] for j in succ[i]] for i in rank]
+
+
+def with_stand_in(route, i, stand_in):
+    """``route`` with ``stand_in`` as element i of its closure: the closure
+    forms the same joins and the same table, reading that element's
+    labels, key, order and joins through the stand-in."""
+    real = join_closure(route)[0][i]
+    unwrap = lambda e: real if e is stand_in else e  # noqa: E731
+
+    def join(a, b):
+        joined = route.join(unwrap(a), b)
+        return stand_in if route.key(joined) == route.key(real) else joined
+
+    return route._replace(
+        seed=route.seed if i else stand_in,
+        labels=lambda e: route.labels(unwrap(e)),
+        join=join,
+        key=lambda e: route.key(unwrap(e)),
+        order=lambda e: route.order(unwrap(e)),
+    )
 
 
 def refines(a: Congruence, b: Congruence) -> bool:

@@ -12,13 +12,18 @@ import sys
 import pytest
 
 from oracles import doubled_chain_quiver as doubled_chain
+from oracles import star_quiver
 from pathcong import (
     CapExceeded,
     build_semigroup,
     check_theorems,
+    congruence_from_blocks,
+    congruence_from_json,
     enumerate_special_ideals,
+    identity_congruence,
     quiver_to_text,
     random_acyclic_quiver,
+    universal_congruence,
 )
 from pathcong import quiver, semigroup
 from pathcong.cli import main
@@ -125,6 +130,22 @@ def test_kernel_limit_fires_before_the_table(tmp_path, forbid, capsys):
             f"error: semigroup with {chain_elements(pairs)} elements"
             " exceeds the kernel table limit of 255\n"
         )
+    assert calls == []
+
+
+def test_congruences_past_the_kernel_limit_refuse_without_building(forbid):
+    # star(300) has 602 elements, too many for a label byte
+    calls = forbid("_product_table")
+    s = build_semigroup(star_quiver(300))
+    singletons = [[i] for i in range(s.n)]
+    for build in (
+        identity_congruence,
+        universal_congruence,
+        lambda s: congruence_from_blocks(s, singletons),
+        lambda s: congruence_from_json(s, {"blocks": [[s.element_name(i)] for i in range(s.n)]}),
+    ):
+        with pytest.raises(CapExceeded, match="602 elements exceeds the kernel table limit"):
+            build(s)
     assert calls == []
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import kronecker_quiver, star_quiver
+from oracles import kronecker_quiver, star_quiver, with_stand_in
 from pathcong import (
     PathVector,
     Quiver,
@@ -146,13 +146,8 @@ def assert_named_verdict_1_violation(q):
 
 def with_ideal(monkeypatch, i, ideal):
     """check_theorems reads ``ideal`` as enumerated ideal i; the join table is unchanged."""
-    real = verify.ideal_join_closure
-
-    def replaced(q, max_elements):
-        found, S = real(q, max_elements)
-        return [ideal if j == i else other for j, other in enumerate(found)], S
-
-    monkeypatch.setattr(verify, "ideal_join_closure", replaced)
+    real = verify.ideal_route
+    monkeypatch.setattr(verify, "ideal_route", lambda q, cap: with_stand_in(real(q, cap), i, ideal))
 
 
 def shifted_row(ideal):

@@ -28,7 +28,7 @@ from pathcong import (
     universal_congruence,
     zero_ideal,
 )
-from pathcong.ideals import Relation, SpecialIdeal, contains_relation
+from pathcong.ideals import Relation, SpecialIdeal, contains_relation, ideal_route
 from pathcong.linalg import subspace_sum
 from pathcong.semigroup import CapExceeded, Congruence
 
@@ -403,15 +403,7 @@ def assert_generators_match_eager_closure(q):
     # the closure joins the zero ideal with one atom (r) per relation; the
     # oracle forms every join eagerly, and an ideal is first found by the
     # same join on both sides
-    atoms = [(0, 0, generate_ideal(q, [r])) for r in all_relations(q)]
-    expected, _ = direct_join_closure(
-        zero_ideal(q),
-        atoms,
-        labels=None,
-        join=eager_join,
-        key=lambda ideal: ideal.space.key(),
-        order=lambda ideal: (ideal.dim, ideal.space.key()),
-    )
+    expected, _ = direct_join_closure(ideal_route(q)._replace(join=eager_join))
     found = enumerate_special_ideals(q)
     assert [ideal.space for ideal in found] == [ideal.space for ideal in expected]
     # read from the top down, so no operand of a join has formed its union yet

@@ -52,7 +52,7 @@ def test_kernel_hooks_the_benchmark_reads():
 
 # Traced targets check_theorems no longer calls: verdicts 1 and 5 compare
 # the routes' join tables, so no containment test or order matrix is made,
-# it takes the ideals with their table from ideal_join_closure, the
+# it takes the ideals with their table from join_closure(ideal_route), the
 # lattice reads meets off generator sets, not partition meets, and verdict 1
 # finds each congruence's image among the ideals by residue labels and
 # dimension instead of building it; the ideal closure generates its atoms

@@ -29,7 +29,6 @@ from pathcong import (
     random_acyclic_quiver,
     universal_congruence,
 )
-from pathcong.semigroup import _finest_first
 from pathcong.verify import congruence_label, congruence_lattice
 
 from oracles import (
@@ -447,35 +446,14 @@ def all_principal_closure(s):
                 acc = _kernels.join_labels(acc, other)
         return acc != lab
 
-    found, succ = direct_join_closure(
-        bytes(range(n)),
-        [(x, y, lab) for lab, (x, y) in principals.items() if irreducible(lab)],
-        labels=lambda lab: lab,
-        join=_kernels.join_labels,
-        key=lambda lab: lab,
-        order=_finest_first,
-    )
+    atoms = [(x, y, lab) for lab, (x, y) in principals.items() if irreducible(lab)]
+    found, succ = direct_join_closure(semigroup.congruence_route(s)._replace(atoms=atoms))
     return tuple(found), tuple(map(tuple, succ))
-
-
-def enumerate_with_generators(s):
-    """enumerate_congruences(s) and the generators it passed to join_closure."""
-    generators = []
-    real = semigroup.join_closure
-
-    def spy(seed, atoms, **kwargs):
-        generators.extend(atoms)
-        return real(seed, atoms, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semigroup, "join_closure", spy)
-        congs = enumerate_congruences(s)
-    return congs, generators
 
 
 def assert_generators_are_join_irreducible(q):
     s = PathSemigroup(q)  # not cached, so its closure runs here
-    congs, generators = enumerate_with_generators(s)
+    congs, generators = enumerate_congruences(s), semigroup.congruence_route(s).atoms
     expected, _ = all_principal_closure(s)
     assert len(congs) == len(expected)
     assert {c.labels for c in congs} == set(expected)
@@ -514,52 +492,33 @@ def test_join_closure_table_records_each_join(q):
     s = build_semigroup(q)
     pairs = [(0, 3), (3, 4), (1, 2)]
     atoms = [(x, y, _kernels.principal_labels(s.table_bytes, s.n, x, y)) for x, y in pairs]
-    found, succ = semigroup.join_closure(
-        bytes(range(s.n)),
-        atoms,
-        labels=lambda lab: lab,
-        join=_kernels.join_labels,
-        key=lambda lab: lab,
-        order=lambda lab: lab,
-    )
+    found, succ, _ = semigroup.join_closure(semigroup.congruence_route(s)._replace(atoms=atoms))
     assert len(set(found)) == len(found) == len(succ)
     for cur, row in zip(found, succ):
         assert [found[j] for j in row] == [_kernels.join_labels(cur, lab) for _, _, lab in atoms]
 
 
 # join_closure reads a join from its table where an earlier row decides
-# it; the oracle forms every join.  Both run on the arguments each route
-# passes: the join-irreducible principals with join_labels, and one
-# single-relation ideal per relation with ideal_join.
+# it; the oracle forms every join.  Both run on each route: the
+# join-irreducible principals with join_labels, and one single-relation
+# ideal per relation with ideal_join.
 
 ROUTES = {
-    "congruences": (semigroup, lambda q: semigroup.congruence_join_closure(build_semigroup(q))),
-    "ideals": (ideals, ideals.enumerate_special_ideals),
+    "congruences": lambda q: semigroup.congruence_route(build_semigroup(q)),
+    "ideals": ideals.ideal_route,
 }
 
 
-def assert_closure_matches_direct(q, route):
-    module, run = ROUTES[route]
-    calls = []
-    real = semigroup.join_closure
-
-    def spy(seed, atoms, **kwargs):
-        result = real(seed, atoms, **kwargs)
-        calls.append((seed, atoms, kwargs, result))
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "join_closure", spy)
-        run(q)
-    [(seed, atoms, kwargs, (found, succ))] = calls
-    if route == "ideals":
-        keys = {ideal.space.key() for _, _, ideal in atoms}
-        assert len(keys) == len(atoms) == len(ideals.all_relations(q))
+def assert_closure_matches_direct(q, name):
+    route = ROUTES[name](q)
+    found, succ, pairs = semigroup.join_closure(route)
+    if name == "ideals":
+        keys = {ideal.space.key() for _, _, ideal in route.atoms}
+        assert len(keys) == len(route.atoms) == len(ideals.all_relations(q))
     # both routes test "below" on the elements (x, y) of one relation per column
-    assert [(x, y) for x, y, _ in atoms] == list(build_semigroup(q).congruence_closure[2])
-    expected, expected_succ = direct_join_closure(seed, atoms, **kwargs)
-    key = kwargs["key"]
-    assert [key(e) for e in found] == [key(e) for e in expected]
+    assert pairs == build_semigroup(q).congruence_closure[2]
+    expected, expected_succ = direct_join_closure(route)
+    assert [route.key(e) for e in found] == [route.key(e) for e in expected]
     assert succ == tuple(map(tuple, expected_succ))
 
 
@@ -590,29 +549,18 @@ def test_join_closure_matches_direct_closure_on_random_quivers(seed):
 # in; the rest of the row is read from its table or from that pair.
 
 
-def closure_with_formed_joins(q, route):
-    """One route's closure of q: its atoms, its key, its result, and each
-    join it formed as (key of the element, index of the atom)."""
-    module, run = ROUTES[route]
-    real = semigroup.join_closure
-    record = {}
+def closure_with_formed_joins(q, name):
+    """One route of q, its closure, and each join the closure formed as
+    (key of the element, index of the atom)."""
+    route = ROUTES[name](q)
+    column = {route.key(payload): k for k, (_, _, payload) in enumerate(route.atoms)}
+    formed = []
 
-    def spy(seed, atoms, *, join, key, **kwargs):
-        column = {key(payload): k for k, (_, _, payload) in enumerate(atoms)}
-        formed = []
+    def counted(cur, payload):
+        formed.append((route.key(cur), column[route.key(payload)]))
+        return route.join(cur, payload)
 
-        def counted(cur, payload):
-            formed.append((key(cur), column[key(payload)]))
-            return join(cur, payload)
-
-        result = real(seed, atoms, join=counted, key=key, **kwargs)
-        record.update(atoms=atoms, key=key, result=result, formed=formed)
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "join_closure", spy)
-        run(q)
-    return record
+    return route, semigroup.join_closure(route._replace(join=counted)), formed
 
 
 WIDE = Quiver(["u", "v", "w"], [(a, "u", "v") for a in "abc"] + [(a, "v", "w") for a in "de"])
@@ -628,14 +576,13 @@ WIDE = Quiver(["u", "v", "w"], [(a, "u", "v") for a in "abc"] + [(a, "v", "w") f
     ids=["kronecker5", "star5", "wide"],
 )
 def test_join_closure_forms_the_fewest_joins(q, elements, joins, route):
-    record = closure_with_formed_joins(q, route)
-    found, _ = record["result"]
-    assert (len(found), len(record["formed"])) == (elements, joins)
-    assert len(set(record["formed"])) == joins  # no (element, atom) join twice
+    _, (found, _, _), formed = closure_with_formed_joins(q, route)
+    assert (len(found), len(formed)) == (elements, joins)
+    assert len(set(formed)) == joins  # no (element, atom) join twice
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_join_closure_reads_a_join_across_the_same_blocks(route):
+@pytest.mark.parametrize("name", ROUTES)
+def test_join_closure_reads_a_join_across_the_same_blocks(name):
     # on Kronecker(3) the row theta(0, a1), or (a1), has 0 and a1 in one
     # block, so the atoms (0, a2) and (a1, a2) join it across the same two
     # blocks: the first join is formed, the second read from it.  The
@@ -643,14 +590,11 @@ def test_join_closure_reads_a_join_across_the_same_blocks(route):
     # cannot decide that entry
     q = kronecker_quiver(3)
     a1, a2 = map(build_semigroup(q).index_by_name, ("a1", "a2"))
-    record = closure_with_formed_joins(q, route)
-    pairs = [(x, y) for x, y, _ in record["atoms"]]
+    route, (found, table, pairs), formed = closure_with_formed_joins(q, name)
     k_a1, k0, k1 = map(pairs.index, [(0, a1), (0, a2), (a1, a2)])
-    found, table = record["result"]
-    key = record["key"]
     row = table[0][k_a1]  # the seed comes first in both orders
-    assert (key(found[row]), k0) in record["formed"]
-    assert (key(found[row]), k1) not in record["formed"]
+    assert (route.key(found[row]), k0) in formed
+    assert (route.key(found[row]), k1) not in formed
     assert table[row][k1] == table[row][k0] != row
 
 
@@ -678,8 +622,7 @@ def test_generators_are_join_irreducible_on_random_quivers(seed):
 def test_star_keeps_2k_plus_1_generators(k):
     # every congruence is Rees; the join-irreducibles collapse the principal
     # ideals of the centre c, of each tip l_i and of each arrow a_i
-    _, generators = enumerate_with_generators(build_semigroup(star_quiver(k)))
-    assert len(generators) == 2 * k + 1
+    assert len(semigroup.congruence_route(build_semigroup(star_quiver(k))).atoms) == 2 * k + 1
 
 
 def assert_closure_matches_all_pairs(q):
@@ -693,7 +636,7 @@ def assert_closure_matches_all_pairs(q):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "principal_labels", spy)
-        labels, table, pairs = semigroup.congruence_join_closure(s)
+        labels, table, pairs = semigroup.join_closure(semigroup.congruence_route(s))
     parallel = sum(c * (c - 1) // 2 for c in path_counts(q).values())
     assert len(calls) == (s.n - 1) + parallel
     assert list(pairs) == calls  # one generator pair per table column, in order

@@ -34,6 +34,7 @@ from oracles import (
     kronecker_quiver,
     refines,
     star_quiver,
+    with_stand_in,
 )
 from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
 from pathcong.ideals import SpecialIdeal
@@ -187,7 +188,7 @@ def count_calls(monkeypatch, owner, name):
 
 def test_check_builds_one_lattice_per_enumeration(monkeypatch, kronecker):
     lattices = count_calls(monkeypatch, verify, "build_lattice")
-    closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
+    closures = count_calls(monkeypatch, semigroup, "congruence_route")
     assert check_theorems(kronecker).ok
     assert len(lattices) == len(closures) == 1
     lattices.clear()
@@ -199,7 +200,7 @@ def test_check_builds_one_lattice_per_enumeration(monkeypatch, kronecker):
 
 
 def test_check_of_an_equal_quiver_runs_no_closure(monkeypatch, kronecker):
-    closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
+    closures = count_calls(monkeypatch, semigroup, "congruence_route")
     assert check_theorems(kronecker).ok
     assert len(closures) == 1
     assert check_theorems(Quiver(list(kronecker.vertices), list(kronecker.arrows))).ok
@@ -209,7 +210,7 @@ def test_check_of_an_equal_quiver_runs_no_closure(monkeypatch, kronecker):
 def test_shared_component_is_closed_once(monkeypatch):
     # two components of one quiver never compare equal (their vertices
     # differ), but quivers that share a component share its closure
-    closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
+    closures = count_calls(monkeypatch, semigroup, "congruence_route")
     assert check_theorems(three_components()).ok
     assert len(closures) == 1 + 3
     closures.clear()
@@ -224,23 +225,14 @@ def test_join_closures_read_most_joins_from_their_tables(monkeypatch):
     # a join the table already decides is read, not formed
     q = Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(1, 6)])
     ideal_joins = count_calls(monkeypatch, ideals, "ideal_join")
-    label_joins, inside = [], []
-    real_join, real_closure = _kernels.join_labels, semigroup.congruence_join_closure
+    label_joins = []
+    real_route = semigroup.congruence_route
 
-    def join_labels(p, q):
-        if inside:
-            label_joins.append(1)
-        return real_join(p, q)
+    def congruence_route(s):
+        route = real_route(s)
+        return route._replace(join=lambda a, b: label_joins.append(1) or route.join(a, b))
 
-    def congruence_join_closure(s):
-        inside.append(1)
-        try:
-            return real_closure(s)
-        finally:
-            inside.clear()
-
-    monkeypatch.setattr(_kernels, "join_labels", join_labels)
-    monkeypatch.setattr(semigroup, "congruence_join_closure", congruence_join_closure)
+    monkeypatch.setattr(semigroup, "congruence_route", congruence_route)
     report = check_theorems(q)
     assert report.ok and report.quiver_summary["congruences"] == 206
     assert 0 < len(ideal_joins) < 500
@@ -258,7 +250,7 @@ def test_check_reads_each_ideals_residues_once(monkeypatch, triple_arrow):
 
 
 def test_cli_lattice_runs_one_closure(monkeypatch, capsys):
-    closures = count_calls(monkeypatch, semigroup, "congruence_join_closure")
+    closures = count_calls(monkeypatch, semigroup, "congruence_route")
     assert main(["lattice", str(QUIVER_DIR / "kronecker.quiver")]) == 0
     assert capsys.readouterr().out.startswith("elements: 8\n")
     assert len(closures) == 1
@@ -320,15 +312,12 @@ def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
     k = 3
     s = build_semigroup(kronecker)
     image = congruence_to_ideal(s, enumerate_congruences(s)[k])
-    real = verify.ideal_join_closure
-
-    def lone_trivial_path_at_image(q, max_elements):
-        found, S = real(q, max_elements)
-        # the span of e1 alone lacks e1 * alpha = alpha, so it is no ideal
-        e1 = linalg.row_reduce([linalg.PathVector({0: 1})], len(s.paths))
-        return [SpecialIdeal(q, frozenset(), e1) if i == image else i for i in found], S
-
-    monkeypatch.setattr(verify, "ideal_join_closure", lone_trivial_path_at_image)
+    i = enumerate_special_ideals(kronecker).index(image)
+    # the span of e1 alone lacks e1 * alpha = alpha, so it is no ideal
+    e1 = linalg.row_reduce([linalg.PathVector({0: 1})], len(s.paths))
+    fault = SpecialIdeal(kronecker, frozenset(), e1)
+    real = verify.ideal_route
+    monkeypatch.setattr(verify, "ideal_route", lambda q, cap: with_stand_in(real(q, cap), i, fault))
     assert check_theorems(kronecker).verdicts[0] == (
         "congruence/ideal lattice isomorphism",
         False,
@@ -352,15 +341,8 @@ def test_check_path_tests_no_subspace_containment(monkeypatch, triple_arrow):
 
 
 def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
-    real = verify.ideal_join_closure
-
-    def corrupted(q, max_elements):
-        found, S = real(q, max_elements)
-        S = [list(row) for row in S]
-        S[0][0] = 0  # the zero ideal no longer grows by the first relation
-        return found, tuple(map(tuple, S))
-
-    monkeypatch.setattr(verify, "ideal_join_closure", corrupted)
+    # the identity no longer grows by the first generator
+    corrupt_join_table(monkeypatch, kronecker, (0, 0), 0)
     report = check_theorems(kronecker)
     assert report.verdicts[0] == (
         "congruence/ideal lattice isomorphism", False, "bijection does not preserve order"
@@ -422,6 +404,23 @@ def test_generator_without_its_own_relation_fails_the_isomorphism(
     assert report.verdicts[4][1:] == (False, "skipped: isomorphism check failed")
 
 
+def test_swapped_ideal_atoms_fail_the_generator_check(monkeypatch, triple_arrow):
+    # columns 1 and 2 of the ideal route hold (alpha) and (e2), so column 1
+    # pairs the congruence route's theta(0, e2) with the relation alpha
+    real = verify.ideal_route
+
+    def swapped(q, max_elements):
+        route = real(q, max_elements)
+        a = route.atoms
+        return route._replace(atoms=(a[0], a[2], a[1], *a[3:]))
+
+    monkeypatch.setattr(verify, "ideal_route", swapped)
+    report = check_theorems(triple_arrow)
+    detail = "generator (0, 2) is not relation alpha"
+    assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, detail)
+    assert report.verdicts[4][1:] == (False, "skipped: isomorphism check failed")
+
+
 @pytest.mark.parametrize(
     "edit, detail",
     [
@@ -442,13 +441,15 @@ def test_closure_edit_fails_the_isomorphism(monkeypatch, triple_arrow, edit, det
 
 
 def test_missing_ideal_fails_the_isomorphism(monkeypatch, triple_arrow):
-    real = verify.ideal_join_closure
+    # a join that would reach the whole path algebra returns its first
+    # operand, so the ideal closure never finds the top
+    real = verify.ideal_route
 
     def without_the_top(q, max_elements):
-        found, S = real(q, max_elements)
-        return found[:-1], S[:-1]
+        route, top = real(q, max_elements), len(build_semigroup(q).paths)
+        return route._replace(join=lambda a, b: a if (j := route.join(a, b)).dim == top else j)
 
-    monkeypatch.setattr(verify, "ideal_join_closure", without_the_top)
+    monkeypatch.setattr(verify, "ideal_route", without_the_top)
     report = check_theorems(triple_arrow)
     detail = "18 congruences vs 17 ideals"
     assert report.verdicts[0] == ("congruence/ideal lattice isomorphism", False, detail)
@@ -643,21 +644,21 @@ def test_verdict_1_builds_no_image(monkeypatch, triple_arrow):
     monkeypatch.setattr(
         linalg.Subspace, "__init__", lambda self, *args: subspaces.append(1) or init(self, *args)
     )
-    closure = verify.ideal_join_closure
+    real = verify.ideal_route
 
-    def counted_closure(q, max_elements):
-        result = closure(q, max_elements)
-        after_closure.append(len(subspaces))
-        return result
+    def counted_route(q, max_elements):
+        # the closure orders its elements once every join is formed
+        route = real(q, max_elements)
+        return route._replace(order=lambda e: after_closure.append(len(subspaces)) or route.order(e))
 
-    monkeypatch.setattr(verify, "ideal_join_closure", counted_closure)
+    monkeypatch.setattr(verify, "ideal_route", counted_route)
     for q in (triple_arrow, three_components(), kronecker_quiver(3)):
         subspaces.clear()
         after_closure.clear()
         table_tests.clear()
         report = check_theorems(q)
         assert report.ok
-        assert after_closure == [len(subspaces)] and subspaces
+        assert set(after_closure) == {len(subspaces)} and subspaces
         assert len(table_tests) == report.quiver_summary["congruences"]
 
 

@@ -7,11 +7,11 @@ Five measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
 
 - ``import_s``: seconds of ``import pathcong`` in a fresh interpreter,
   the median of ``REPEATS`` processes;
-- ``closure``: for each route's join-closure on each of
-  ``CLOSURE_INPUTS`` (``semigroup.congruence_join_closure`` on a semigroup
-  whose table is built, and ``ideals.ideal_join_closure``), the elements,
-  the joins it forms (``_kernels.join_labels`` or ``ideals.ideal_join``
-  calls, counted in one more untimed run), and its milliseconds, the
+- ``closure``: for each route on each of ``CLOSURE_INPUTS``
+  (``semigroup.congruence_route`` on a semigroup whose table is built,
+  and ``ideals.ideal_route``), building the route and its
+  ``join_closure``: the elements, the joins it forms (counted in one more
+  untimed run, through the route's ``join``), and its milliseconds, the
   median of ``REPEATS`` in-process runs;
 - ``lattice_ms``: the lattice stage of ``check_theorems``, that is
   ``build_lattice`` on the cached congruence join table plus
@@ -49,14 +49,13 @@ import pathcong
 from pathcong import (
     PathSemigroup,
     Quiver,
-    _kernels,
     build_lattice,
     build_semigroup,
     enumerate_congruences,
-    ideals,
     lattice_properties,
 )
-from pathcong.semigroup import congruence_join_closure
+from pathcong.ideals import ideal_route
+from pathcong.semigroup import congruence_route, join_closure
 from pathcong.verify import match_congruence
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -135,29 +134,26 @@ def import_seconds() -> float:
     return statistics.median(child(IMPORT_CHILD)[0] for _ in range(REPEATS))
 
 
-# route -> (owner of its join, the join's name, its closure on a quiver)
+# route name -> its route on a quiver q with semigroup s
 ROUTES = {
-    "congruences": (_kernels, "join_labels", lambda q, s: congruence_join_closure(s)),
-    "ideals": (ideals, "ideal_join", lambda q, s: ideals.ideal_join_closure(q)),
+    "congruences": lambda q, s: congruence_route(s),
+    "ideals": lambda q, s: ideal_route(q),
 }
 
 
-def closure_run(q, route: str) -> dict:
+def closure_run(q, name: str) -> dict:
     """Elements, joins formed, and median milliseconds of one route's closure of q."""
-    owner, name, closure = ROUTES[route]
+    build = ROUTES[name]
     s = PathSemigroup(q)
     s.table_bytes  # the congruence route's table, built before the clock starts
     samples = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        closure(q, s)
+        join_closure(build(q, s))
         samples.append((time.perf_counter() - start) * 1e3)
-    join, joins = getattr(owner, name), []
-    setattr(owner, name, lambda a, b: joins.append(1) or join(a, b))
-    try:
-        elements = len(closure(q, s)[0])
-    finally:
-        setattr(owner, name, join)
+    route, joins = build(q, s), []
+    counting = route._replace(join=lambda a, b: joins.append(1) or route.join(a, b))
+    elements = len(join_closure(counting)[0])
     return {"elements": elements, "joins": len(joins), **summary(samples, "ms")}
 
 
@@ -176,7 +172,7 @@ def lattice_milliseconds(q) -> dict:
 def match_microseconds(q) -> dict:
     """Median and quartiles of verdict 1's match on q, per congruence."""
     s = build_semigroup(q)
-    found, _ = ideals.ideal_join_closure(q)
+    found = join_closure(ideal_route(q))[0]
     by_labels = {ideal.residue_labels: i for i, ideal in enumerate(found)}
     samples = []
     for _ in range(REPEATS):
