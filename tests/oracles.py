@@ -146,7 +146,9 @@ def with_stand_in(route, i, stand_in):
     forms the same joins and the same table, reading that element's
     labels, key, order and joins through the stand-in."""
     real = join_closure(route)[0][i]
-    unwrap = lambda e: real if e is stand_in else e  # noqa: E731
+
+    def unwrap(e):
+        return real if e is stand_in else e
 
     def join(a, b):
         joined = route.join(unwrap(a), b)
