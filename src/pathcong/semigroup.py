@@ -60,9 +60,10 @@ class PathSemigroup:
 
     @property
     def congruence_closure(self) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...], tuple]:
-        """``join_closure(congruence_route(self))``: congruences, join table, generator pairs."""
+        """``join_closure(congruence_route(self))`` and the route's generator pairs (x, y)."""
         if self._closure is None:
-            self._closure = join_closure(congruence_route(self))
+            route = congruence_route(self)
+            self._closure = (*join_closure(route), tuple((x, y) for x, y, _ in route.atoms))
         return self._closure
 
     def element_name(self, i: int) -> str:
@@ -290,9 +291,8 @@ def join_closure(route: Route):
     x and y in one block: their join is that element and is not formed.
     Otherwise the join is ``join(element, payload)``.  Joins are
     deduplicated by ``key``; the first element found for a key is kept.
-    Returns the elements sorted by ``order`` (a tuple), their join table
-    as a tuple of int tuples re-indexed to match, row i and column k the
-    index of element i joined with atom k, and the atoms' (x, y) pairs.
+    Returns the elements sorted by ``order`` and their join table re-indexed
+    to match, as tuples: row i, column k indexes element i joined with atom k.
     Complete when each lattice element is the seed joined with the atoms below it.
 
     Each element after the seed was first found as p v a_j, with row p
@@ -344,7 +344,7 @@ def join_closure(route: Route):
     for r, i in enumerate(rank):
         place[i] = r
     table = tuple(tuple(map(place.__getitem__, succ[i])) for i in rank)
-    return tuple(elements[i] for i in rank), table, tuple((x, y) for x, y, _ in atoms)
+    return tuple(elements[i] for i in rank), table
 
 
 def enumerate_congruences(

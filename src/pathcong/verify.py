@@ -212,7 +212,7 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
         congs = lat.elements
     except LatticeError as exc:
         lat, congs, failed = None, exc.elements, {"lattice": str(exc)}
-    ideals, S_i, relations = join_closure(ideal_route(q, max_elements))
+    ideals, S_i = join_closure(route := ideal_route(q, max_elements))
     ev = Evidence(s, max_parallel_paths(q), predict_properties(q), congs, ideals, S_i, lat, failed)
     try:
         if lat is None:
@@ -233,9 +233,9 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
         # ideal_to_congruence(I) == c.
         # column k of both tables: theta(0, y) for (y), theta(x, y) for (x - y)
         pairs = s.congruence_closure[2]
-        if len(pairs) != len(relations):
-            raise AssertionError(f"{len(pairs)} generators vs {len(relations)} relations")
-        for pair, (x, y) in zip(pairs, relations):
+        if len(pairs) != len(route.atoms):
+            raise AssertionError(f"{len(pairs)} generators vs {len(route.atoms)} relations")
+        for pair, (x, y, _) in zip(pairs, route.atoms):
             if pair != (x, y):
                 r = Relation(x - 1, y - 1) if x else Relation(y - 1)
                 raise AssertionError(f"generator {pair} is not relation {r.display(s.paths)}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import kronecker_quiver, star_quiver, with_stand_in
+from oracles import kronecker_quiver, patch_ideal_closure, star_quiver
 from pathcong import (
     PathVector,
     Quiver,
@@ -29,7 +29,7 @@ from pathcong import (
     parse_quiver,
     row_reduce,
 )
-from pathcong import _kernels, ideals, quiver, semigroup, verify
+from pathcong import _kernels, ideals, quiver, semigroup
 from pathcong.verify import VERDICTS
 
 ISOMORPHISM = VERDICTS[0][0]
@@ -146,8 +146,7 @@ def assert_named_verdict_1_violation(q):
 
 def with_ideal(monkeypatch, i, ideal):
     """check_theorems reads ``ideal`` as enumerated ideal i; the join table is unchanged."""
-    real = verify.ideal_route
-    monkeypatch.setattr(verify, "ideal_route", lambda q, cap: with_stand_in(real(q, cap), i, ideal))
+    patch_ideal_closure(monkeypatch, lambda found, S: ([*found[:i], ideal, *found[i + 1 :]], S))
 
 
 def shifted_row(ideal):

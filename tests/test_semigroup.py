@@ -492,7 +492,7 @@ def test_join_closure_table_records_each_join(q):
     s = build_semigroup(q)
     pairs = [(0, 3), (3, 4), (1, 2)]
     atoms = [(x, y, _kernels.principal_labels(s.table_bytes, s.n, x, y)) for x, y in pairs]
-    found, succ, _ = semigroup.join_closure(semigroup.congruence_route(s)._replace(atoms=atoms))
+    found, succ = semigroup.join_closure(semigroup.congruence_route(s)._replace(atoms=atoms))
     assert len(set(found)) == len(found) == len(succ)
     for cur, row in zip(found, succ):
         assert [found[j] for j in row] == [_kernels.join_labels(cur, lab) for _, _, lab in atoms]
@@ -511,12 +511,12 @@ ROUTES = {
 
 def assert_closure_matches_direct(q, name):
     route = ROUTES[name](q)
-    found, succ, pairs = semigroup.join_closure(route)
+    found, succ = semigroup.join_closure(route)
     if name == "ideals":
         keys = {ideal.space.key() for _, _, ideal in route.atoms}
         assert len(keys) == len(route.atoms) == len(ideals.all_relations(q))
     # both routes test "below" on the elements (x, y) of one relation per column
-    assert pairs == build_semigroup(q).congruence_closure[2]
+    assert tuple((x, y) for x, y, _ in route.atoms) == build_semigroup(q).congruence_closure[2]
     expected, expected_succ = direct_join_closure(route)
     assert [route.key(e) for e in found] == [route.key(e) for e in expected]
     assert succ == tuple(map(tuple, expected_succ))
@@ -576,7 +576,7 @@ WIDE = Quiver(["u", "v", "w"], [(a, "u", "v") for a in "abc"] + [(a, "v", "w") f
     ids=["kronecker5", "star5", "wide"],
 )
 def test_join_closure_forms_the_fewest_joins(q, elements, joins, route):
-    _, (found, _, _), formed = closure_with_formed_joins(q, route)
+    _, (found, _), formed = closure_with_formed_joins(q, route)
     assert (len(found), len(formed)) == (elements, joins)
     assert len(set(formed)) == joins  # no (element, atom) join twice
 
@@ -590,7 +590,8 @@ def test_join_closure_reads_a_join_across_the_same_blocks(name):
     # cannot decide that entry
     q = kronecker_quiver(3)
     a1, a2 = map(build_semigroup(q).index_by_name, ("a1", "a2"))
-    route, (found, table, pairs), formed = closure_with_formed_joins(q, name)
+    route, (found, table), formed = closure_with_formed_joins(q, name)
+    pairs = [(x, y) for x, y, _ in route.atoms]
     k_a1, k0, k1 = map(pairs.index, [(0, a1), (0, a2), (a1, a2)])
     row = table[0][k_a1]  # the seed comes first in both orders
     assert (route.key(found[row]), k0) in formed
@@ -636,10 +637,12 @@ def assert_closure_matches_all_pairs(q):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "principal_labels", spy)
-        labels, table, pairs = semigroup.join_closure(semigroup.congruence_route(s))
+        route = semigroup.congruence_route(s)
+        labels, table = semigroup.join_closure(route)
     parallel = sum(c * (c - 1) // 2 for c in path_counts(q).values())
     assert len(calls) == (s.n - 1) + parallel
-    assert list(pairs) == calls  # one generator pair per table column, in order
+    # one generator pair per table column, in order
+    assert [(x, y) for x, y, _ in route.atoms] == calls
     expected, expected_table = all_principal_closure(s)
     assert labels == expected
     assert table == expected_table

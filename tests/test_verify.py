@@ -32,9 +32,9 @@ from oracles import (
     congruence_leq_matrix,
     ideal_subset,
     kronecker_quiver,
+    patch_ideal_closure,
     refines,
     star_quiver,
-    with_stand_in,
 )
 from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
 from pathcong.ideals import SpecialIdeal
@@ -316,8 +316,7 @@ def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
     # the span of e1 alone lacks e1 * alpha = alpha, so it is no ideal
     e1 = linalg.row_reduce([linalg.PathVector({0: 1})], len(s.paths))
     fault = SpecialIdeal(kronecker, frozenset(), e1)
-    real = verify.ideal_route
-    monkeypatch.setattr(verify, "ideal_route", lambda q, cap: with_stand_in(real(q, cap), i, fault))
+    patch_ideal_closure(monkeypatch, lambda found, S: ([*found[:i], fault, *found[i + 1 :]], S))
     assert check_theorems(kronecker).verdicts[0] == (
         "congruence/ideal lattice isomorphism",
         False,
@@ -341,8 +340,11 @@ def test_check_path_tests_no_subspace_containment(monkeypatch, triple_arrow):
 
 
 def test_cover_verdict_skipped_when_order_differs(monkeypatch, kronecker):
-    # the identity no longer grows by the first generator
-    corrupt_join_table(monkeypatch, kronecker, (0, 0), 0)
+    def edit(found, S):
+        S[0][0] = 0  # the zero ideal no longer grows by the first relation
+        return found, S
+
+    patch_ideal_closure(monkeypatch, edit)
     report = check_theorems(kronecker)
     assert report.verdicts[0] == (
         "congruence/ideal lattice isomorphism", False, "bijection does not preserve order"

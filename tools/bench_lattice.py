@@ -27,7 +27,9 @@ Five measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
 
 Each run is appended to the list under ``--label`` in ``--out``, so one
 file holds parent and change runs taken alternately on one host: run the
-script with ``PYTHONPATH`` pointing at each tree's ``src`` in turn.  Every
+script with ``PYTHONPATH`` pointing at each tree's ``src`` in turn, or,
+when a change renames a name this script imports, each tree's own script
+on its own ``src``, from one directory.  Every
 run records the commit of the measured ``pathcong`` as ``git_commit``
 and whether its work tree had changes as ``dirty``, both null outside a
 git work tree, and its host as ``machine``, ``cpus`` and ``python``.
