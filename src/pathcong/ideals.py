@@ -223,10 +223,12 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
     """The zero ideal and one atom (r) per relation r, in ``all_relations`` order.
 
     Its ``join_closure`` is every special ideal, deduplicated by RREF
-    space and ordered by (dimension, basis): the zero ideal first, the
-    whole path algebra last.  Refuses semigroups above ``max_elements``
-    or the kernels' table limit, as the congruence side does, before any
-    relation is listed.
+    space and ordered by (dimension, residue labels): the zero ideal first,
+    the whole path algebra last.  A special ideal has dimension n - 1 -
+    max(labels), so this is the congruence closure's finest-first order,
+    and the image of congruence k is ideal k.  Refuses semigroups above
+    ``max_elements`` or the kernels' table limit, as the congruence side
+    does, before any relation is listed.
     """
     s = build_semigroup(q)
     s.check_element_cap(max_elements)
@@ -249,13 +251,14 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
         labels=lambda ideal: ideal.residue_labels,
         join=ideal_join,
         key=lambda ideal: ideal.space.key(),
-        order=lambda ideal: (ideal.dim, ideal.space.key()),
+        order=lambda ideal: (ideal.dim, ideal.residue_labels),
     )
 
 
 def enumerate_special_ideals(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list:
-    """Every special ideal, in the order of ``ideal_route``'s closure."""
-    return list(join_closure(ideal_route(q, max_elements))[0])
+    """Every special ideal, ordered by (dimension, basis)."""
+    found = join_closure(ideal_route(q, max_elements))[0]
+    return sorted(found, key=lambda ideal: (ideal.dim, ideal.space.key()))
 
 
 def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:

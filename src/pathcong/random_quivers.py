@@ -20,9 +20,10 @@ def random_acyclic_quiver(
     acyclic by construction; parallel arrows are allowed.  Draws are
     rejected (and redrawn from the same stream) until the path semigroup
     fits within ``max_elements``, judged from path counts without listing
-    any path.  Raises ``ValueError`` up front on arguments no draw can
-    satisfy: the smallest path semigroup, one vertex plus zero, has 2
-    elements.
+    any path; a draw whose vertices and arrows alone, with zero, already
+    exceed it is rejected before its paths are counted.  Raises
+    ``ValueError`` up front on arguments no draw can satisfy: the smallest
+    path semigroup, one vertex plus zero, has 2 elements.
     """
     if max_vertices < 1 or max_arrows < 0:
         raise ValueError("need at least 1 vertex and a non-negative arrow count")
@@ -30,12 +31,13 @@ def random_acyclic_quiver(
         raise ValueError(f"max_elements must be at least 2, got {max_elements}")
     while True:
         nv = rng.randint(1, max_vertices)
-        vertices = [f"v{i}" for i in range(1, nv + 1)]
-        arrows = []
+        ends = []
         if nv > 1:
-            for k in range(rng.randint(0, max_arrows)):
-                i, j = sorted(rng.sample(range(nv), 2))
-                arrows.append((f"a{k + 1}", vertices[i], vertices[j]))
+            ends = [sorted(rng.sample(range(nv), 2)) for _ in range(rng.randint(0, max_arrows))]
+        if 1 + nv + len(ends) > max_elements:
+            continue
+        vertices = [f"v{i}" for i in range(1, nv + 1)]
+        arrows = [(f"a{k}", vertices[i], vertices[j]) for k, (i, j) in enumerate(ends, start=1)]
         q = Quiver(vertices, arrows)
         # a fresh semigroup, so rejected draws stay out of build_semigroup's cache
         if PathSemigroup(q).n <= max_elements:

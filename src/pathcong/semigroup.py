@@ -220,6 +220,7 @@ def universal_congruence(s: PathSemigroup) -> Congruence:
 
 def congruence_from_blocks(s: PathSemigroup, blocks) -> Congruence:
     """Build a congruence from element-index blocks, validating everything."""
+    s.check_kernel_limit()  # before a block is read
     labels = [-1] * s.n
     try:
         for k, block in enumerate(blocks):
@@ -243,6 +244,7 @@ def congruence_from_json(s: PathSemigroup, obj: dict) -> Congruence:
         isinstance(b, list) and all(isinstance(name, str) for name in b) for b in blocks
     ):
         raise ValueError('expected {"blocks": [[element name, ...], ...]}')
+    s.check_kernel_limit()  # before a name is looked up, which lists every path
     try:
         blocks = [[s.index_by_name(name) for name in block] for block in blocks]
     except KeyError as exc:

@@ -168,42 +168,39 @@ class Evidence:
     mpp: int  # max parallel paths
     predicted: dict[str, bool]
     congs: tuple[Congruence, ...]  # the identity first
-    ideals: tuple[SpecialIdeal, ...]  # the zero ideal first
+    ideals: tuple[SpecialIdeal, ...]  # the zero ideal first; ideals[k]: congs[k]'s image
     ideal_table: tuple[tuple[int, ...], ...]  # [i][k]: the index of ideals[i] + (r_k)
     lattice: FiniteLattice | None  # None: failed["lattice"] says why
     failed: dict[str, str]
-    perm: list[int] | None = None  # congs[k] maps to ideals[perm[k]]
     computed: dict[str, bool | None] = field(default_factory=dict)  # None: undecided
     witnesses: dict[str, tuple | None] = field(default_factory=dict)
     comp_props: list[dict[str, bool]] = field(default_factory=list)  # empty if connected
 
 
-def match_congruence(s: PathSemigroup, k: int, c: Congruence, ideals, by_labels) -> int:
-    """Index of the enumerated ideal that congruence k, c, maps to, looked up in
-    ``by_labels`` (residue labels -> index); ``AssertionError`` names a fault.
+def match_congruence(s: PathSemigroup, k: int, c: Congruence, ideal: SpecialIdeal) -> None:
+    """Check that congruence k, c, maps to ``ideal`` and back; ``AssertionError`` names a fault.
 
     Equal labels put every generator of c's image inside the ideal (z for
     each z ~ 0, x - y for each x ~ y), and the image has dimension
     n - 1 - max(labels), so at that dimension the ideal is
     ``congruence_to_ideal(s, c)``, found without building it from c.
     """
-    i = by_labels.get(c.labels)
-    if i is None or ideals[i].dim != s.n - 1 - max(c.labels):
+    if ideal.residue_labels != c.labels or ideal.dim != s.n - 1 - max(c.labels):
         if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
             raise AssertionError(f"partition {k} is not a congruence: {c}")
-        raise AssertionError(f"image of congruence {k} is not an enumerated ideal")
+        raise AssertionError(f"image of congruence {k} is not ideal {k}")
     try:
-        back = ideal_to_congruence(s, ideals[i])
+        back = ideal_to_congruence(s, ideal)
     except RuntimeError:  # the labels, c's too, are no congruence of the table
         raise AssertionError(f"partition {k} is not a congruence: {c}") from None
     if back != c:
         raise AssertionError(f"round trip fails at congruence {k}")
-    return i
 
 
 def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evidence:
-    """Congruences and special ideals, enumerated independently with their join tables
-    over one generator per relation; the match between them; each lattice's properties."""
+    """Congruences and special ideals, enumerated independently in one order with their
+    join tables over one generator per relation; the match between them; each lattice's
+    properties."""
     if not is_acyclic(q):
         raise CyclicQuiverError("theorem checks require an acyclic quiver")
     s = build_semigroup(q)
@@ -219,18 +216,11 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
             raise AssertionError(failed["lattice"])
         if len(congs) != len(ideals):
             raise AssertionError(f"{len(congs)} congruences vs {len(ideals)} ideals")
-        by_labels = {}  # residue labels -> index of the enumerated ideal
-        for i, ideal in enumerate(ideals):
-            j = by_labels.setdefault(ideal.residue_labels, i)
-            if j != i:
-                raise AssertionError(f"ideals {j} and {i} share residue labels")
-        ev.perm = perm = [match_congruence(s, k, c, ideals, by_labels) for k, c in enumerate(congs)]
-        if len(set(perm)) != len(congs):
-            raise AssertionError("congruence-to-ideal map is not injective")
-        # No round trip from the ideal side is needed: perm is injective
-        # between lists of equal length, so it is a bijection, and every
-        # enumerated ideal I is the image of the one c matched to it, with
-        # ideal_to_congruence(I) == c.
+        for k, (c, ideal) in enumerate(zip(congs, ideals)):
+            match_congruence(s, k, c, ideal)
+        # Both lists are finest first and hold no repeats, so k -> k is a
+        # bijection, and every enumerated ideal is the image of its
+        # congruence and maps back to it: no round trip from the ideal side.
         # column k of both tables: theta(0, y) for (y), theta(x, y) for (x - y)
         pairs = s.congruence_closure[2]
         if len(pairs) != len(route.atoms):
@@ -240,13 +230,12 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
                 r = Relation(x - 1, y - 1) if x else Relation(y - 1)
                 raise AssertionError(f"generator {pair} is not relation {r.display(s.paths)}")
         # Every congruence is the identity joined with generators along the
-        # table, so if perm sends the identity to 0 and c v g_k to perm(c) +
-        # (r_k), it preserves all joins.  A bijective join-homomorphism is
-        # an order isomorphism (a <= b iff a v b = b), so it carries the
-        # verified congruence covers onto the ideal covers.
-        if perm[0] != 0 or any(
-            S_i[perm[c]] != tuple(map(perm.__getitem__, row)) for c, row in enumerate(lat.succ)
-        ):
+        # table, so if the identity maps to 0 (k = 0 above) and both tables
+        # are one, c v g_k maps to c's image + (r_k), and the map preserves
+        # all joins.  A bijective join-homomorphism is an order isomorphism
+        # (a <= b iff a v b = b), so it carries the verified congruence
+        # covers onto the ideal covers.
+        if S_i != lat.succ:
             raise AssertionError("bijection does not preserve order")
     except AssertionError as exc:
         failed["bijection"] = str(exc)
@@ -308,15 +297,10 @@ def cover_verdict(ev: Evidence) -> tuple[bool, str]:
     if "bijection" in ev.failed:
         return False, "skipped: isomorphism check failed"
     dims = [ideal.dim for ideal in ev.ideals]
-    perm = ev.perm
-    bad = [
-        (perm[lo], perm[hi])
-        for lo, ups in enumerate(ev.lattice.upper_covers) for hi in ups
-        if dims[perm[hi]] != dims[perm[lo]] + 1
-    ]
-    if bad:
-        lo, hi = min(bad)  # the first failing cover in ideal order
-        return False, f"cover {lo} -> {hi} jumps {dims[lo]} -> {dims[hi]}"
+    for lo, ups in enumerate(ev.lattice.upper_covers):
+        for hi in ups:
+            if dims[hi] != dims[lo] + 1:
+                return False, f"cover {lo} -> {hi} jumps {dims[lo]} -> {dims[hi]}"
     return True, ""
 
 

@@ -15,6 +15,7 @@ from oracles import doubled_chain_quiver as doubled_chain
 from oracles import star_quiver
 from pathcong import (
     CapExceeded,
+    PathSemigroup,
     build_semigroup,
     check_theorems,
     congruence_from_blocks,
@@ -23,9 +24,11 @@ from pathcong import (
     identity_congruence,
     quiver_to_text,
     random_acyclic_quiver,
+    random_suite,
     universal_congruence,
 )
-from pathcong import quiver, semigroup
+from pathcong import quiver, random_quivers, semigroup
+from pathcong.semigroup import DEFAULT_MAX_ELEMENTS
 from pathcong.cli import main
 from pathcong.verify import congruence_lattice
 
@@ -134,15 +137,21 @@ def test_kernel_limit_fires_before_the_table(tmp_path, forbid, capsys):
 
 
 def test_congruences_past_the_kernel_limit_refuse_without_building(forbid):
-    # star(300) has 602 elements, too many for a label byte
-    calls = forbid("_product_table")
-    s = build_semigroup(star_quiver(300))
+    # star(300) has 602 elements, too many for a label byte; blocks that
+    # cover too little are refused at the limit too, before any is read
+    q = star_quiver(300)
+    names = [["0"], *([p.name] for p in PathSemigroup(q).paths)]  # listed before the spies
+    calls = forbid("_product_table", "enumerate_paths")
+    s = build_semigroup(q)
     singletons = [[i] for i in range(s.n)]
     for build in (
         identity_congruence,
         universal_congruence,
         lambda s: congruence_from_blocks(s, singletons),
-        lambda s: congruence_from_json(s, {"blocks": [[s.element_name(i)] for i in range(s.n)]}),
+        lambda s: congruence_from_blocks(s, [[0]]),
+        lambda s: congruence_from_json(s, {"blocks": names}),
+        lambda s: congruence_from_json(s, {"blocks": [["c"]]}),
+        lambda s: congruence_from_json(s, {"blocks": [["no such element"]]}),
     ):
         with pytest.raises(CapExceeded, match="602 elements exceeds the kernel table limit"):
             build(s)
@@ -176,6 +185,17 @@ def test_predict_on_a_huge_chain(tmp_path, forbid, capsys):
     assert lines[:2] == ["elements: 4398046511062", f"max parallel paths: {2**40}"]
     assert "modular: no" in lines and "strong_upper_semimodular: yes" in lines
     assert calls == []
+
+
+def test_random_draws_over_many_vertices_count_few_paths(monkeypatch):
+    # up to 5,000 vertices: nearly every draw holds more vertices and arrows
+    # than the cap allows and is rejected before its paths are counted
+    counted = []
+    real = random_quivers.PathSemigroup
+    monkeypatch.setattr(random_quivers, "PathSemigroup", lambda q: counted.append(q) or real(q))
+    assert len(random_suite(2, 0, 5000)) == 2
+    assert counted
+    assert all(1 + len(q.vertices) + len(q.arrows) <= DEFAULT_MAX_ELEMENTS for q in counted)
 
 
 def test_wide_random_draws_list_no_paths(forbid):

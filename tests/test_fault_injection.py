@@ -30,6 +30,8 @@ from pathcong import (
     row_reduce,
 )
 from pathcong import _kernels, ideals, quiver, semigroup
+from pathcong.ideals import ideal_route
+from pathcong.semigroup import join_closure
 from pathcong.verify import VERDICTS
 
 ISOMORPHISM = VERDICTS[0][0]
@@ -128,10 +130,8 @@ def test_path_list_is_checked_against_path_counts(monkeypatch, product_table_cal
 # every violation text of verdict 1 that names the fault in one of the lists
 NAMED = re.compile(
     r"partition \d+ is not a congruence: .*"
-    r"|image of congruence \d+ is not an enumerated ideal"
+    r"|image of congruence (\d+) is not ideal \1"
     r"|round trip fails at congruence \d+"
-    r"|congruence-to-ideal map is not injective"
-    r"|ideals \d+ and \d+ share residue labels"
     r"|bijection does not preserve order"
 )
 
@@ -163,7 +163,7 @@ def shifted_row(ideal):
 @pytest.mark.parametrize("name", QUIVERS)
 def test_changed_ideal_row_is_a_verdict_1_violation(monkeypatch, name):
     q = QUIVERS[name]
-    found = enumerate_special_ideals(q)
+    found = join_closure(ideal_route(q))[0]
     changed = 0
     for i, ideal in enumerate(found):
         if not 0 < ideal.dim < ideal.space.dim_ambient:
@@ -208,7 +208,25 @@ def test_extra_row_that_keeps_the_labels_fails_verdict_1(monkeypatch):
     assert (zero.dim, fault.dim) == (0, 1)
     with_ideal(monkeypatch, 0, fault)
     assert check_theorems(q).verdicts[0] == (
-        ISOMORPHISM, False, "image of congruence 0 is not an enumerated ideal"
+        ISOMORPHISM, False, "image of congruence 0 is not ideal 0"
+    )
+
+
+def test_space_with_another_ideals_labels_fails_verdict_1(monkeypatch):
+    # ideal 1 gives way to a space of its dimension that carries the zero
+    # ideal's residue labels: the count and every dimension still agree,
+    # and two ideals now share labels, so only position 1 tells them apart
+    q = kronecker_quiver(4)
+    s = build_semigroup(q)
+    a1, a2, a3, a4 = (s.index_by_name(f"a{i}") - 1 for i in range(1, 5))
+    found = join_closure(ideal_route(q))[0]
+    space = row_reduce([PathVector({a1: 1, a2: -1, a3: -1, a4: 1})], len(s.paths))
+    fault = SpecialIdeal(q, frozenset(), space)
+    assert fault.residue_labels == found[0].residue_labels
+    assert fault.dim == found[1].dim == 1 and fault != found[1]
+    with_ideal(monkeypatch, 1, fault)
+    assert check_theorems(q).verdicts[0] == (
+        ISOMORPHISM, False, "image of congruence 1 is not ideal 1"
     )
 
 

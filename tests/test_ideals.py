@@ -30,7 +30,7 @@ from pathcong import (
 )
 from pathcong.ideals import Relation, SpecialIdeal, contains_relation, ideal_route
 from pathcong.linalg import subspace_sum
-from pathcong.semigroup import CapExceeded, Congruence
+from pathcong.semigroup import CapExceeded, Congruence, join_closure
 
 from oracles import (
     congruence_to_ideal_eager,
@@ -404,7 +404,7 @@ def assert_generators_match_eager_closure(q):
     # oracle forms every join eagerly, and an ideal is first found by the
     # same join on both sides
     expected, _ = direct_join_closure(ideal_route(q)._replace(join=eager_join))
-    found = enumerate_special_ideals(q)
+    found = join_closure(ideal_route(q))[0]
     assert [ideal.space for ideal in found] == [ideal.space for ideal in expected]
     # read from the top down, so no operand of a join has formed its union yet
     for ideal, eager in reversed(list(zip(found, expected))):
@@ -420,6 +420,24 @@ def test_join_generators_match_eager_union_on_shipped_quivers(name):
 def test_join_generators_match_eager_union_on_the_random_suite():
     for q in random_suite(30, 0):
         assert_generators_match_eager_closure(q)
+
+
+def assert_closures_list_one_order(q):
+    # the ideal closure's order, (dimension, residue labels), is the
+    # congruence closure's finest-first order: ideal k is congruence k's image
+    s = build_semigroup(q)
+    found = join_closure(ideal_route(q))[0]
+    assert [ideal.residue_labels for ideal in found] == list(s.congruence_closure[0])
+
+
+@pytest.mark.parametrize("name", ["chain3", "kronecker", "single_arrow", "triple_arrow"])
+def test_ideal_closure_lists_the_congruence_order_on_shipped_quivers(name):
+    assert_closures_list_one_order(parse_quiver((QUIVER_DIR / f"{name}.quiver").read_text()))
+
+
+def test_ideal_closure_lists_the_congruence_order_on_the_random_suite():
+    for q in random_suite(30, 0):
+        assert_closures_list_one_order(q)
 
 
 def test_join_generators_are_derived_once_and_release_the_operands(kronecker):

@@ -328,3 +328,14 @@ def test_random_suite_draw_stream_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8c4cf39b6d84e42838af53d86407e80cc378238aa3a1f4c1da167ec172d0e40c"
     )
+
+
+def test_early_rejection_keeps_the_draw_stream():
+    # over up to 40 vertices most draws hold more vertices and arrows than
+    # 20 elements allow and are rejected before their paths are counted;
+    # the suite is the one drawn when every draw's paths were counted
+    suite = random_suite(20, 0, max_vertices=40, max_arrows=5, max_elements=20)
+    text = "".join(quiver_to_text(q) for q in suite)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "946bb8a04ff307c0110daac4371f10e73ec46badbc1e189a4ab0befc465c3742"
+    )

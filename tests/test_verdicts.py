@@ -105,34 +105,32 @@ def test_components_verdict():
 
 
 def test_cover_verdict():
-    # congruences 1 and 2 sit between 0 and 3 and map to ideals 2 and 1
-    lattice = SimpleNamespace(
-        covers=((0, 1), (0, 2), (1, 3), (2, 3)), upper_covers=((1, 2), (3,), (3,), ())
-    )
-    perm = [0, 2, 1, 3]
+    # congruence k is ideal k, so the congruence covers are read as ideal
+    # covers with no map between the two lists
+    lattice = SimpleNamespace(upper_covers=((1, 2), (3,), (3,), ()))
 
     def ideals(*dims):
         return [SimpleNamespace(dim=d) for d in dims]
 
-    ev = record(lattice=lattice, perm=perm, ideals=ideals(0, 1, 1, 2))
+    ev = record(lattice=lattice, ideals=ideals(0, 1, 1, 2))
     assert cover_verdict(ev) == (True, "")
-    # covers are read in ideal order: (2, 3), the image of the congruence
-    # cover (1, 3), also jumps, but (1, 3) comes first
-    ev = record(lattice=lattice, perm=perm, ideals=ideals(0, 1, 1, 3))
+    # (1, 3) and (2, 3) both jump; (1, 3) comes first
+    ev = record(lattice=lattice, ideals=ideals(0, 1, 1, 3))
     assert cover_verdict(ev) == (False, "cover 1 -> 3 jumps 1 -> 3")
-    ev = record(lattice=lattice, perm=perm, ideals=ideals(0, 1, 2, 3), failed={"bijection": "x"})
+    ev = record(lattice=lattice, ideals=ideals(0, 1, 2, 3), failed={"bijection": "x"})
     assert cover_verdict(ev) == (False, "skipped: isomorphism check failed")
 
 
 def test_cover_verdict_reports_least_failing_cover_in_ideal_order():
-    # the congruence covers (0, 1) and (0, 2) map to the ideal covers
-    # (0, 2) and (0, 1), read in that order; both jump, by different
-    # amounts, and the detail names the lesser ideal pair, (0, 1)
-    lattice = SimpleNamespace(
-        covers=((0, 1), (0, 2), (1, 3), (2, 3)), upper_covers=((1, 2), (3,), (3,), ())
-    )
+    # the covers are read row by row, each row's upper covers ascending, so
+    # the first that jumps is the least pair: (0, 2) jumps by three and
+    # (1, 3) by three, while (0, 1) and (2, 3) are single steps
+    lattice = SimpleNamespace(upper_covers=((1, 2), (3,), (3,), ()))
+    ideals = [SimpleNamespace(dim=d) for d in (0, 1, 3, 4)]
+    ev = record(lattice=lattice, ideals=ideals)
+    assert cover_verdict(ev) == (False, "cover 0 -> 2 jumps 0 -> 3")
     ideals = [SimpleNamespace(dim=d) for d in (0, 2, 3, 4)]
-    ev = record(lattice=lattice, perm=[0, 2, 1, 3], ideals=ideals)
+    ev = record(lattice=lattice, ideals=ideals)
     assert cover_verdict(ev) == (False, "cover 0 -> 1 jumps 0 -> 2")
 
 

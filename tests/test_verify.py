@@ -37,8 +37,9 @@ from oracles import (
     star_quiver,
 )
 from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
-from pathcong.ideals import SpecialIdeal
+from pathcong.ideals import SpecialIdeal, ideal_route
 from pathcong.cli import main
+from pathcong.semigroup import join_closure
 from pathcong.verify import PROPERTY_NAMES, congruence_label, congruence_lattice, ideal_leq_matrix
 
 
@@ -257,9 +258,10 @@ def test_cli_lattice_runs_one_closure(monkeypatch, capsys):
 
 
 def test_cover_verdict_names_first_failing_cover(monkeypatch, triple_arrow):
-    # the covers of the ideal lattice built from the ideal operations alone
-    covers = ideal_lattice(triple_arrow).covers
-    found = enumerate_special_ideals(triple_arrow)
+    # the covers of the ideal lattice built from the ideal operations alone,
+    # over the ideals in the closure's order, which the verdict reads
+    found = join_closure(ideal_route(triple_arrow))[0]
+    covers = ideal_lattice(triple_arrow, found).covers
     target = covers[-1][1]
     first = min(c for c in covers if c[1] == target)
     assert first != covers[-1] and target == len(found) - 1
@@ -307,12 +309,13 @@ def test_cover_verdict_builds_no_subspace(monkeypatch, triple_arrow):
 
 
 def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
-    # the enumerated ideal congruence k maps to is swapped for a space that
-    # is no ideal, so congruence k finds no ideal with its residue labels
+    # ideal i, the image of congruence k, is swapped for a space that is no
+    # ideal, so ideal k does not carry congruence k's residue labels
     k = 3
     s = build_semigroup(kronecker)
     image = congruence_to_ideal(s, enumerate_congruences(s)[k])
-    i = enumerate_special_ideals(kronecker).index(image)
+    i = join_closure(ideal_route(kronecker))[0].index(image)
+    assert i == k  # both closures list their elements in one order
     # the span of e1 alone lacks e1 * alpha = alpha, so it is no ideal
     e1 = linalg.row_reduce([linalg.PathVector({0: 1})], len(s.paths))
     fault = SpecialIdeal(kronecker, frozenset(), e1)
@@ -320,7 +323,7 @@ def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
     assert check_theorems(kronecker).verdicts[0] == (
         "congruence/ideal lattice isomorphism",
         False,
-        f"image of congruence {k} is not an enumerated ideal",
+        f"image of congruence {k} is not ideal {k}",
     )
 
 
@@ -426,10 +429,10 @@ def test_swapped_ideal_atoms_fail_the_generator_check(monkeypatch, triple_arrow)
 @pytest.mark.parametrize(
     "edit, detail",
     [
-        # congruence 2 a copy of congruence 1: both round-trip through one ideal
+        # congruence 2 a copy of congruence 1: its labels are ideal 1's, not ideal 2's
         (
             lambda labels, S, pairs: ((*labels[:2], labels[1], *labels[3:]), S, pairs),
-            "congruence-to-ideal map is not injective",
+            "image of congruence 2 is not ideal 2",
         ),
         (lambda labels, S, pairs: (labels, S, pairs[:-1]), "7 generators vs 8 relations"),
     ],

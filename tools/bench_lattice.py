@@ -17,11 +17,11 @@ Five measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
   ``build_lattice`` on the cached congruence join table plus
   ``lattice_properties``, in milliseconds, the median of ``REPEATS``
   in-process runs on each of ``LATTICE_INPUTS``;
-- ``match_us``: verdict 1's match, ``verify.match_congruence`` over every
-  congruence against the ideals as ``check_theorems`` indexes them, on
-  fresh congruence objects each repeat; microseconds per congruence, the
-  median of ``REPEATS`` in-process runs of the loop on each of
-  ``LATTICE_INPUTS``;
+- ``match_us``: verdict 1's match, ``verify.match_congruence`` of each
+  congruence k against ideal k of the ideal closure, as ``check_theorems``
+  pairs them, on fresh congruence objects each repeat; microseconds per
+  congruence, the median of ``REPEATS`` in-process runs of the loop on
+  each of ``LATTICE_INPUTS``;
 - ``check``: ``check_theorems`` on each of ``CHECK_INPUTS`` in a fresh
   interpreter, its seconds and the process's peak resident memory.
 
@@ -175,13 +175,12 @@ def match_microseconds(q) -> dict:
     """Median and quartiles of verdict 1's match on q, per congruence."""
     s = build_semigroup(q)
     found = join_closure(ideal_route(q))[0]
-    by_labels = {ideal.residue_labels: i for i, ideal in enumerate(found)}
     samples = []
     for _ in range(REPEATS):
         congs = enumerate_congruences(s)
         start = time.perf_counter()
         for k, c in enumerate(congs):
-            match_congruence(s, k, c, found, by_labels)
+            match_congruence(s, k, c, found[k])
         samples.append((time.perf_counter() - start) / len(congs) * 1e6)
     return {"congruences": len(congs), **summary(samples, "us")}
 
