@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error (cyclic input, size cap, bad file),
-2 usage error, 3 theorem violation from the check harness, or a
-congruence list that is not a lattice.
+Exit codes: 0 success, 1 domain error (cyclic input, size cap, bad file)
+or standard output closed early by its reader, 2 usage error, 3 theorem
+violation from the check harness, or a congruence list that is not a
+lattice.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .ideals import enumerate_special_ideals
@@ -239,7 +241,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that closed early is seen here, not at exit
+    except BrokenPipeError:
+        # the Python docs' recipe: with stdout on devnull, the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DOMAIN
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -30,26 +30,31 @@ class PathSemigroup:
     the congruence route reads that table; the ideal route forms its own
     products from ``paths``.
 
-    Only the element count ``n`` is computed up front, from path counts,
-    so a size cap can refuse a semigroup before any path or table exists.
-    ``paths``, the name index, ``table_bytes`` and ``congruence_closure``
-    are built on first use.  Semigroups of equal quivers compare equal.
+    Only the path counts per (source, target) pair, ``counts``, and the
+    element count ``n`` are computed up front, so a size cap can refuse a
+    semigroup before any path or table exists.  ``paths``, the name index,
+    ``table_bytes`` and ``congruence_closure`` are built on first use.
+    ``report`` is None until ``verify.check_theorems`` stores its finished
+    report there.  Semigroups of equal quivers compare equal.
     """
 
-    __slots__ = ("quiver", "n", "_paths", "_name_to_index", "_table_bytes", "_closure")
+    __slots__ = (
+        "quiver", "counts", "n", "report", "_paths", "_name_to_index", "_table_bytes", "_closure"
+    )
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        self.n = 1 + sum(path_counts(quiver).values())
-        self._paths = self._name_to_index = self._table_bytes = self._closure = None
+        self.counts = path_counts(quiver)
+        self.n = 1 + sum(self.counts.values())
+        self.report = self._paths = self._name_to_index = self._table_bytes = self._closure = None
 
     @property
     def paths(self) -> tuple[Path, ...]:
-        """The enumerated paths, each (source, target) count checked against ``path_counts``."""
+        """The enumerated paths, each (source, target) count checked against ``counts``."""
         if self._paths is None:
             paths = tuple(enumerate_paths(self.quiver))
             listed = Counter((p.source, p.target) for p in paths)
-            counted = Counter(path_counts(self.quiver))
+            counted = Counter(self.counts)
             for e in listed | counted:
                 if listed[e] != counted[e]:
                     raise RuntimeError(
@@ -122,14 +127,15 @@ def _product_table(paths) -> bytes:
 
 
 # The package's one semigroup cache.  It is bounded, so a long run over
-# many quivers does not keep every semigroup, table and closure alive.
+# many quivers does not keep every semigroup, table, closure and report alive.
 @lru_cache(maxsize=256)
 def build_semigroup(q: Quiver) -> PathSemigroup:
     """The path semigroup of q, sized from path counts; paths and table come on first use.
 
     Equal quivers, whole or as components, share one semigroup, so its
-    table and congruence closure are built once.  Rejects cyclic quivers
-    (the path set would be infinite).
+    table and congruence closure are built once, and so is a whole
+    quiver's theorem report.  Rejects cyclic quivers (the path set would
+    be infinite).
     """
     return PathSemigroup(q)
 

@@ -7,7 +7,8 @@ when no two vertices are joined by more than one.  Trees therefore force
 distributivity, and modularity/distributivity hold iff they hold on every
 connected component.  ``build_evidence`` recomputes everything two ways
 into an ``Evidence`` record; ``check_theorems`` runs the five functions in
-``VERDICTS`` on it and reports any inconsistency as a violation.
+``VERDICTS`` on it, reports any inconsistency as a violation, and keeps
+the finished report on the quiver's cached semigroup for a repeat.
 """
 
 from __future__ import annotations
@@ -197,20 +198,27 @@ def match_congruence(s: PathSemigroup, k: int, c: Congruence, ideal: SpecialIdea
         raise AssertionError(f"round trip fails at congruence {k}")
 
 
+def _acyclic_semigroup(q: Quiver) -> PathSemigroup:
+    """``build_semigroup(q)``, refusing a cyclic quiver with the theorem checks' error."""
+    try:
+        return build_semigroup(q)
+    except CyclicQuiverError:
+        raise CyclicQuiverError("theorem checks require an acyclic quiver") from None
+
+
 def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evidence:
     """Congruences and special ideals, enumerated independently in one order with their
     join tables over one generator per relation; the match between them; each lattice's
     properties."""
-    if not is_acyclic(q):
-        raise CyclicQuiverError("theorem checks require an acyclic quiver")
-    s = build_semigroup(q)
+    s = _acyclic_semigroup(q)
     try:
         lat, failed = congruence_lattice(s, max_elements), {}
         congs = lat.elements
     except LatticeError as exc:
         lat, congs, failed = None, exc.elements, {"lattice": str(exc)}
     ideals, S_i = join_closure(route := ideal_route(q, max_elements))
-    ev = Evidence(s, max_parallel_paths(q), predict_properties(q), congs, ideals, S_i, lat, failed)
+    mpp = max(s.counts.values(), default=0)
+    ev = Evidence(s, mpp, predict_properties(q), congs, ideals, S_i, lat, failed)
     try:
         if lat is None:
             raise AssertionError(failed["lattice"])
@@ -314,7 +322,18 @@ VERDICTS = (
 
 
 def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TheoremReport:
-    """Run each of ``VERDICTS`` on one acyclic quiver's ``Evidence``; a violation is a bug."""
+    """Run each of ``VERDICTS`` on one acyclic quiver's ``Evidence``; a violation is a bug.
+
+    The finished report is a function of the quiver alone, so it is kept,
+    as immutable values, on the quiver's cached semigroup, and a check of
+    an equal quiver within the cap gets a fresh copy of it and builds no
+    evidence.  A refusal or a check that raises keeps nothing and goes
+    through ``build_evidence`` each time.
+    """
+    s = _acyclic_semigroup(q)
+    if s.report is not None and s.n <= max_elements:
+        *parts, verdicts = s.report
+        return TheoremReport(*map(dict, parts), list(verdicts))
     ev = build_evidence(q, max_elements)
     summary = {
         "vertices": len(q.vertices),
@@ -327,4 +346,6 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
         "ideals": len(ev.ideals),
     }
     verdicts = [(name, *verdict(ev)) for name, verdict in VERDICTS]
+    parts = (summary, ev.predicted, ev.computed)
+    ev.semigroup.report = (*(tuple(part.items()) for part in parts), tuple(verdicts))
     return TheoremReport(summary, ev.predicted, ev.computed, verdicts)

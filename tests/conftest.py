@@ -2,14 +2,16 @@ import pytest
 
 from pathcong import Quiver, semigroup
 
-# every cache keyed by quiver: a semigroup carries its table and congruence closure
+# every cache keyed by quiver: a semigroup carries its table, its congruence
+# closure and the finished report of its quiver's theorem check
 QUIVER_CACHES = (semigroup.build_semigroup,)
 
 
 @pytest.fixture(autouse=True)
 def fresh_quiver_caches():
-    """Clear the quiver-keyed caches around each test, so that a semigroup
-    or closure one test built cannot hide work another test counts."""
+    """Clear the quiver-keyed caches around each test, so that a semigroup,
+    closure or report one test built cannot hide work another test counts,
+    or a fault another test plants."""
     for cache in QUIVER_CACHES:
         cache.cache_clear()
     yield

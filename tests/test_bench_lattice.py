@@ -57,6 +57,7 @@ FAKE_ROWS = {
     "lattice_milliseconds": {"congruences": 1, "ms": 0.1, "q1_q3_ms": [0.1, 0.1]},
     "match_microseconds": {"congruences": 1, "us": 1.0, "q1_q3_us": [1.0, 1.0]},
     "check_run": {"s": 0.1, "peak_rss_mb": 1.0},
+    "suite_run": {"checks": 2, "distinct": 1, "ms": 0.1, "q1_q3_ms": [0.1, 0.1], "peak_rss_mb": 1.0},
 }
 
 
@@ -71,8 +72,9 @@ def test_every_run_record_names_its_commit(monkeypatch, tmp_path):
     assert "host" not in doc  # each run names its own
     runs = doc["runs"]["change"]
     assert len(runs) == 2
-    fields = {"git_commit", "dirty", "machine", "cpus", "python", "match_us"}
+    fields = {"git_commit", "dirty", "machine", "cpus", "python", "match_us", "suite"}
     assert all(fields <= set(run) for run in runs)
+    assert all(run["suite"] == FAKE_ROWS["suite_run"] for run in runs)
     match = dict.fromkeys(bench.LATTICE_INPUTS, FAKE_ROWS["match_microseconds"])
     assert all(run["match_us"] == match for run in runs)
 

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pathcong import check_theorems, parse_quiver
-from pathcong.cli import main
+from pathcong.cli import EXIT_DOMAIN, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SINGLE = "vertices: 1 2\narrow alpha: 1 -> 2\n"
 KRONECKER = "vertices: 1 2\narrow alpha: 1 -> 2\narrow beta: 1 -> 2\n"
@@ -244,3 +250,23 @@ def test_predict_json_agrees_with_check(qfile, capsys):
 def test_predict_cyclic_is_domain_error(qfile, capsys):
     assert main(["predict", qfile(LOOP)]) == 1
     assert "acyclic" in capsys.readouterr().err
+
+
+def test_reader_closing_early_ends_quietly():
+    # like `pathcong random-check --trials 3000 | head -1`: the reader stops
+    # after one line, and the next write finds the pipe closed
+    cmd = [sys.executable, "-m", "pathcong.cli", "random-check", "--trials", "3000"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        assert proc.stdout.readline().startswith("trial 1: ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_DOMAIN
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert stderr == ""

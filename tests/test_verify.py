@@ -1,3 +1,4 @@
+import importlib.util
 import random
 import re
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcong import (
+    CapExceeded,
     CyclicQuiverError,
     Quiver,
     build_semigroup,
@@ -37,6 +39,7 @@ from oracles import (
     star_quiver,
 )
 from pathcong import _kernels, cli, ideals, linalg, semigroup, verify
+from pathcong import quiver as quiver_module
 from pathcong.ideals import SpecialIdeal, ideal_route
 from pathcong.cli import main
 from pathcong.semigroup import join_closure
@@ -44,6 +47,7 @@ from pathcong.verify import PROPERTY_NAMES, congruence_label, congruence_lattice
 
 
 QUIVER_DIR = Path(__file__).resolve().parent.parent / "quivers"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def three_components():
@@ -202,10 +206,111 @@ def test_check_builds_one_lattice_per_enumeration(monkeypatch, kronecker):
 
 def test_check_of_an_equal_quiver_runs_no_closure(monkeypatch, kronecker):
     closures = count_calls(monkeypatch, semigroup, "congruence_route")
+    ideal_closures = count_calls(monkeypatch, ideals, "ideal_route")
+    lattices = count_calls(monkeypatch, verify, "build_lattice")
     assert check_theorems(kronecker).ok
-    assert len(closures) == 1
+    assert len(closures) == len(ideal_closures) == len(lattices) == 1
+    # the report is kept on the cached semigroup: a repeat runs neither route
     assert check_theorems(Quiver(list(kronecker.vertices), list(kronecker.arrows))).ok
-    assert len(closures) == 1
+    assert len(closures) == len(ideal_closures) == len(lattices) == 1
+
+
+def test_repeated_check_returns_a_fresh_copy(kronecker):
+    first = check_theorems(kronecker)
+    text = first.format()
+    again = check_theorems(Quiver(list(kronecker.vertices), list(kronecker.arrows)))
+    assert again.format() == text and again is not first
+    first.verdicts.append(("planted", False, "in the first report"))
+    first.computed["modular"] = None
+    first.quiver_summary["congruences"] = 0
+    first.predicted["modular"] = False
+    third = check_theorems(kronecker)
+    assert third.format() == text and third.ok
+    assert third.verdicts is not again.verdicts and third.computed is not again.computed
+
+
+def test_repeat_above_the_cap_is_refused_through_enumeration(monkeypatch, kronecker):
+    n = build_semigroup(kronecker).n
+    assert check_theorems(kronecker, n).ok
+    enumerations = count_calls(monkeypatch, semigroup, "enumerate_congruences")
+    with pytest.raises(CapExceeded, match=f"semigroup has {n} elements; enumeration cap is {n - 1}"):
+        check_theorems(kronecker, n - 1)
+    assert len(enumerations) == 1
+    assert check_theorems(kronecker, n).ok  # the report stays for a check within the cap
+    assert len(enumerations) == 1
+
+
+def test_cyclic_quiver_keeps_its_error_on_a_repeat():
+    loop = Quiver(["v"], [("a", "v", "v")])
+    for _ in range(2):
+        with pytest.raises(CyclicQuiverError, match="^theorem checks require an acyclic quiver$"):
+            check_theorems(loop)
+
+
+def test_a_cached_report_stays_until_the_cache_is_cleared(monkeypatch):
+    q = kronecker_quiver(3)
+    assert check_theorems(q).ok
+    real = verify.predict_properties
+    monkeypatch.setattr(verify, "predict_properties", lambda q: {**real(q), "modular": True})
+    assert check_theorems(q).ok  # the report of the unfaulted check
+    build_semigroup.cache_clear()
+    faulted = check_theorems(q)
+    assert not faulted.verdicts[1][1]
+    # a violating report is kept like any other
+    monkeypatch.setattr(verify, "predict_properties", real)
+    assert check_theorems(q).format() == faulted.format()
+    build_semigroup.cache_clear()
+    assert check_theorems(q).ok
+
+
+def test_a_check_that_raises_keeps_no_report(monkeypatch, kronecker):
+    def fault(lat):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(verify, "lattice_properties", fault)
+    with pytest.raises(RuntimeError, match="planted"):
+        check_theorems(kronecker)
+    assert build_semigroup(kronecker).report is None
+    monkeypatch.undo()
+    assert check_theorems(kronecker).ok
+    assert build_semigroup(kronecker).report is not None
+
+
+def load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reports_from_the_cache_equal_cold_reports(monkeypatch, seed):
+    workloads = load_workloads(monkeypatch)
+    quivers = [op.quiver for op in workloads.operations("random-suite", seed)]
+    cold = []
+    for q in quivers:
+        build_semigroup.cache_clear()
+        cold.append(check_theorems(q, workloads.CHECK_CAP).format())
+    build_semigroup.cache_clear()
+    evidence = count_calls(monkeypatch, verify, "build_evidence")
+    for _ in range(2):
+        assert [check_theorems(q, workloads.CHECK_CAP).format() for q in quivers] == cold
+    assert len(evidence) == len(set(quivers)) < len(quivers)
+
+
+def test_check_counts_paths_once_per_semigroup(monkeypatch):
+    # the semigroup keeps the counts its element count came from; the path
+    # list is checked against them, the evidence reads its max parallel
+    # paths from them, and a cyclic quiver is refused by counting them; the
+    # rest are predict_properties' two and the path enumeration's own test
+    orders = count_calls(monkeypatch, quiver_module, "_topological_order")
+    q = Quiver(["v"], [])
+    assert check_theorems(q).ok
+    assert len(orders) == 4
+    orders.clear()
+    assert check_theorems(q).ok
+    assert not orders
 
 
 def test_shared_component_is_closed_once(monkeypatch):

@@ -1,9 +1,9 @@
 """Time ``import pathcong``, both join-closures, the lattice stage, verdict 1's
-match, and whole checks.
+match, whole checks, and a random suite of checks.
 
     PYTHONPATH=src python3 tools/bench_lattice.py --label change
 
-Five measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
+Six measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
 
 - ``import_s``: seconds of ``import pathcong`` in a fresh interpreter,
   the median of ``REPEATS`` processes;
@@ -23,7 +23,13 @@ Five measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
   congruence, the median of ``REPEATS`` in-process runs of the loop on
   each of ``LATTICE_INPUTS``;
 - ``check``: ``check_theorems`` on each of ``CHECK_INPUTS`` in a fresh
-  interpreter, its seconds and the process's peak resident memory.
+  interpreter, its seconds and the process's peak resident memory;
+- ``suite``: ``check_theorems`` over every draw of ``random_suite(60, 0,
+  max_arrows=4, max_elements=12)``, the benchmark's random-suite draws,
+  in one fresh interpreter, so repeated draws meet the semigroup cache as
+  they do in a ``random-check`` run: the checks, the distinct quivers,
+  and the milliseconds of the checks and the peak resident memory, the
+  medians of ``REPEATS`` processes.
 
 Each run is appended to the list under ``--label`` in ``--out``, so one
 file holds parent and change runs taken alternately on one host: run the
@@ -99,6 +105,21 @@ seconds = time.perf_counter() - start
 if not report.ok:
     sys.exit(report.format())
 print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+SUITE_CHILD = """
+import resource, sys, time
+from pathcong import check_theorems, random_suite
+quivers = random_suite(60, 0, max_arrows=4, max_elements=12)
+start = time.perf_counter()
+reports = [check_theorems(q) for q in quivers]
+seconds = time.perf_counter() - start
+for report in reports:
+    if not report.ok:
+        sys.exit(report.format())
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(seconds, len(reports), len(set(quivers)), peak)
 """
 
 
@@ -190,6 +211,17 @@ def check_run(name: str) -> dict:
     return {"s": round(seconds, 3), "peak_rss_mb": round(peak, 1)}
 
 
+def suite_run() -> dict:
+    """Checks, distinct quivers, and median milliseconds and peak RSS of the suite's checks."""
+    seconds, checks, distinct, peak = zip(*(child(SUITE_CHILD) for _ in range(REPEATS)))
+    return {
+        "checks": int(checks[0]),
+        "distinct": int(distinct[0]),
+        **summary([s * 1e3 for s in seconds], "ms"),
+        "peak_rss_mb": round(statistics.median(peak), 1),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
@@ -209,6 +241,7 @@ def main(argv=None) -> int:
         "lattice_ms": {name: lattice_milliseconds(quiver(name)) for name in LATTICE_INPUTS},
         "match_us": {name: match_microseconds(quiver(name)) for name in LATTICE_INPUTS},
         "check": {name: check_run(name) for name in CHECK_INPUTS},
+        "suite": suite_run(),
     }
     print(f"{args.label:>8} import pathcong {run['import_s']:.4f} s")
     for name, routes in run["closure"].items():
@@ -223,6 +256,9 @@ def main(argv=None) -> int:
               f" {row['us']:8.2f} us per congruence")
     for name, row in run["check"].items():
         print(f"{args.label:>8} check {name:<13} {row['s']:7.3f} s {row['peak_rss_mb']:7.1f} MB")
+    row = run["suite"]
+    print(f"{args.label:>8} suite {row['checks']} checks, {row['distinct']} distinct"
+          f" {row['ms']:8.2f} ms {row['peak_rss_mb']:7.1f} MB")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["metric"] = (
         "import_s: fresh-process import seconds, median; closure: each route's"
@@ -231,7 +267,9 @@ def main(argv=None) -> int:
         " lattice_properties, median of in-process repeats; match_us: verdict 1's"
         " verify.match_congruence over every congruence, microseconds per congruence,"
         " median of in-process repeats; check: check_theorems seconds and peak RSS, one"
-        " fresh process per input"
+        " fresh process per input; suite: check_theorems over random_suite(60, 0,"
+        " max_arrows=4, max_elements=12) in one process, its checks, distinct quivers,"
+        " milliseconds and peak RSS, medians of fresh processes"
     )
     doc.setdefault("runs", {}).setdefault(args.label, []).append({"repeats": REPEATS, **run})
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
