@@ -223,12 +223,12 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
     """The zero ideal and one atom (r) per relation r, in ``all_relations`` order.
 
     Its ``join_closure`` is every special ideal, deduplicated by RREF
-    space and ordered by (dimension, residue labels): the zero ideal first,
-    the whole path algebra last.  A special ideal has dimension n - 1 -
-    max(labels), so this is the congruence closure's finest-first order,
-    and the image of congruence k is ideal k.  Refuses semigroups above
-    ``max_elements`` or the kernels' table limit, as the congruence side
-    does, before any relation is listed.
+    space (``SpecialIdeal`` equality) and listed finest first by residue
+    labels: the zero ideal first, the whole path algebra last.  A special
+    ideal has dimension n - 1 - max(labels), so that is the order by
+    (dimension, residue labels), and the image of congruence k is ideal
+    k.  Refuses semigroups above ``max_elements`` or the kernels' table
+    limit, as the congruence side does, before any relation is listed.
     """
     s = build_semigroup(q)
     s.check_element_cap(max_elements)
@@ -250,8 +250,6 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
         tuple(atoms),
         labels=lambda ideal: ideal.residue_labels,
         join=ideal_join,
-        key=lambda ideal: ideal.space.key(),
-        order=lambda ideal: (ideal.dim, ideal.residue_labels),
     )
 
 

@@ -282,13 +282,7 @@ def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
     return _canonical_congruence(s, _kernels.meet_labels(a.labels, b.labels))
 
 
-def _finest_first(lab: bytes):
-    # finest partitions first, ties in label order: identity lands at index 0,
-    # the universal congruence last
-    return -max(lab), lab
-
-
-Route = namedtuple("Route", "seed atoms labels join key order")  # one side's closure input
+Route = namedtuple("Route", "seed atoms labels join")  # one side's closure input
 
 
 def join_closure(route: Route):
@@ -298,10 +292,12 @@ def join_closure(route: Route):
     whose label vector, ``labels(element)``, read once per element, puts
     x and y in one block: their join is that element and is not formed.
     Otherwise the join is ``join(element, payload)``.  Joins are
-    deduplicated by ``key``; the first element found for a key is kept.
-    Returns the elements sorted by ``order`` and their join table re-indexed
-    to match, as tuples: row i, column k indexes element i joined with atom k.
-    Complete when each lattice element is the seed joined with the atoms below it.
+    deduplicated by the element itself (its ``==`` and hash); the first
+    one found is kept.  Returns the elements finest first, by their label
+    vectors (the most blocks first, ties in label order), and their join
+    table re-indexed to match, as tuples: row i, column k indexes element
+    i joined with atom k.  Complete when each lattice element is the seed
+    joined with the atoms below it.
 
     Each element after the seed was first found as p v a_j, with row p
     already complete.  Its join with a_k is then (p v a_k) v a_j, read
@@ -313,15 +309,14 @@ def join_closure(route: Route):
     join per pair of blocks and reads the rest from a dict keyed by the
     pair; the "below" test is the case where the two blocks are one.
     This needs ``join`` to be a semilattice join (associative,
-    commutative, idempotent), ``key`` to identify exactly the equal
-    elements, labels that are bytes, and each payload to be the least
-    element that puts its x and y in one block: then an element c that
-    puts x' with x and y' with y has c v a = c v a' for atoms a = (x, y)
-    and a' = (x', y').  The elements, their order and the table are those
-    of joining every pair.
+    commutative, idempotent), labels that are bytes, and each payload to
+    be the least element that puts its x and y in one block: then an
+    element c that puts x' with x and y' with y has c v a = c v a' for
+    atoms a = (x, y) and a' = (x', y').  The elements, their order and
+    the table are those of joining every pair.
     """
-    seed, atoms, labels, join, key, order = route
-    found = {key(seed): 0}
+    seed, atoms, labels, join = route
+    found = {seed: 0}
     elements = [seed]
     origin = [None]  # origin[i] = (p, j): elements[i] was first found as p v a_j
     succ = []
@@ -340,14 +335,14 @@ def join_closure(route: Route):
                 j = succ[t][a]
             elif (j := by_pair.get(pair)) is None:
                 joined = join(cur, payload)
-                j = found.setdefault(key(joined), len(elements))
+                j = found.setdefault(joined, len(elements))
                 if j == len(elements):
                     elements.append(joined)
                     origin.append((i, k))
             by_pair[pair] = j
             row.append(j)
         succ.append(row)
-    rank = sorted(range(len(elements)), key=lambda i: order(elements[i]))
+    rank = sorted(range(len(elements)), key=lambda i: (-max(lab := labels(elements[i])), lab))
     place = [0] * len(rank)  # inverts rank: elements[i] goes to place[i]
     for r, i in enumerate(rank):
         place[i] = r
@@ -407,8 +402,6 @@ def congruence_route(s: PathSemigroup) -> Route:
         generators,
         labels=lambda lab: lab,  # theta(x, y) <= cur iff cur puts x and y in one block
         join=_kernels.join_labels,
-        key=lambda lab: lab,
-        order=_finest_first,
     )
 
 

@@ -37,8 +37,6 @@ from .quiver import (
     CyclicQuiverError,
     Quiver,
     connected_components,
-    is_acyclic,
-    max_parallel_paths,
     underlying_graph_is_tree,
 )
 from .semigroup import (
@@ -55,8 +53,16 @@ from .semigroup import (
 PREDICTED_KEYS = PROPERTY_NAMES + ("all_rees",)
 
 
+def _acyclic_semigroup(q: Quiver, task: str) -> PathSemigroup:
+    """``build_semigroup(q)``, refusing a cyclic quiver with an error that names ``task``."""
+    try:
+        return build_semigroup(q)
+    except CyclicQuiverError:
+        raise CyclicQuiverError(f"{task} require an acyclic quiver") from None
+
+
 def predict_properties(q: Quiver) -> dict[str, bool]:
-    """Property predictions from path counts alone, no enumeration.
+    """Property predictions from the semigroup's path ``counts`` alone, no enumeration.
 
     Strong upper semimodularity always holds; modularity and the lower
     semimodularity variants hold iff at most two parallel paths exist;
@@ -64,9 +70,7 @@ def predict_properties(q: Quiver) -> dict[str, bool]:
     underlying graph forces distributivity: it has one undirected path
     between any two vertices, so at most one parallel path.
     """
-    if not is_acyclic(q):
-        raise CyclicQuiverError("property predictions require an acyclic quiver")
-    mpp = max_parallel_paths(q)
+    mpp = max(_acyclic_semigroup(q, "property predictions").counts.values(), default=0)
     at_most_two = mpp <= 2
     at_most_one = mpp <= 1
     return {
@@ -198,19 +202,13 @@ def match_congruence(s: PathSemigroup, k: int, c: Congruence, ideal: SpecialIdea
         raise AssertionError(f"round trip fails at congruence {k}")
 
 
-def _acyclic_semigroup(q: Quiver) -> PathSemigroup:
-    """``build_semigroup(q)``, refusing a cyclic quiver with the theorem checks' error."""
-    try:
-        return build_semigroup(q)
-    except CyclicQuiverError:
-        raise CyclicQuiverError("theorem checks require an acyclic quiver") from None
 
 
 def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evidence:
     """Congruences and special ideals, enumerated independently in one order with their
     join tables over one generator per relation; the match between them; each lattice's
     properties."""
-    s = _acyclic_semigroup(q)
+    s = _acyclic_semigroup(q, "theorem checks")
     try:
         lat, failed = congruence_lattice(s, max_elements), {}
         congs = lat.elements
@@ -330,7 +328,7 @@ def check_theorems(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Theor
     evidence.  A refusal or a check that raises keeps nothing and goes
     through ``build_evidence`` each time.
     """
-    s = _acyclic_semigroup(q)
+    s = _acyclic_semigroup(q, "theorem checks")
     if s.report is not None and s.n <= max_elements:
         *parts, verdicts = s.report
         return TheoremReport(*map(dict, parts), list(verdicts))

@@ -31,7 +31,6 @@ from pathcong import (
 )
 from pathcong.ideals import Relation, SpecialIdeal
 from pathcong import _kernels, verify
-from pathcong.semigroup import _finest_first
 
 
 def kronecker_quiver(arrows):
@@ -111,32 +110,39 @@ def enumerate_congruences_bruteforce(s, max_elements: int = 10) -> list[Congruen
     if s.n > max_elements:
         raise CapExceeded(f"semigroup has {s.n} elements; brute-force cap is {max_elements}")
     labels = congruences_bruteforce(s.table_bytes, s.n)
-    return [Congruence(s, lab) for lab in sorted(labels, key=_finest_first)]
+    # finest first: the most blocks first, ties in label order
+    return [Congruence(s, lab) for lab in sorted(labels, key=lambda lab: (-max(lab), lab))]
 
 
 def direct_join_closure(route):
     """``semigroup.join_closure`` forming every join it tabulates, none read from the table.
 
-    Same route, and its elements sorted by ``order`` and one row per
-    element giving the index of its join with each atom.  It joins the
-    atoms below an element too, so it never reads ``labels``.
+    Same route, and its elements, deduplicated by equality, sorted finest
+    first by their labels (the most blocks first, ties in label order),
+    and one row per element giving the index of its join with each atom.
+    It joins the atoms below an element too, so it reads ``labels`` only
+    to sort.
     """
-    seed, atoms, _, join, key, order = route
-    found = {key(seed): 0}
+    seed, atoms, labels, join = route
+    found = {seed: 0}
     elements = [seed]
     succ = []
     for cur in elements:  # visits the elements appended below, in order
         row = []
         for _, _, payload in atoms:
             joined = join(cur, payload)
-            k = key(joined)
-            j = found.get(k)
+            j = found.get(joined)
             if j is None:
-                j = found[k] = len(elements)
+                j = found[joined] = len(elements)
                 elements.append(joined)
             row.append(j)
         succ.append(row)
-    rank = sorted(range(len(elements)), key=lambda i: order(elements[i]))
+
+    def finest_first(i):
+        lab = labels(elements[i])
+        return -max(lab), lab
+
+    rank = sorted(range(len(elements)), key=finest_first)
     new_index = {old: new for new, old in enumerate(rank)}
     return [elements[i] for i in rank], [[new_index[j] for j in succ[i]] for i in rank]
 

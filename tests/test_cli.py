@@ -252,6 +252,12 @@ def test_predict_cyclic_is_domain_error(qfile, capsys):
     assert "acyclic" in capsys.readouterr().err
 
 
+def test_predict_cyclic_names_the_predictions(qfile, capsys):
+    # the semigroup's path counts refuse the loop; predict says what needed them
+    assert main(["predict", qfile(LOOP)]) == 1
+    assert capsys.readouterr() == ("", "error: property predictions require an acyclic quiver\n")
+
+
 def test_reader_closing_early_ends_quietly():
     # like `pathcong random-check --trials 3000 | head -1`: the reader stops
     # after one line, and the next write finds the pipe closed

@@ -10,6 +10,7 @@ from pathcong import _kernels, ideals, semigroup
 from pathcong import (
     CapExceeded,
     PathSemigroup,
+    PathVector,
     Quiver,
     build_semigroup,
     congruence_from_blocks,
@@ -27,6 +28,7 @@ from pathcong import (
     path_counts,
     principal_congruence,
     random_acyclic_quiver,
+    row_reduce,
     universal_congruence,
 )
 from pathcong.verify import congruence_label, congruence_lattice
@@ -518,7 +520,7 @@ def assert_closure_matches_direct(q, name):
     # both routes test "below" on the elements (x, y) of one relation per column
     assert tuple((x, y) for x, y, _ in route.atoms) == build_semigroup(q).congruence_closure[2]
     expected, expected_succ = direct_join_closure(route)
-    assert [route.key(e) for e in found] == [route.key(e) for e in expected]
+    assert list(found) == expected
     assert succ == tuple(map(tuple, expected_succ))
 
 
@@ -551,13 +553,13 @@ def test_join_closure_matches_direct_closure_on_random_quivers(seed):
 
 def closure_with_formed_joins(q, name):
     """One route of q, its closure, and each join the closure formed as
-    (key of the element, index of the atom)."""
+    (the element, index of the atom)."""
     route = ROUTES[name](q)
-    column = {route.key(payload): k for k, (_, _, payload) in enumerate(route.atoms)}
+    column = {payload: k for k, (_, _, payload) in enumerate(route.atoms)}
     formed = []
 
     def counted(cur, payload):
-        formed.append((route.key(cur), column[route.key(payload)]))
+        formed.append((cur, column[payload]))
         return route.join(cur, payload)
 
     return route, semigroup.join_closure(route._replace(join=counted)), formed
@@ -594,9 +596,34 @@ def test_join_closure_reads_a_join_across_the_same_blocks(name):
     pairs = [(x, y) for x, y, _ in route.atoms]
     k_a1, k0, k1 = map(pairs.index, [(0, a1), (0, a2), (a1, a2)])
     row = table[0][k_a1]  # the seed comes first in both orders
-    assert (route.key(found[row]), k0) in formed
-    assert (route.key(found[row]), k1) not in formed
+    assert (found[row], k0) in formed
+    assert (found[row], k1) not in formed
     assert table[row][k1] == table[row][k0] != row
+
+
+def test_join_closure_keeps_spaces_that_share_a_label_vector():
+    # on Kronecker(4) every subspace of span{a1, a2, a3, a4} is an ideal;
+    # span{a1 - a2 - a3 + a4} and span{a1 - a2 + a3 - a4} leave every
+    # residue distinct, as the zero ideal does, so all three share the
+    # identity's labels.  The closure dedupes by the space, so it keeps the
+    # three apart: verdict 1 then sees two ideals for one congruence
+    q = kronecker_quiver(4)
+    s = build_semigroup(q)
+    a1, a2, a3, a4 = (s.index_by_name(f"a{i}") - 1 for i in range(1, 5))  # path indices
+
+    def ideal(*vectors):
+        return ideals.SpecialIdeal(q, frozenset(), row_reduce(vectors, len(s.paths)))
+
+    zero = ideal()
+    p1 = ideal(PathVector({a1: 1, a2: -1, a3: -1, a4: 1}))
+    p2 = ideal(PathVector({a1: 1, a2: -1, a3: 1, a4: -1}))
+    assert p1.residue_labels == p2.residue_labels == zero.residue_labels == bytes(range(s.n))
+    atoms = ((a1 + 1, a2 + 1, p1), (a3 + 1, a4 + 1, p2))
+    route = semigroup.Route(zero, atoms, lambda i: i.residue_labels, ideals.ideal_join)
+    found, table = semigroup.join_closure(route)
+    both = ideal(PathVector({a1: 1, a2: -1}), PathVector({a3: 1, a4: -1}))
+    assert found == (zero, p1, p2, both)  # label ties keep the order found
+    assert table == ((1, 2), (1, 3), (3, 2), (3, 3))
 
 
 @pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)

@@ -302,12 +302,12 @@ def test_reports_from_the_cache_equal_cold_reports(monkeypatch, seed):
 def test_check_counts_paths_once_per_semigroup(monkeypatch):
     # the semigroup keeps the counts its element count came from; the path
     # list is checked against them, the evidence reads its max parallel
-    # paths from them, and a cyclic quiver is refused by counting them; the
-    # rest are predict_properties' two and the path enumeration's own test
+    # paths from them, and so do the predictions, and a cyclic quiver is
+    # refused by counting them; the other is the path enumeration's own test
     orders = count_calls(monkeypatch, quiver_module, "_topological_order")
     q = Quiver(["v"], [])
     assert check_theorems(q).ok
-    assert len(orders) == 4
+    assert len(orders) == 2
     orders.clear()
     assert check_theorems(q).ok
     assert not orders
@@ -754,14 +754,15 @@ def test_verdict_1_builds_no_image(monkeypatch, triple_arrow):
     monkeypatch.setattr(
         linalg.Subspace, "__init__", lambda self, *args: subspaces.append(1) or init(self, *args)
     )
-    real = verify.ideal_route
+    real = verify.join_closure  # verify calls it on the ideal route only
 
-    def counted_route(q, max_elements):
-        # the closure orders its elements once every join is formed
-        route = real(q, max_elements)
-        return route._replace(order=lambda e: after_closure.append(len(subspaces)) or route.order(e))
+    def counted_closure(route):
+        # every join is formed once the closure returns
+        closure = real(route)
+        after_closure.append(len(subspaces))
+        return closure
 
-    monkeypatch.setattr(verify, "ideal_route", counted_route)
+    monkeypatch.setattr(verify, "join_closure", counted_closure)
     for q in (triple_arrow, three_components(), kronecker_quiver(3)):
         subspaces.clear()
         after_closure.clear()
