@@ -53,14 +53,6 @@ from .semigroup import (
 PREDICTED_KEYS = PROPERTY_NAMES + ("all_rees",)
 
 
-def _acyclic_semigroup(q: Quiver, task: str) -> PathSemigroup:
-    """``build_semigroup(q)``, refusing a cyclic quiver with an error that names ``task``."""
-    try:
-        return build_semigroup(q)
-    except CyclicQuiverError:
-        raise CyclicQuiverError(f"{task} require an acyclic quiver") from None
-
-
 def predict_properties(q: Quiver) -> dict[str, bool]:
     """Property predictions from the semigroup's path ``counts`` alone, no enumeration.
 
@@ -202,6 +194,12 @@ def match_congruence(s: PathSemigroup, k: int, c: Congruence, ideal: SpecialIdea
         raise AssertionError(f"round trip fails at congruence {k}")
 
 
+def _acyclic_semigroup(q: Quiver, task: str) -> PathSemigroup:
+    """``build_semigroup(q)``, refusing a cyclic quiver with an error that names ``task``."""
+    try:
+        return build_semigroup(q)
+    except CyclicQuiverError:
+        raise CyclicQuiverError(f"{task} require an acyclic quiver") from None
 
 
 def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evidence:

@@ -137,12 +137,7 @@ def direct_join_closure(route):
                 elements.append(joined)
             row.append(j)
         succ.append(row)
-
-    def finest_first(i):
-        lab = labels(elements[i])
-        return -max(lab), lab
-
-    rank = sorted(range(len(elements)), key=finest_first)
+    rank = sorted(range(len(elements)), key=lambda i: (-max(lab := labels(elements[i])), lab))
     new_index = {old: new for new, old in enumerate(rank)}
     return [elements[i] for i in rank], [[new_index[j] for j in succ[i]] for i in rank]
 
