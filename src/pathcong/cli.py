@@ -15,7 +15,7 @@ import sys
 
 from .ideals import enumerate_special_ideals
 from .lattice import LatticeError, lattice_properties, lattice_to_dot, lattice_to_json_dict
-from .quiver import QuiverError, is_acyclic, max_parallel_paths, parse_quiver, quiver_to_text
+from .quiver import QuiverError, is_acyclic, parse_quiver, quiver_to_text
 from .random_quivers import random_suite
 from .semigroup import DEFAULT_MAX_ELEMENTS, CapExceeded, build_semigroup, enumerate_congruences
 from .verify import (
@@ -110,8 +110,9 @@ def _cmd_lattice(args) -> int:
 def _cmd_predict(args) -> int:
     q = _load_quiver(args.file)
     predicted = predict_properties(q)
-    elements = build_semigroup(q).n  # from path counts; nothing is enumerated
-    mpp = max_parallel_paths(q)
+    s = build_semigroup(q)  # sized from path counts; nothing is enumerated
+    elements = s.n
+    mpp = max(s.counts.values(), default=0)
     if args.json:
         payload = {"elements": elements, "max_parallel_paths": mpp, "predicted": predicted}
         print(json.dumps(payload, indent=2, sort_keys=True))

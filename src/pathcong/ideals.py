@@ -85,7 +85,10 @@ class SpecialIdeal:
     """An ideal generated by relations, with its vector space in RREF form.
 
     Two ideals are equal exactly when their spaces are; the recorded
-    generating set is one of possibly many.
+    generating set is one of possibly many.  The hash is that of the
+    residue labels, which equal spaces share; two spaces with one label
+    vector hash alike but stay unequal.  Past the kernels' table limit,
+    where there are no labels, it is the space's hash.
     """
 
     __slots__ = ("quiver", "_generators", "space", "_residue_labels")
@@ -148,7 +151,9 @@ class SpecialIdeal:
         )
 
     def __hash__(self):
-        return hash(self.space)
+        if self.space.dim_ambient >= KERNEL_TABLE_LIMIT:
+            return hash(self.space)
+        return hash(self.residue_labels)
 
     def __repr__(self):
         return f"SpecialIdeal(dim {self.dim})"

@@ -8,7 +8,8 @@ stay integral, so elimination runs in ``int`` arithmetic and builds a
 ``Fraction`` only when a pivot is not a unit.  A subspace is stored
 once, as its reduced row-echelon pivot -> row map, which is canonical:
 two subspaces are equal exactly when their row maps are identical.  Its
-basis and hashable key are derived from that map.
+basis and hashable key are derived from that map, in pivot order, when
+they are read.
 """
 
 from __future__ import annotations
@@ -132,16 +133,16 @@ class Subspace:
 
     The rows map each pivot column to its row: the pivot entry is 1 and
     every other row vanishes in that column, so equal spans have
-    identical row maps.  The rows are kept in increasing pivot order and
-    are never changed in place.
+    identical row maps.  The map is stored as given, in any pivot order,
+    and its rows are never changed in place; ``basis`` and ``key`` list
+    the rows in increasing pivot order.
     """
 
-    __slots__ = ("dim_ambient", "_rows", "_key")
+    __slots__ = ("dim_ambient", "_rows")
 
     def __init__(self, dim_ambient: int, rows: dict[int, dict]):
         self.dim_ambient = dim_ambient
-        self._rows = dict(sorted(rows.items()))
-        self._key = None
+        self._rows = rows
 
     @property
     def dim(self) -> int:
@@ -149,7 +150,7 @@ class Subspace:
 
     @property
     def basis(self) -> tuple[PathVector, ...]:
-        return tuple(_wrap(row) for row in self._rows.values())
+        return tuple(_wrap(row) for _, row in sorted(self._rows.items()))
 
     def unit_residue_keys(self) -> list:
         """One hashable key per unit vector e_i, equal exactly when the residues are.
@@ -183,10 +184,9 @@ class Subspace:
         return not any(_residue(row, rows) for row in other._rows.values())
 
     def key(self):
-        """Canonical hashable form of the rows: ``(index, coefficient)`` pairs per row."""
-        if self._key is None:
-            self._key = tuple(tuple(sorted(row.items())) for row in self._rows.values())
-        return self._key
+        """Canonical hashable form of the rows: ``(index, coefficient)`` pairs per row,
+        rows in pivot order."""
+        return tuple(tuple(sorted(row.items())) for _, row in sorted(self._rows.items()))
 
     def __eq__(self, other):
         return (
@@ -218,14 +218,19 @@ def row_reduce(vectors, dim: int) -> Subspace:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces: the smaller one's rows absorbed into the larger one's."""
+    """Sum of two subspaces: the smaller one's rows absorbed into the larger one's.
+
+    A row that the sum already holds, the same row at the same pivot, lies
+    in its span and is skipped; any other row is absorbed.
+    """
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimensions differ")
     if a.dim < b.dim:
         a, b = b, a
     rows = dict(a._rows)
-    for row in b._rows.values():
-        _absorb(rows, row)
+    for p, row in b._rows.items():
+        if rows.get(p) != row:
+            _absorb(rows, row)
     return a if len(rows) == a.dim else Subspace(a.dim_ambient, rows)
 
 

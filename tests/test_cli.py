@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from pathcong import check_theorems, parse_quiver
+from pathcong import quiver as quiver_module
 from pathcong.cli import EXIT_DOMAIN, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+QUIVER_DIR = SRC.parent / "quivers"
 
 SINGLE = "vertices: 1 2\narrow alpha: 1 -> 2\n"
 KRONECKER = "vertices: 1 2\narrow alpha: 1 -> 2\narrow beta: 1 -> 2\n"
@@ -245,6 +247,17 @@ def test_predict_json_agrees_with_check(qfile, capsys):
         "max_parallel_paths": report.quiver_summary["max_parallel_paths"],
         "predicted": report.computed,
     }
+
+
+def test_predict_counts_paths_once(monkeypatch, capsys):
+    # the predictions and the printed maximum both read the semigroup's
+    # path counts, so the quiver is sorted once
+    orders = []
+    real = quiver_module._topological_order
+    monkeypatch.setattr(quiver_module, "_topological_order", lambda q: orders.append(1) or real(q))
+    assert main(["predict", str(QUIVER_DIR / "kronecker.quiver")]) == 0
+    assert "max parallel paths: 2" in capsys.readouterr().out.splitlines()
+    assert len(orders) == 1
 
 
 def test_predict_cyclic_is_domain_error(qfile, capsys):

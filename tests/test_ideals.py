@@ -35,6 +35,7 @@ from pathcong.semigroup import CapExceeded, Congruence, join_closure
 from oracles import (
     congruence_to_ideal_eager,
     direct_join_closure,
+    doubled_chain_quiver,
     ideal_meet,
     ideal_subset,
     kronecker_quiver,
@@ -203,6 +204,23 @@ def test_residue_labels_refuse_semigroups_beyond_one_byte_per_label():
     q = Quiver(["1", "2"], [(f"a{i}", "1", "2") for i in range(253)])
     with pytest.raises(CapExceeded, match="exceeds the kernel table limit of 255"):
         zero_ideal(q).residue_labels
+
+
+def test_ideal_past_the_kernel_limit_still_hashes():
+    # 503 elements: no residue labels, so the hash falls back to the space's
+    q = doubled_chain_quiver(7)
+    assert build_semigroup(q).n == 503
+    ideal = generate_ideal(q, [monomial_relation(0)])
+    with pytest.raises(CapExceeded):
+        ideal.residue_labels
+    again = generate_ideal(q, [monomial_relation(0)])
+    assert hash(again) == hash(ideal)
+    assert {ideal, again} == {ideal}
+
+
+def test_ideal_hash_is_the_residue_labels_hash(kronecker):
+    for ideal in enumerate_special_ideals(kronecker):
+        assert hash(ideal) == hash(ideal.residue_labels)
 
 
 def test_ideal_to_congruence_bounds(single_arrow):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import residue, subspace_intersection, unit_residues
 from pathcong import _kernels, enumerate_special_ideals, parse_quiver
+from pathcong import linalg
 from pathcong.linalg import (
     PathVector,
+    Subspace,
     format_path_vector,
     path_vector_to_json,
     row_reduce,
@@ -98,6 +100,36 @@ def test_intersection_parallel_arrow_spans():
     assert inter == row_reduce([vec(a=1, b=-1, g=1)], 5)
     total = subspace_sum(left, right)
     assert total == row_reduce([vec(a=1), vec(b=1), vec(g=1)], 5)
+
+
+def test_rows_given_out_of_order_read_in_pivot_order():
+    rows = {B: {B: 1, G: -1}, A: {A: 1, G: 2}}  # descending pivots
+    sub = Subspace(5, rows)
+    ordered = Subspace(5, dict(sorted(rows.items())))
+    assert sub.basis == (PathVector({A: 1, G: 2}), PathVector({B: 1, G: -1}))
+    assert sub.key() == (((A, 1), (G, 2)), ((B, 1), (G, -1)))
+    assert sub == ordered
+    assert hash(sub) == hash(ordered)
+    assert sub.key() == ordered.key()
+
+
+def test_sum_skips_a_row_the_larger_space_holds(monkeypatch):
+    big = row_reduce([vec(a=1, g=-1), vec(b=1)], 5)
+    small = row_reduce([vec(a=1, g=-1)], 5)
+    absorbed = []
+    real = linalg._absorb
+    monkeypatch.setattr(linalg, "_absorb", lambda rows, v: absorbed.append(v) or real(rows, v))
+    for total in (subspace_sum(big, small), subspace_sum(small, big)):
+        assert total is big
+    assert not absorbed
+
+
+def test_sum_absorbs_another_row_at_a_shared_pivot():
+    big = row_reduce([vec(a=1, g=-1), vec(b=1)], 5)
+    small = row_reduce([vec(a=1, b=-1)], 5)  # pivot a, as in big, but another row
+    total = subspace_sum(big, small)
+    assert total == row_reduce([vec(a=1), vec(b=1), vec(g=1)], 5)
+    assert total.basis == (PathVector({A: 1}), PathVector({B: 1}), PathVector({G: 1}))
 
 
 def test_dimension_mismatch_rejected():

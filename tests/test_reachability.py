@@ -47,6 +47,8 @@ LIBRARY_ENTRY_POINTS = {
     # a caller gives and generate from them
     "zero_ideal",
     "_validate_relation",
+    # exported; predict reads the same maximum off the semigroup's path counts
+    "max_parallel_paths",
     "console_main",  # the installed script; the runs call main()
 }
 # The benchmark builds its workloads with this (perfbench/workloads.py);

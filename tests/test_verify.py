@@ -313,6 +313,15 @@ def test_check_counts_paths_once_per_semigroup(monkeypatch):
     assert not orders
 
 
+def test_check_reads_no_subspace_key(monkeypatch):
+    # the ideal closure dedupes by residue labels (hash) and RREF row maps
+    # (equality), so no canonical key is built
+    keys = count_calls(monkeypatch, linalg.Subspace, "key")
+    for q in (kronecker_quiver(5), star_quiver(5)):
+        assert check_theorems(q).ok
+    assert not keys
+
+
 def test_shared_component_is_closed_once(monkeypatch):
     # two components of one quiver never compare equal (their vertices
     # differ), but quivers that share a component share its closure
