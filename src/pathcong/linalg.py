@@ -218,11 +218,8 @@ def row_reduce(vectors, dim: int) -> Subspace:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces: the smaller one's rows absorbed into the larger one's.
-
-    A row that the sum already holds, the same row at the same pivot, lies
-    in its span and is skipped; any other row is absorbed.
-    """
+    """Sum of two subspaces: the smaller one's rows absorbed into the larger
+    one's, but for each row the larger holds already, at the same pivot."""
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimensions differ")
     if a.dim < b.dim:
