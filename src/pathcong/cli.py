@@ -111,8 +111,7 @@ def _cmd_predict(args) -> int:
     q = _load_quiver(args.file)
     predicted = predict_properties(q)
     s = build_semigroup(q)  # sized from path counts; nothing is enumerated
-    elements = s.n
-    mpp = max(s.counts.values(), default=0)
+    elements, mpp = s.n, s.max_parallel_paths
     if args.json:
         payload = {"elements": elements, "max_parallel_paths": mpp, "predicted": predicted}
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -133,16 +133,18 @@ class Subspace:
 
     The rows map each pivot column to its row: the pivot entry is 1 and
     every other row vanishes in that column, so equal spans have
-    identical row maps.  The map is stored as given, in any pivot order,
+    identical row maps.  The map is copied as given, in any pivot order,
     and its rows are never changed in place; ``basis`` and ``key`` list
-    the rows in increasing pivot order.
+    the rows in increasing pivot order.  The hash is taken from the key
+    on first use and kept.
     """
 
-    __slots__ = ("dim_ambient", "_rows")
+    __slots__ = ("dim_ambient", "_rows", "_hash")
 
     def __init__(self, dim_ambient: int, rows: dict[int, dict]):
         self.dim_ambient = dim_ambient
-        self._rows = rows
+        self._rows = dict(rows)
+        self._hash = None
 
     @property
     def dim(self) -> int:
@@ -196,7 +198,9 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.dim_ambient, self.key()))
+        if self._hash is None:
+            self._hash = hash((self.dim_ambient, self.key()))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.dim_ambient})"
@@ -218,16 +222,14 @@ def row_reduce(vectors, dim: int) -> Subspace:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces: the smaller one's rows absorbed into the larger
-    one's, but for each row the larger holds already, at the same pivot."""
+    """Sum of two subspaces: the smaller one's rows absorbed into the larger one's."""
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimensions differ")
     if a.dim < b.dim:
         a, b = b, a
     rows = dict(a._rows)
-    for p, row in b._rows.items():
-        if rows.get(p) != row:
-            _absorb(rows, row)
+    for row in b._rows.values():
+        _absorb(rows, row)
     return a if len(rows) == a.dim else Subspace(a.dim_ambient, rows)
 
 

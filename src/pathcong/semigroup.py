@@ -30,22 +30,25 @@ class PathSemigroup:
     the congruence route reads that table; the ideal route forms its own
     products from ``paths``.
 
-    Only the path counts per (source, target) pair, ``counts``, and the
-    element count ``n`` are computed up front, so a size cap can refuse a
-    semigroup before any path or table exists.  ``paths``, the name index,
+    Only the path counts per (source, target) pair, ``counts``, the
+    element count ``n`` and the largest count, ``max_parallel_paths``,
+    are computed up front, so a size cap can refuse a semigroup before
+    any path or table exists.  ``paths``, the name index,
     ``table_bytes`` and ``congruence_closure`` are built on first use.
     ``report`` is None until ``verify.check_theorems`` stores its finished
     report there.  Semigroups of equal quivers compare equal.
     """
 
     __slots__ = (
-        "quiver", "counts", "n", "report", "_paths", "_name_to_index", "_table_bytes", "_closure"
+        "quiver", "counts", "n", "max_parallel_paths", "report",
+        "_paths", "_name_to_index", "_table_bytes", "_closure",
     )
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
         self.counts = path_counts(quiver)
         self.n = 1 + sum(self.counts.values())
+        self.max_parallel_paths = max(self.counts.values(), default=0)
         self.report = self._paths = self._name_to_index = self._table_bytes = self._closure = None
 
     @property

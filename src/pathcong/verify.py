@@ -62,7 +62,7 @@ def predict_properties(q: Quiver) -> dict[str, bool]:
     underlying graph forces distributivity: it has one undirected path
     between any two vertices, so at most one parallel path.
     """
-    mpp = max(_acyclic_semigroup(q, "property predictions").counts.values(), default=0)
+    mpp = _acyclic_semigroup(q, "property predictions").max_parallel_paths
     at_most_two = mpp <= 2
     at_most_one = mpp <= 1
     return {
@@ -213,8 +213,7 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
     except LatticeError as exc:
         lat, congs, failed = None, exc.elements, {"lattice": str(exc)}
     ideals, S_i = join_closure(route := ideal_route(q, max_elements))
-    mpp = max(s.counts.values(), default=0)
-    ev = Evidence(s, mpp, predict_properties(q), congs, ideals, S_i, lat, failed)
+    ev = Evidence(s, s.max_parallel_paths, predict_properties(q), congs, ideals, S_i, lat, failed)
     try:
         if lat is None:
             raise AssertionError(failed["lattice"])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import residue, subspace_intersection, unit_residues
 from pathcong import _kernels, enumerate_special_ideals, parse_quiver
-from pathcong import linalg
 from pathcong.linalg import (
     PathVector,
     Subspace,
@@ -112,15 +111,31 @@ def test_rows_given_out_of_order_read_in_pivot_order():
     assert hash(sub) == hash(ordered)
 
 
-def test_sum_skips_a_row_the_larger_space_holds(monkeypatch):
+def test_subspace_keeps_its_own_copy_of_the_rows():
+    rows = {A: {A: 1, G: 2}}
+    sub = Subspace(5, rows)
+    before = hash(sub)
+    rows[B] = {B: 1}  # the caller's map changes after the build
+    assert sub.dim == 1
+    assert sub == row_reduce([vec(a=1, g=2)], 5)
+    assert hash(sub) == before == hash(row_reduce([vec(a=1, g=2)], 5))
+
+
+def test_subspace_hash_sorts_the_rows_once(monkeypatch):
+    sub = row_reduce([vec(b=1, g=-1), vec(a=1, g=2)], 5)
+    keys = []
+    real = Subspace.key
+    monkeypatch.setattr(Subspace, "key", lambda self: keys.append(1) or real(self))
+    assert len({hash(sub) for _ in range(3)}) == 1
+    assert {sub, sub} == {sub}
+    assert len(keys) == 1
+
+
+def test_sum_with_a_row_the_larger_space_holds_is_the_larger_space():
     big = row_reduce([vec(a=1, g=-1), vec(b=1)], 5)
-    small = row_reduce([vec(a=1, g=-1)], 5)
-    absorbed = []
-    real = linalg._absorb
-    monkeypatch.setattr(linalg, "_absorb", lambda rows, v: absorbed.append(v) or real(rows, v))
+    small = row_reduce([vec(a=1, g=-1)], 5)  # the same row at the same pivot
     for total in (subspace_sum(big, small), subspace_sum(small, big)):
         assert total is big
-    assert not absorbed
 
 
 def test_sum_absorbs_another_row_at_a_shared_pivot():

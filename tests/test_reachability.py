@@ -47,7 +47,8 @@ LIBRARY_ENTRY_POINTS = {
     # a caller gives and generate from them
     "zero_ideal",
     "_validate_relation",
-    # exported; predict reads the same maximum off the semigroup's path counts
+    # exported; the commands read PathSemigroup.max_parallel_paths, the
+    # largest of the path counts the semigroup already holds
     "max_parallel_paths",
     "console_main",  # the installed script; the runs call main()
 }

@@ -23,6 +23,7 @@ from pathcong import (
     identity_congruence,
     is_rees,
     join_congruences,
+    max_parallel_paths,
     meet_congruences,
     parse_quiver,
     path_counts,
@@ -413,6 +414,15 @@ def test_lazy_semigroup_matches_eager_builder(path):
 @settings(max_examples=40, deadline=None)
 def test_lazy_semigroup_matches_eager_builder_on_random_quivers(seed):
     assert_matches_eager(random_acyclic_quiver(random.Random(seed), 5, 7, 60))
+
+
+@pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda p: p.stem)
+def test_max_parallel_paths_is_the_largest_path_count(path):
+    q = parse_quiver(path.read_text())
+    s = PathSemigroup(q)
+    assert s.max_parallel_paths == max(path_counts(q).values()) == max_parallel_paths(q)
+    assert s._paths is None  # read from the counts; no path is listed
+    assert PathSemigroup(Quiver([], [])).max_parallel_paths == 0
 
 
 def test_table_bytes_refuses_past_the_kernel_limit_from_the_count():
