@@ -40,9 +40,6 @@ class Relation:
             return paths[self.first].name
         return f"{paths[self.first].name} - {paths[self.second].name}"
 
-    def sort_key(self):
-        return (0, self.first, -1) if self.second is None else (1, self.first, self.second)
-
 
 def monomial_relation(i: int) -> Relation:
     return Relation(i)
@@ -66,6 +63,22 @@ def _validate_relation(r: Relation, s: PathSemigroup) -> None:
             raise ValueError("invalid relation: paths are not parallel")
 
 
+def _bit(first: int, second: int | None, npaths: int) -> int:
+    """The bit of ``Relation(first, second)`` in a generator mask: i for the monomial
+    on path i, npaths*(x + 1) + y for x - y, so bit order is ``all_relations`` order."""
+    return first if second is None else npaths * (first + 1) + second
+
+
+def _relations(mask: int, npaths: int) -> list[Relation]:
+    """The relations whose bits are set in ``mask``, in bit order."""
+    rels = []
+    while mask:
+        x, y = divmod((mask & -mask).bit_length() - 1, npaths)
+        rels.append(Relation(x - 1, y) if x else Relation(y))
+        mask &= mask - 1  # clears the lowest bit
+    return rels
+
+
 def all_relations(q: Quiver) -> tuple[Relation, ...]:
     """Every relation: the monomial of each path, in path order, then x - y
     for each pair of distinct parallel paths x < y, in lexicographic order.
@@ -85,40 +98,25 @@ class SpecialIdeal:
     """An ideal generated by relations, with its vector space in RREF form.
 
     Two ideals are equal exactly when their spaces are; the recorded
-    generating set is one of possibly many.  The hash is that of the
-    residue labels, which equal spaces share; two spaces with one label
-    vector hash alike but stay unequal.  Past the kernels' table limit,
-    where there are no labels, it is the space's hash.
+    generating set is one of possibly many, kept as ``mask``, an int with
+    each relation's ``_bit`` set.  The hash is that of the residue labels,
+    which equal spaces share; two spaces with one label vector hash alike
+    but stay unequal.  Past the kernels' table limit, where there are no
+    labels, it is the space's hash.
     """
 
-    __slots__ = ("quiver", "_generators", "space", "_residue_labels")
+    __slots__ = ("quiver", "mask", "space", "_residue_labels")
 
-    def __init__(self, quiver: Quiver, generators: frozenset | tuple, space: Subspace):
+    def __init__(self, quiver: Quiver, mask: int, space: Subspace):
         self.quiver = quiver
-        # a frozenset, or the two ideals a join comes from
-        self._generators = generators
+        self.mask = mask
         self.space = space
         self._residue_labels = None
 
     @property
     def generators(self) -> frozenset[Relation]:
-        """The recorded relations; a join's are the union of its operands',
-        formed on first read with an explicit stack, so no chain of joins is
-        too deep."""
-        gens = self._generators
-        if type(gens) is tuple:
-            union, seen, stack = set(), set(), list(gens)
-            while stack:
-                ideal = stack.pop()
-                if id(ideal) in seen:
-                    continue
-                seen.add(id(ideal))
-                if type(ideal._generators) is tuple:
-                    stack.extend(ideal._generators)
-                else:
-                    union |= ideal.generators
-            self._generators = frozenset(union)
-        return self._generators
+        """The recorded relations, read off ``mask``."""
+        return frozenset(_relations(self.mask, self.space.dim_ambient))
 
     @property
     def dim(self) -> int:
@@ -137,7 +135,7 @@ class SpecialIdeal:
     def to_json_dict(self) -> dict:
         paths = build_semigroup(self.quiver).paths
         names = [p.name for p in paths]
-        gens = sorted(self.generators, key=Relation.sort_key)
+        gens = sorted(self.generators, key=lambda r: _bit(r.first, r.second, len(paths)))
         return {
             "generators": [g.display(paths) for g in gens],
             "basis": [path_vector_to_json(v, names) for v in self.space.basis],
@@ -174,10 +172,11 @@ def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
     arrow tuples: the semigroup's table is the congruence route's alone.
     """
     s = build_semigroup(q)
-    gens = frozenset(gens)
+    mask = 0
     for r in gens:
         _validate_relation(r, s)
-    return _generate(q, gens, _product_index(s.paths))
+        mask |= 1 << _bit(r.first, r.second, len(s.paths))
+    return _generate(q, mask, _product_index(s.paths))
 
 
 def _product_index(paths):
@@ -192,11 +191,11 @@ def _product_index(paths):
     return paths, index, into, out_of
 
 
-def _generate(q: Quiver, gens: frozenset, products) -> SpecialIdeal:
-    """``generate_ideal`` of valid relations, over a ``_product_index``."""
+def _generate(q: Quiver, mask: int, products) -> SpecialIdeal:
+    """``generate_ideal`` of the valid relations set in ``mask``, over a ``_product_index``."""
     paths, index, into, out_of = products
     vectors = []
-    for g in gens:
+    for g in _relations(mask, len(paths)):
         head = paths[g.first]
         tail = None if g.second is None else paths[g.second].arrows
         for u in into.get(head.source, ()):
@@ -204,7 +203,7 @@ def _generate(q: Quiver, gens: frozenset, products) -> SpecialIdeal:
                 w1 = index[u + head.arrows + v or head.source]
                 coeffs = {w1: 1} if tail is None else {w1: 1, index[u + tail + v]: -1}
                 vectors.append(PathVector(coeffs))
-    return SpecialIdeal(q, gens, row_reduce(vectors, len(paths)))
+    return SpecialIdeal(q, mask, row_reduce(vectors, len(paths)))
 
 
 def zero_ideal(q: Quiver) -> SpecialIdeal:
@@ -218,10 +217,9 @@ def _require_same_quiver(a: SpecialIdeal, b: SpecialIdeal) -> Quiver:
 
 
 def ideal_join(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
-    """Join = sum of the underlying spaces, generated by the union of generators,
-    which is formed when ``generators`` is first read."""
+    """Join = sum of the underlying spaces, generated by the union of generators."""
     q = _require_same_quiver(a, b)
-    return SpecialIdeal(q, (a, b), subspace_sum(a.space, b.space))
+    return SpecialIdeal(q, a.mask | b.mask, subspace_sum(a.space, b.space))
 
 
 def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
@@ -249,9 +247,10 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
     atoms = []
     for r in all_relations(q):
         x, y = (-1, r.first) if r.second is None else (r.first, r.second)  # path indices, -1: zero
-        atoms.append((x + 1, y + 1, _generate(q, frozenset((r,)), products)))
+        mask = 1 << _bit(r.first, r.second, len(s.paths))
+        atoms.append((x + 1, y + 1, _generate(q, mask, products)))
     return Route(
-        _generate(q, frozenset(), products),
+        _generate(q, 0, products),
         tuple(atoms),
         labels=lambda ideal: ideal.residue_labels,
         join=ideal_join,
@@ -273,9 +272,9 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     pivot order: a nonzero element z of the zero block gives the row z,
     and every element b of another block but its greatest, b_k, gives the
     row b - b_k.  Each row's pivot has entry 1 and its one other column,
-    b_k, is no pivot, so the rows are reduced.  The same pass records the
-    generators: each nonzero element z of the zero block, and x - y for
-    every other element y of a block and its least, x.  Raises
+    b_k, is no pivot, so the rows are reduced.  The same pass sets the
+    generators' bits: each nonzero element z of the zero block, and x - y
+    for every other element y of a block and its least, x.  Raises
     ``ValueError`` if the partition is not a congruence.
     """
     if c.semigroup != s:
@@ -283,17 +282,18 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
         raise ValueError("partition is not a congruence")
     last = dict(zip(c.labels, range(-1, s.n - 1)))  # label -> greatest path index in the block
-    least, rows, gens = {}, {}, []
+    npaths = len(s.paths)
+    least, rows, mask = {}, {}, 0
     for e, lab in enumerate(c.labels[1:]):  # e: path index of element e + 1
         if not lab:
             rows[e] = {e: 1}
-            gens.append(Relation(e))
+            mask |= 1 << _bit(e, None, npaths)
             continue
         if last[lab] != e:
             rows[e] = {e: 1, last[lab]: -1}
         if least.setdefault(lab, e) != e:
-            gens.append(Relation(least[lab], e))
-    return SpecialIdeal(s.quiver, frozenset(gens), Subspace(len(s.paths), rows))
+            mask |= 1 << _bit(least[lab], e, npaths)
+    return SpecialIdeal(s.quiver, mask, Subspace(npaths, rows))
 
 
 def ideal_to_congruence(s: PathSemigroup, ideal: SpecialIdeal) -> Congruence:

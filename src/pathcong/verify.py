@@ -166,7 +166,6 @@ class Evidence:
     predicted: dict[str, bool]
     congs: tuple[Congruence, ...]  # the identity first
     ideals: tuple[SpecialIdeal, ...]  # the zero ideal first; ideals[k]: congs[k]'s image
-    ideal_table: tuple[tuple[int, ...], ...]  # [i][k]: the index of ideals[i] + (r_k)
     lattice: FiniteLattice | None  # None: failed["lattice"] says why
     failed: dict[str, str]
     computed: dict[str, bool | None] = field(default_factory=dict)  # None: undecided
@@ -213,7 +212,7 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
     except LatticeError as exc:
         lat, congs, failed = None, exc.elements, {"lattice": str(exc)}
     ideals, S_i = join_closure(route := ideal_route(q, max_elements))
-    ev = Evidence(s, s.max_parallel_paths, predict_properties(q), congs, ideals, S_i, lat, failed)
+    ev = Evidence(s, s.max_parallel_paths, predict_properties(q), congs, ideals, lat, failed)
     try:
         if lat is None:
             raise AssertionError(failed["lattice"])

@@ -13,8 +13,9 @@ up front, and the residue of each unit vector as a sorted tuple.  No command and
 reaches them, so they live with the tests.  The module also builds the
 three quiver families the tests share: k parallel arrows (Kronecker), a
 star of k arrows out of one centre and a chain of k doubled arrows,
-reads the multiplication table row by row, and gives a route a stand-in
-for one element of its closure, as the fault tests need.
+reads the multiplication table row by row, writes a set of relations as
+an ideal's generator mask, and gives a route a stand-in for one element
+of its closure, as the fault tests need.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from pathcong import (
     generate_ideal,
     row_reduce,
 )
-from pathcong.ideals import Relation, SpecialIdeal
+from pathcong.ideals import Relation, SpecialIdeal, _bit
 from pathcong import _kernels, verify
 
 
@@ -269,4 +270,9 @@ def congruence_to_ideal_eager(s, c: Congruence) -> SpecialIdeal:
         for e in block[:-1]:
             rows[e - 1] = {e - 1: 1, last: -1}
         gens.extend(Relation(least, e - 1) for e in block[1:])
-    return SpecialIdeal(s.quiver, frozenset(gens), Subspace(len(s.paths), rows))
+    return SpecialIdeal(s.quiver, relation_mask(gens, len(s.paths)), Subspace(len(s.paths), rows))
+
+
+def relation_mask(rels, npaths: int) -> int:
+    """The generator mask of a ``SpecialIdeal`` recording the relations ``rels``."""
+    return sum(1 << _bit(r.first, r.second, npaths) for r in set(rels))

@@ -78,3 +78,25 @@ def test_every_run_record_names_its_commit(monkeypatch, tmp_path):
     match = dict.fromkeys(bench.LATTICE_INPUTS, FAKE_ROWS["match_microseconds"])
     assert all(run["match_us"] == match for run in runs)
 
+
+def test_fresh_process_stages_report_their_own_peak_not_the_harness(monkeypatch):
+    # Linux carries ru_maxrss across fork and exec, so a child of a large
+    # process read that process's size; a check of star(2) peaks far lower
+    bench = load_bench(monkeypatch)
+    held = b"x" * (120 << 20)  # written, so resident
+    assert bench.check_run("star(2)")["peak_rss_mb"] < 60
+    assert bench.child(bench.SUITE_CHILD)[3] < 60
+    del held
+
+
+def test_main_compiles_the_package_before_it_times_anything(monkeypatch, tmp_path):
+    bench = load_bench(monkeypatch)
+    calls = []
+    for stage, row in FAKE_ROWS.items():
+        stub = lambda *args, row=row, stage=stage: calls.append(stage) or row  # noqa: E731
+        monkeypatch.setattr(bench, stage, stub)
+    compile_package = bench.compile_package
+    monkeypatch.setattr(bench, "compile_package", lambda p: calls.append(p) or compile_package(p))
+    assert bench.main(["--label", "change", "--out", str(tmp_path / "bench.json")]) == 0
+    assert calls[0] == Path(bench.pathcong.__file__).resolve().parent
+    assert "import_seconds" in calls[1:]

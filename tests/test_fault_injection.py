@@ -171,7 +171,7 @@ def test_changed_ideal_row_is_a_verdict_1_violation(monkeypatch, name):
         space = shifted_row(ideal)
         assert space.dim == ideal.dim and space != ideal.space
         with monkeypatch.context() as mp:
-            with_ideal(mp, i, SpecialIdeal(q, ideal.generators, space))
+            with_ideal(mp, i, SpecialIdeal(q, ideal.mask, space))
             assert_named_verdict_1_violation(q)
         changed += 1
     assert changed == len(found) - 2
@@ -203,7 +203,7 @@ def test_extra_row_that_keeps_the_labels_fails_verdict_1(monkeypatch):
     a1, a2, a3, a4 = (s.index_by_name(f"a{i}") - 1 for i in range(1, 5))
     zero = enumerate_special_ideals(q)[0]
     space = row_reduce([PathVector({a1: 1, a2: -1, a3: -1, a4: 1})], len(s.paths))
-    fault = SpecialIdeal(q, frozenset(), space)
+    fault = SpecialIdeal(q, 0, space)
     assert fault.residue_labels == zero.residue_labels == bytes(range(s.n))
     assert (zero.dim, fault.dim) == (0, 1)
     with_ideal(monkeypatch, 0, fault)
@@ -221,7 +221,7 @@ def test_space_with_another_ideals_labels_fails_verdict_1(monkeypatch):
     a1, a2, a3, a4 = (s.index_by_name(f"a{i}") - 1 for i in range(1, 5))
     found = join_closure(ideal_route(q))[0]
     space = row_reduce([PathVector({a1: 1, a2: -1, a3: -1, a4: 1})], len(s.paths))
-    fault = SpecialIdeal(q, frozenset(), space)
+    fault = SpecialIdeal(q, 0, space)
     assert fault.residue_labels == found[0].residue_labels
     assert fault.dim == found[1].dim == 1 and fault != found[1]
     with_ideal(monkeypatch, 1, fault)

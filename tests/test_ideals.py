@@ -28,7 +28,7 @@ from pathcong import (
     universal_congruence,
     zero_ideal,
 )
-from pathcong.ideals import Relation, SpecialIdeal, contains_relation, ideal_route
+from pathcong.ideals import SpecialIdeal, _bit, _relations, contains_relation, ideal_route
 from pathcong.linalg import subspace_sum
 from pathcong.semigroup import CapExceeded, Congruence, join_closure
 
@@ -40,6 +40,7 @@ from oracles import (
     ideal_subset,
     kronecker_quiver,
     refines,
+    relation_mask,
     star_quiver,
     subspace_intersection,
     table_rows,
@@ -402,10 +403,11 @@ def test_quiver_caches_are_bounded():
 def test_all_relations_follow_the_congruence_generators_where_classes_interleave():
     # p, r, t run from a to b and q, s from a to c, so the two parallel
     # classes interleave in path order; the relations still come in
-    # lexicographic order, one per generator pair of the congruence side
+    # lexicographic order, one per generator pair of the congruence side,
+    # which is the order of their bits in a generator mask
     q = Quiver(["a", "b", "c"], [(x, "a", "b" if x in "prt" else "c") for x in "pqrst"])
-    rels = all_relations(q)
-    assert list(rels) == sorted(rels, key=Relation.sort_key)
+    rels, npaths = all_relations(q), len(build_semigroup(q).paths)
+    assert _relations(relation_mask(rels, npaths), npaths) == list(rels)
     pairs = build_semigroup(q).congruence_closure[2]
     expected = [(0, r.first + 1) if r.second is None else (r.first + 1, r.second + 1) for r in rels]
     assert expected == list(pairs)
@@ -413,8 +415,9 @@ def test_all_relations_follow_the_congruence_generators_where_classes_interleave
 
 
 def eager_join(a, b):
-    """``ideal_join`` forming the union of generators at once."""
-    return SpecialIdeal(a.quiver, a.generators | b.generators, subspace_sum(a.space, b.space))
+    """``ideal_join`` forming the union of its operands' generator sets."""
+    mask = relation_mask(a.generators | b.generators, a.space.dim_ambient)
+    return SpecialIdeal(a.quiver, mask, subspace_sum(a.space, b.space))
 
 
 def assert_generators_match_eager_closure(q):
@@ -424,9 +427,7 @@ def assert_generators_match_eager_closure(q):
     expected, _ = direct_join_closure(ideal_route(q)._replace(join=eager_join))
     found = join_closure(ideal_route(q))[0]
     assert [ideal.space for ideal in found] == [ideal.space for ideal in expected]
-    # read from the top down, so no operand of a join has formed its union yet
-    for ideal, eager in reversed(list(zip(found, expected))):
-        assert type(eager._generators) is frozenset
+    for ideal, eager in zip(found, expected):
         assert ideal.generators == eager.generators
 
 
@@ -458,13 +459,14 @@ def test_ideal_closure_lists_the_congruence_order_on_the_random_suite():
         assert_closures_list_one_order(q)
 
 
-def test_join_generators_are_derived_once_and_release_the_operands(kronecker):
-    a, b = (generate_ideal(kronecker, [r]) for r in all_relations(kronecker)[2:4])
-    joined = ideal_join(a, b)
-    assert joined._generators == (a, b)
-    assert joined.generators == a.generators | b.generators
-    assert type(joined._generators) is frozenset
-    assert joined.generators is joined.generators
+def test_a_relations_bit_decodes_to_the_relation():
+    # every relation of the random suite, and of a doubled chain whose 503
+    # elements are past the kernels' table limit, where a pair's bit is
+    # past 250,000
+    for q in [*random_suite(30, 0), doubled_chain_quiver(7)]:
+        npaths = len(build_semigroup(q).paths)
+        for r in all_relations(q):
+            assert _relations(1 << _bit(r.first, r.second, npaths), npaths) == [r]
 
 
 def test_long_join_chain_reads_its_generators_without_recursion(kronecker):

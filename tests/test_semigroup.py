@@ -622,7 +622,7 @@ def test_join_closure_keeps_spaces_that_share_a_label_vector():
     a1, a2, a3, a4 = (s.index_by_name(f"a{i}") - 1 for i in range(1, 5))  # path indices
 
     def ideal(*vectors):
-        return ideals.SpecialIdeal(q, frozenset(), row_reduce(vectors, len(s.paths)))
+        return ideals.SpecialIdeal(q, 0, row_reduce(vectors, len(s.paths)))
 
     zero = ideal()
     p1 = ideal(PathVector({a1: 1, a2: -1, a3: -1, a4: 1}))

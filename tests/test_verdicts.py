@@ -34,7 +34,6 @@ def record(**fields):
         predicted={},
         congs=(),
         ideals=[],
-        ideal_table=None,
         lattice=None,
         failed={},
     )

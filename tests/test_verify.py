@@ -432,7 +432,7 @@ def test_image_that_is_not_an_ideal_fails_the_bijection(monkeypatch, kronecker):
     assert i == k  # both closures list their elements in one order
     # the span of e1 alone lacks e1 * alpha = alpha, so it is no ideal
     e1 = linalg.row_reduce([linalg.PathVector({0: 1})], len(s.paths))
-    fault = SpecialIdeal(kronecker, frozenset(), e1)
+    fault = SpecialIdeal(kronecker, 0, e1)
     patch_ideal_closure(monkeypatch, lambda found, S: ([*found[:i], fault, *found[i + 1 :]], S))
     assert check_theorems(kronecker).verdicts[0] == (
         "congruence/ideal lattice isomorphism",

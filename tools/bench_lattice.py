@@ -23,13 +23,18 @@ Six measurements, each against the ``pathcong`` that ``PYTHONPATH`` finds:
   congruence, the median of ``REPEATS`` in-process runs of the loop on
   each of ``LATTICE_INPUTS``;
 - ``check``: ``check_theorems`` on each of ``CHECK_INPUTS`` in a fresh
-  interpreter, its seconds and the process's peak resident memory;
+  interpreter, its seconds and the process's own peak resident memory
+  (``VmHWM``);
 - ``suite``: ``check_theorems`` over every draw of ``random_suite(60, 0,
   max_arrows=4, max_elements=12)``, the benchmark's random-suite draws,
   in one fresh interpreter, so repeated draws meet the semigroup cache as
   they do in a ``random-check`` run: the checks, the distinct quivers,
-  and the milliseconds of the checks and the peak resident memory, the
-  medians of ``REPEATS`` processes.
+  and the milliseconds of the checks and the process's own peak resident
+  memory, the medians of ``REPEATS`` processes.
+
+Before it times anything the script writes the bytecode caches of the
+measured package, as ``perfbench/run.py`` does, so the fresh-process
+stages do not depend on whether the checkout held them.
 
 Each run is appended to the list under ``--label`` in ``--out``, so one
 file holds parent and change runs taken alternately on one host: run the
@@ -93,8 +98,16 @@ import pathcong
 print(time.perf_counter() - start)
 """
 
-CHECK_CHILD = """
-import resource, sys, time
+# The child's own peak resident memory, from VmHWM: Linux carries ru_maxrss
+# across fork and exec, so a child would read this harness's size instead.
+PEAK_MB = """
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+"""
+
+CHECK_CHILD = PEAK_MB + """
+import sys, time
 sys.path.insert(0, {tools!r})
 from bench_lattice import quiver
 from pathcong import check_theorems
@@ -104,12 +117,12 @@ report = check_theorems(q)
 seconds = time.perf_counter() - start
 if not report.ok:
     sys.exit(report.format())
-print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(seconds, peak_mb())
 """
 
 
-SUITE_CHILD = """
-import resource, sys, time
+SUITE_CHILD = PEAK_MB + """
+import sys, time
 from pathcong import check_theorems, random_suite
 quivers = random_suite(60, 0, max_arrows=4, max_elements=12)
 start = time.perf_counter()
@@ -118,8 +131,7 @@ seconds = time.perf_counter() - start
 for report in reports:
     if not report.ok:
         sys.exit(report.format())
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(seconds, len(reports), len(set(quivers)), peak)
+print(seconds, len(reports), len(set(quivers)), peak_mb())
 """
 
 
@@ -151,6 +163,13 @@ def summary(samples: list[float], unit: str) -> dict:
     """The median of ``samples`` under ``unit`` and their quartiles under ``q1_q3_<unit>``."""
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return {unit: round(median, 2), f"q1_q3_{unit}": [round(q1, 2), round(q3, 2)]}
+
+
+def compile_package(package: Path) -> None:
+    """Write the bytecode caches of ``package``, as ``perfbench/run.py`` does, so the
+    fresh-process stages import from them whether or not the checkout held any."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(package)], check=True,
+                   capture_output=True)
 
 
 def import_seconds() -> float:
@@ -228,8 +247,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("BENCH_lattice.json"))
     args = parser.parse_args(argv)
 
+    package = Path(pathcong.__file__).resolve().parent
+    compile_package(package)
     run = {
-        **git_state(Path(pathcong.__file__).resolve().parent),
+        **git_state(package),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
@@ -266,10 +287,10 @@ def main(argv=None) -> int:
         " repeats; lattice_ms: build_lattice plus"
         " lattice_properties, median of in-process repeats; match_us: verdict 1's"
         " verify.match_congruence over every congruence, microseconds per congruence,"
-        " median of in-process repeats; check: check_theorems seconds and peak RSS, one"
-        " fresh process per input; suite: check_theorems over random_suite(60, 0,"
-        " max_arrows=4, max_elements=12) in one process, its checks, distinct quivers,"
-        " milliseconds and peak RSS, medians of fresh processes"
+        " median of in-process repeats; check: check_theorems seconds and the process's own"
+        " peak RSS (VmHWM), one fresh process per input; suite: check_theorems over"
+        " random_suite(60, 0, max_arrows=4, max_elements=12) in one process, its checks,"
+        " distinct quivers, milliseconds and own peak RSS, medians of fresh processes"
     )
     doc.setdefault("runs", {}).setdefault(args.label, []).append({"repeats": REPEATS, **run})
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
