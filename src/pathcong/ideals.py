@@ -10,7 +10,7 @@ unique).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .linalg import PathVector, Subspace, path_vector_to_json, row_reduce, subspace_sum
@@ -19,54 +19,54 @@ from .semigroup import DEFAULT_MAX_ELEMENTS, Congruence, PathSemigroup, _canonic
 from .semigroup import KERNEL_TABLE_LIMIT, Route, build_semigroup, join_closure
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A monomial (``second is None``) or commutative relation on path indices.
-
-    Commutative relations keep the lesser path (in global path order)
-    first and vectorize as first - second.
+class Relation(NamedTuple):
+    """A relation as its pair (x, y) of semigroup elements, as x ~ y in a
+    congruence: element 0 is the zero and element e is path e - 1, so the
+    monomial y is (0, y) and the difference x - y of two distinct parallel
+    paths is (x, y) with x < y.  Pairs sort in ``_bit`` order.
     """
 
-    first: int
-    second: int | None = None
+    x: int
+    y: int
 
     def vectorize(self) -> PathVector:
-        if self.second is None:
-            return PathVector({self.first: 1})
-        return PathVector({self.first: 1, self.second: -1})
+        if not self.x:
+            return PathVector({self.y - 1: 1})
+        return PathVector({self.x - 1: 1, self.y - 1: -1})
 
     def display(self, paths) -> str:
-        if self.second is None:
-            return paths[self.first].name
-        return f"{paths[self.first].name} - {paths[self.second].name}"
+        if not self.x:
+            return paths[self.y - 1].name
+        return f"{paths[self.x - 1].name} - {paths[self.y - 1].name}"
 
 
 def monomial_relation(i: int) -> Relation:
-    return Relation(i)
+    """The monomial on path i."""
+    return Relation(0, i + 1)
 
 
 def commutative_relation(i: int, j: int) -> Relation:
+    """The difference of paths i and j, the lesser path first."""
     if i == j:
         raise ValueError("commutative relation needs two distinct paths")
-    return Relation(min(i, j), max(i, j))
+    return Relation(min(i, j) + 1, max(i, j) + 1)
 
 
 def _validate_relation(r: Relation, s: PathSemigroup) -> None:
-    npaths = len(s.paths)
-    if not 0 <= r.first < npaths:
-        raise ValueError(f"invalid relation: path index {r.first} out of range")
-    if r.second is not None:
-        if not 0 <= r.second < npaths or r.second <= r.first:
-            raise ValueError("invalid relation: bad second path index")
-        a, b = s.paths[r.first], s.paths[r.second]
+    if not 0 < r.y <= len(s.paths):
+        raise ValueError(f"invalid relation: path index {r.y - 1} out of range")
+    if r.x:
+        if not 0 < r.x < r.y:
+            raise ValueError("invalid relation: bad first path index")
+        a, b = s.paths[r.x - 1], s.paths[r.y - 1]
         if a.source != b.source or a.target != b.target:
             raise ValueError("invalid relation: paths are not parallel")
 
 
-def _bit(first: int, second: int | None, npaths: int) -> int:
-    """The bit of ``Relation(first, second)`` in a generator mask: i for the monomial
-    on path i, npaths*(x + 1) + y for x - y, so bit order is ``all_relations`` order."""
-    return first if second is None else npaths * (first + 1) + second
+def _bit(r: Relation, npaths: int) -> int:
+    """The bit of r in a generator mask, so bit order is ``all_relations`` order:
+    y - 1 for the monomial y, npaths*x + y - 1 for x - y."""
+    return r.x * npaths + r.y - 1
 
 
 def _relations(mask: int, npaths: int) -> list[Relation]:
@@ -74,7 +74,7 @@ def _relations(mask: int, npaths: int) -> list[Relation]:
     rels = []
     while mask:
         x, y = divmod((mask & -mask).bit_length() - 1, npaths)
-        rels.append(Relation(x - 1, y) if x else Relation(y))
+        rels.append(Relation(x, y + 1))
         mask &= mask - 1  # clears the lowest bit
     return rels
 
@@ -87,11 +87,10 @@ def all_relations(q: Quiver) -> tuple[Relation, ...]:
     purpose: column k of both join tables is then one relation.  The two
     lists are built apart, and verdict 1 checks one against the other.
     """
-    paths = build_semigroup(q).paths
-    n = len(paths)
-    ends = [(p.source, p.target) for p in paths]
-    parallel = [Relation(x, y) for x in range(n) for y in range(x + 1, n) if ends[x] == ends[y]]
-    return (*map(Relation, range(n)), *parallel)
+    s = build_semigroup(q)
+    n, ends = s.n, [None, *((p.source, p.target) for p in s.paths)]  # by element, 0: the zero
+    parallel = [Relation(x, y) for x in range(1, n) for y in range(x + 1, n) if ends[x] == ends[y]]
+    return (*(Relation(0, y) for y in range(1, n)), *parallel)
 
 
 class SpecialIdeal:
@@ -135,9 +134,8 @@ class SpecialIdeal:
     def to_json_dict(self) -> dict:
         paths = build_semigroup(self.quiver).paths
         names = [p.name for p in paths]
-        gens = sorted(self.generators, key=lambda r: _bit(r.first, r.second, len(paths)))
         return {
-            "generators": [g.display(paths) for g in gens],
+            "generators": [g.display(paths) for g in sorted(self.generators)],
             "basis": [path_vector_to_json(v, names) for v in self.space.basis],
         }
 
@@ -159,10 +157,10 @@ class SpecialIdeal:
 
 def contains_relation(ideal: SpecialIdeal, r: Relation) -> bool:
     """Whether the ideal contains r, read off its ``residue_labels`` (so at
-    most 255 elements).  The residue map is linear, so y lies in the ideal
-    iff its label is the zero element's, 0, and x - y iff x and y share one."""
+    most 255 elements).  The residue map is linear, so r = (x, y) lies in
+    the ideal iff x and y share a label, the zero element's for a monomial."""
     lab = ideal.residue_labels
-    return lab[r.first + 1] == (0 if r.second is None else lab[r.second + 1])
+    return lab[r.x] == lab[r.y]
 
 
 def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
@@ -172,11 +170,10 @@ def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
     arrow tuples: the semigroup's table is the congruence route's alone.
     """
     s = build_semigroup(q)
-    mask = 0
+    gens = list(gens)
     for r in gens:
         _validate_relation(r, s)
-        mask |= 1 << _bit(r.first, r.second, len(s.paths))
-    return _generate(q, mask, _product_index(s.paths))
+    return _generate(q, gens, _product_index(s.paths))
 
 
 def _product_index(paths):
@@ -191,17 +188,19 @@ def _product_index(paths):
     return paths, index, into, out_of
 
 
-def _generate(q: Quiver, mask: int, products) -> SpecialIdeal:
-    """``generate_ideal`` of the valid relations set in ``mask``, over a ``_product_index``."""
+def _generate(q: Quiver, rels, products) -> SpecialIdeal:
+    """``generate_ideal`` of the valid relations ``rels``, over a ``_product_index``."""
     paths, index, into, out_of = products
-    vectors = []
-    for g in _relations(mask, len(paths)):
-        head = paths[g.first]
-        tail = None if g.second is None else paths[g.second].arrows
-        for u in into.get(head.source, ()):
-            for v in out_of.get(head.target, ()):
-                w1 = index[u + head.arrows + v or head.source]
-                coeffs = {w1: 1} if tail is None else {w1: 1, index[u + tail + v]: -1}
+    mask, vectors = 0, []
+    for r in rels:
+        mask |= 1 << _bit(r, len(paths))
+        # x is nontrivial: in an acyclic quiver no trivial path is parallel to another
+        x = paths[r.x - 1].arrows if r.x else None
+        y = paths[r.y - 1]
+        for u in into.get(y.source, ()):
+            for v in out_of.get(y.target, ()):
+                w = index[u + y.arrows + v or y.source]
+                coeffs = {w: 1} if x is None else {index[u + x + v]: 1, w: -1}
                 vectors.append(PathVector(coeffs))
     return SpecialIdeal(q, mask, row_reduce(vectors, len(paths)))
 
@@ -240,18 +239,12 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
     # shortest path; (x - y) is spanned by the u*x*v - u*y*v, whose
     # supports are disjoint, so it holds no monomial and its shortest
     # two-term vector is x - y.  A two-sided ideal contains (r) exactly
-    # when it contains r, which its residue labels say (``contains_relation``):
-    # the elements (x, y) of r share a label, x = 0 for a monomial, as in
-    # the congruence route's theta(x, y)
+    # when it contains r = (x, y), which its residue labels say
+    # (``contains_relation``): x and y share a label, as in theta(x, y)
     products = _product_index(s.paths)  # built once for all K + 1 generations
-    atoms = []
-    for r in all_relations(q):
-        x, y = (-1, r.first) if r.second is None else (r.first, r.second)  # path indices, -1: zero
-        mask = 1 << _bit(r.first, r.second, len(s.paths))
-        atoms.append((x + 1, y + 1, _generate(q, mask, products)))
     return Route(
-        _generate(q, 0, products),
-        tuple(atoms),
+        _generate(q, (), products),
+        tuple((*r, _generate(q, (r,), products)) for r in all_relations(q)),
         labels=lambda ideal: ideal.residue_labels,
         join=ideal_join,
     )
@@ -273,26 +266,24 @@ def congruence_to_ideal(s: PathSemigroup, c: Congruence) -> SpecialIdeal:
     and every element b of another block but its greatest, b_k, gives the
     row b - b_k.  Each row's pivot has entry 1 and its one other column,
     b_k, is no pivot, so the rows are reduced.  The same pass sets the
-    generators' bits: each nonzero element z of the zero block, and x - y
-    for every other element y of a block and its least, x.  Raises
-    ``ValueError`` if the partition is not a congruence.
+    generators' bits: (x, y) for every element y of a block but its least,
+    x, which is 0 in the zero block.  Raises ``ValueError`` if the
+    partition is not a congruence.
     """
     if c.semigroup != s:
         raise ValueError("congruence does not live on this semigroup")
     if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
         raise ValueError("partition is not a congruence")
-    last = dict(zip(c.labels, range(-1, s.n - 1)))  # label -> greatest path index in the block
+    last = dict(zip(c.labels, range(s.n)))  # label -> greatest element of the block
     npaths = len(s.paths)
-    least, rows, mask = {}, {}, 0
-    for e, lab in enumerate(c.labels[1:]):  # e: path index of element e + 1
+    least, rows, mask = {0: 0}, {}, 0
+    for y, lab in enumerate(c.labels[1:], 1):  # element y: path y - 1
         if not lab:
-            rows[e] = {e: 1}
-            mask |= 1 << _bit(e, None, npaths)
-            continue
-        if last[lab] != e:
-            rows[e] = {e: 1, last[lab]: -1}
-        if least.setdefault(lab, e) != e:
-            mask |= 1 << _bit(least[lab], e, npaths)
+            rows[y - 1] = {y - 1: 1}
+        elif last[lab] != y:
+            rows[y - 1] = {y - 1: 1, last[lab] - 1: -1}
+        if (x := least.setdefault(lab, y)) != y:
+            mask |= 1 << _bit(Relation(x, y), npaths)
     return SpecialIdeal(s.quiver, mask, Subspace(npaths, rows))
 
 

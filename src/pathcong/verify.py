@@ -229,7 +229,7 @@ def build_evidence(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Evide
             raise AssertionError(f"{len(pairs)} generators vs {len(route.atoms)} relations")
         for pair, (x, y, _) in zip(pairs, route.atoms):
             if pair != (x, y):
-                r = Relation(x - 1, y - 1) if x else Relation(y - 1)
+                r = Relation(x, y)
                 raise AssertionError(f"generator {pair} is not relation {r.display(s.paths)}")
         # Every congruence is the identity joined with generators along the
         # table, so if the identity maps to 0 (k = 0 above) and both tables

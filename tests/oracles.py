@@ -263,16 +263,16 @@ def congruence_to_ideal_eager(s, c: Congruence) -> SpecialIdeal:
         raise ValueError("congruence does not live on this semigroup")
     if not _kernels.is_congruence_labels(c.labels, s.table_bytes, s.n):
         raise ValueError("partition is not a congruence")
-    gens = [Relation(e - 1) for e in c.blocks[0] if e != 0]
+    gens = [Relation(0, e) for e in c.blocks[0] if e != 0]
     rows = {e - 1: {e - 1: 1} for e in c.blocks[0] if e != 0}
     for block in c.blocks[1:]:
-        least, last = block[0] - 1, block[-1] - 1
+        least, last = block[0], block[-1] - 1
         for e in block[:-1]:
             rows[e - 1] = {e - 1: 1, last: -1}
-        gens.extend(Relation(least, e - 1) for e in block[1:])
+        gens.extend(Relation(least, e) for e in block[1:])
     return SpecialIdeal(s.quiver, relation_mask(gens, len(s.paths)), Subspace(len(s.paths), rows))
 
 
 def relation_mask(rels, npaths: int) -> int:
     """The generator mask of a ``SpecialIdeal`` recording the relations ``rels``."""
-    return sum(1 << _bit(r.first, r.second, npaths) for r in set(rels))
+    return sum(1 << _bit(r, npaths) for r in set(rels))

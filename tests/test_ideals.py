@@ -28,7 +28,7 @@ from pathcong import (
     universal_congruence,
     zero_ideal,
 )
-from pathcong.ideals import SpecialIdeal, _bit, _relations, contains_relation, ideal_route
+from pathcong.ideals import Relation, SpecialIdeal, _bit, _relations, contains_relation, ideal_route
 from pathcong.linalg import subspace_sum
 from pathcong.semigroup import CapExceeded, Congruence, join_closure
 
@@ -94,12 +94,37 @@ def test_generating_sets_with_equal_span_give_equal_ideals(triple_arrow):
     assert len({i.space.key() for i in ideals}) == 1
 
 
-def test_generate_rejects_invalid_relations(chain3):
-    # a: 1->2 and b: 2->3 are not parallel
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda npaths: monomial_relation(-1),
+        lambda npaths: monomial_relation(npaths),
+        lambda npaths: Relation(3, 3),
+        lambda npaths: Relation(4, 2),
+        lambda npaths: commutative_relation(3, 4),  # a: 1->2 and b: 2->3 are not parallel
+        lambda npaths: commutative_relation(3, 3),
+    ],
+    ids=["before the first path", "after the last path", "equal pair", "reversed pair",
+         "not parallel", "one path twice"],
+)
+def test_generate_rejects_invalid_relations(chain3, bad):
     with pytest.raises(ValueError):
-        generate_ideal(chain3, [commutative_relation(3, 4)])
-    with pytest.raises(ValueError):
-        generate_ideal(chain3, [monomial_relation(99)])
+        generate_ideal(chain3, [bad(len(build_semigroup(chain3).paths))])
+
+
+def test_relations_are_element_pairs_built_from_path_indices(triple_arrow):
+    # paths 0, 1 are the trivial paths and 2, 3, 4 alpha, beta, gamma;
+    # element e is path e - 1, and element 0 the zero
+    paths = build_semigroup(triple_arrow).paths
+    mono, comm = monomial_relation(2), commutative_relation(4, 2)
+    assert mono == (0, 3) and comm == (3, 5)
+    assert (mono.display(paths), comm.display(paths)) == ("alpha", "alpha - gamma")
+    assert mono.vectorize() == PathVector({2: 1})
+    assert comm.vectorize() == PathVector({2: 1, 4: -1})
+    ideal = generate_ideal(triple_arrow, [comm, monomial_relation(1), commutative_relation(2, 3)])
+    assert ideal.mask == 1 << 1 | 1 << 18 | 1 << 19  # npaths*x + y - 1 for (x, y)
+    assert sorted(ideal.generators) == _relations(ideal.mask, len(paths))  # bit order
+    assert ideal.to_json_dict()["generators"] == ["2", "alpha - beta", "alpha - gamma"]
 
 
 def test_ideal_spaces_are_multiplicatively_closed(chain3, triple_arrow):
@@ -409,8 +434,7 @@ def test_all_relations_follow_the_congruence_generators_where_classes_interleave
     rels, npaths = all_relations(q), len(build_semigroup(q).paths)
     assert _relations(relation_mask(rels, npaths), npaths) == list(rels)
     pairs = build_semigroup(q).congruence_closure[2]
-    expected = [(0, r.first + 1) if r.second is None else (r.first + 1, r.second + 1) for r in rels]
-    assert expected == list(pairs)
+    assert list(rels) == list(pairs)
     assert check_theorems(q).ok
 
 
@@ -466,7 +490,7 @@ def test_a_relations_bit_decodes_to_the_relation():
     for q in [*random_suite(30, 0), doubled_chain_quiver(7)]:
         npaths = len(build_semigroup(q).paths)
         for r in all_relations(q):
-            assert _relations(1 << _bit(r.first, r.second, npaths), npaths) == [r]
+            assert _relations(1 << _bit(r, npaths), npaths) == [r]
 
 
 def test_long_join_chain_reads_its_generators_without_recursion(kronecker):
