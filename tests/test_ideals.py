@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pathcong import (
     PathVector,
     Quiver,
+    Relation,
     all_relations,
     build_semigroup,
     check_theorems,
@@ -28,7 +29,7 @@ from pathcong import (
     universal_congruence,
     zero_ideal,
 )
-from pathcong.ideals import Relation, SpecialIdeal, _bit, _relations, contains_relation, ideal_route
+from pathcong.ideals import SpecialIdeal, _bit, _relations, contains_relation, ideal_route
 from pathcong.linalg import subspace_sum
 from pathcong.semigroup import CapExceeded, Congruence, join_closure
 
