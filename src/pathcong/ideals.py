@@ -53,6 +53,8 @@ def commutative_relation(i: int, j: int) -> Relation:
 
 
 def _validate_relation(r: Relation, s: PathSemigroup) -> None:
+    if not isinstance(r, Relation) or not all(isinstance(i, int) for i in r):
+        raise ValueError(f"invalid relation: {r!r} is not a Relation of two ints")
     if not 0 < r.y <= len(s.paths):
         raise ValueError(f"invalid relation: path index {r.y - 1} out of range")
     if r.x:
@@ -221,7 +223,7 @@ def ideal_join(a: SpecialIdeal, b: SpecialIdeal) -> SpecialIdeal:
     return SpecialIdeal(q, a.mask | b.mask, subspace_sum(a.space, b.space))
 
 
-def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
+def ideal_route(q: Quiver) -> Route:
     """The zero ideal and one atom (r) per relation r, in ``all_relations`` order.
 
     Its ``join_closure`` is every special ideal, deduplicated by RREF
@@ -229,11 +231,10 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
     labels: the zero ideal first, the whole path algebra last.  A special
     ideal has dimension n - 1 - max(labels), so that is the order by
     (dimension, residue labels), and the image of congruence k is ideal
-    k.  Refuses semigroups above ``max_elements`` or the kernels' table
-    limit, as the congruence side does, before any relation is listed.
+    k.  Refuses semigroups past the kernels' table limit alone, as the
+    congruence route does, before any relation is listed.
     """
     s = build_semigroup(q)
-    s.check_element_cap(max_elements)
     s.check_kernel_limit()
     # one atom (r) per relation r, and no two equal: (y) has y as its
     # shortest path; (x - y) is spanned by the u*x*v - u*y*v, whose
@@ -251,8 +252,9 @@ def ideal_route(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Route:
 
 
 def enumerate_special_ideals(q: Quiver, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list:
-    """Every special ideal, ordered by (dimension, basis)."""
-    found = join_closure(ideal_route(q, max_elements))[0]
+    """Every special ideal, ordered by (dimension, basis); refuses above ``max_elements``."""
+    build_semigroup(q).check_element_cap(max_elements)
+    found = join_closure(ideal_route(q))[0]
     return sorted(found, key=lambda ideal: (ideal.dim, ideal.space.key()))
 
 

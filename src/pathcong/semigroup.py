@@ -154,7 +154,7 @@ class Congruence:
     returns are canonical already and go through ``_canonical_congruence``.
     """
 
-    __slots__ = ("semigroup", "labels", "_blocks")
+    __slots__ = ("semigroup", "labels")
 
     def __init__(self, semigroup: PathSemigroup, labels):
         semigroup.check_kernel_limit()
@@ -162,16 +162,13 @@ class Congruence:
             raise ValueError(f"{len(labels)} labels for a semigroup of {semigroup.n} elements")
         self.semigroup = semigroup
         self.labels = _kernels.canonical_labels(labels)
-        self._blocks = None
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        if self._blocks is None:
-            groups = [[] for _ in range(max(self.labels) + 1)]
-            for i, lab in enumerate(self.labels):
-                groups[lab].append(i)
-            self._blocks = tuple(tuple(b) for b in groups)
-        return self._blocks
+        groups = [[] for _ in range(max(self.labels) + 1)]
+        for i, lab in enumerate(self.labels):
+            groups[lab].append(i)
+        return tuple(tuple(b) for b in groups)
 
     def validate(self) -> None:
         """Raise if the partition is not compatible with multiplication."""
@@ -203,7 +200,7 @@ class Congruence:
 def _canonical_congruence(s: PathSemigroup, labels: bytes) -> Congruence:
     """A congruence on labels already in canonical form, stored as given."""
     c = object.__new__(Congruence)
-    c.semigroup, c.labels, c._blocks = s, labels, None
+    c.semigroup, c.labels = s, labels
     return c
 
 
@@ -263,6 +260,10 @@ def congruence_from_json(s: PathSemigroup, obj: dict) -> Congruence:
 
 def principal_congruence(s: PathSemigroup, x: int, y: int) -> Congruence:
     """The least congruence identifying x and y."""
+    try:
+        x, y = operator.index(x), operator.index(y)
+    except TypeError:
+        raise ValueError(f"element indices must be integers: {x!r}, {y!r}") from None
     if not (0 <= x < s.n and 0 <= y < s.n):
         raise ValueError(f"element index out of range: {x}, {y}")
     return _canonical_congruence(s, _kernels.principal_labels(s.table_bytes, s.n, x, y))

@@ -217,6 +217,13 @@ def test_random_check_rejects_bad_arguments(args, capsys):
     assert "usage:" in captured.err and "must be at least" in captured.err
 
 
+def test_random_check_rejects_a_trial_count_that_is_no_int(capsys):
+    assert main(["random-check", "--trials", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "invalid int value: 'x'" in captured.err
+
+
 def test_max_elements_must_be_positive(qfile, capsys):
     for command in ("congruences", "ideals", "lattice", "check"):
         assert main([command, "--max-elements", "0", qfile(SINGLE)]) == 2

@@ -104,9 +104,12 @@ def test_generating_sets_with_equal_span_give_equal_ideals(triple_arrow):
         lambda npaths: Relation(4, 2),
         lambda npaths: commutative_relation(3, 4),  # a: 1->2 and b: 2->3 are not parallel
         lambda npaths: commutative_relation(3, 3),
+        lambda npaths: (0, 3),
+        lambda npaths: Relation(0, 2.5),
+        lambda npaths: Relation("a", 2),
     ],
     ids=["before the first path", "after the last path", "equal pair", "reversed pair",
-         "not parallel", "one path twice"],
+         "not parallel", "one path twice", "plain tuple", "float index", "string index"],
 )
 def test_generate_rejects_invalid_relations(chain3, bad):
     with pytest.raises(ValueError):

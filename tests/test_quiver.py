@@ -96,6 +96,25 @@ def test_parse_refuses_names_that_collide_with_element_names(text, line, message
     assert err.value.line == line
 
 
+PARSE_ERRORS = {
+    "duplicate vertex": ("vertices: 1 1\n", "line 1: duplicate vertex identifier '1'"),
+    "no colon": ("vertices: 1 2\narrow a 1 -> 2\n", "line 2: arrow line is missing ':'"),
+    "two arrows": (
+        "vertices: 1 2\narrow a: 1 -> 2 -> 1\n", "line 2: arrow line needs exactly one '->'"
+    ),
+    "two sources": (
+        "vertices: 1 2\narrow a: 1 2 -> 2\n", "line 2: arrow endpoints must be single identifiers"
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_error_names_its_line_and_fault(text, message):
+    with pytest.raises(QuiverParseError) as err:
+        parse_quiver(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "vertices, arrows",
     [
@@ -130,6 +149,12 @@ def test_constructor_validation():
         Quiver(["1", "2"], [("1", "1", "2")])
     with pytest.raises(QuiverError):
         Quiver(["1"], [("a", "1", "9")])
+
+
+def test_trivial_path_names_an_unknown_vertex(single_arrow):
+    assert single_arrow.trivial_path("1").name == "1"
+    with pytest.raises(QuiverError, match="no vertex '9'"):
+        single_arrow.trivial_path("9")
 
 
 def test_is_acyclic(single_arrow):

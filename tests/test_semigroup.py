@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,21 @@ def test_congruence_rejects_a_wrong_length_label_vector(s2):
 def test_principal_congruence_reflexive_pair(s2):
     for x in range(s2.n):
         assert principal_congruence(s2, x, x) == identity_congruence(s2)
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        (1.5, 2, "element indices must be integers: 1.5, 2"),
+        (1, "2", "element indices must be integers: 1, '2'"),
+        (4, 0, "element index out of range: 4, 0"),
+        (0, -1, "element index out of range: 0, -1"),
+    ],
+    ids=["float", "string", "past the last", "negative"],
+)
+def test_principal_congruence_rejects_bad_indices(s2, x, y, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        principal_congruence(s2, x, y)
 
 
 def test_principal_congruence_single_arrow_rees(s2):
@@ -316,6 +332,11 @@ def test_from_blocks_rejects_non_congruence(s2):
         congruence_from_blocks(s2, [[1, 3], [0], [2]])
     with pytest.raises(ValueError):
         congruence_from_blocks(s2, [[0, 1], [1, 2], [3]])
+
+
+def test_from_blocks_rejects_blocks_that_leave_an_element_out(s2):
+    with pytest.raises(ValueError, match="blocks do not cover every element"):
+        congruence_from_blocks(s2, [[0, 3], [1]])
 
 
 @pytest.mark.parametrize("blocks", [[["x"]], [[0.5]], 3], ids=["string", "float", "bare-int"])

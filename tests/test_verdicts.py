@@ -30,7 +30,6 @@ def record(**fields):
     """An ``Evidence`` record with the given fields and placeholders elsewhere."""
     blank = dict(
         semigroup=None,
-        mpp=0,
         predicted={},
         congs=(),
         ideals=[],
@@ -53,8 +52,8 @@ def test_one_verdict_runs_on_a_built_record(q):
 
 def test_isomorphism_verdict():
     assert isomorphism_verdict(record()) == (True, "")
-    failed = {"bijection": "round trip fails at congruence 5"}
-    assert isomorphism_verdict(record(failed=failed)) == (False, "round trip fails at congruence 5")
+    failed = {"bijection": "image of congruence 5 is not ideal 5"}
+    assert isomorphism_verdict(record(failed=failed)) == (False, "image of congruence 5 is not ideal 5")
     # without a lattice the match fails with the lattice's reason
     message = "join table of shape (18, 8) does not index 18 elements"
     failed = {"lattice": message, "bijection": message}
@@ -87,7 +86,11 @@ def test_rees_verdict():
     ev.computed["all_rees"] = True
     assert rees_verdict(ev) == (False, "max parallel paths 2")
     # it reads the congruences alone, so no failed stage skips it
-    ev = record(mpp=1, computed={"all_rees": True}, failed={"lattice": "x", "properties": "x"})
+    ev = record(
+        semigroup=SimpleNamespace(max_parallel_paths=1),
+        computed={"all_rees": True},
+        failed={"lattice": "x", "properties": "x"},
+    )
     assert rees_verdict(ev) == (True, "max parallel paths 1")
 
 
