@@ -41,15 +41,13 @@ def _load_quiver(path: str):
     return parse_quiver(text)
 
 
-def _cmd_validate(args) -> int:
-    q = _load_quiver(args.file)
+def _cmd_validate(q, args) -> int:
     acyclic = "yes" if is_acyclic(q) else "no"
     print(f"ok: {len(q.vertices)} vertices, {len(q.arrows)} arrows, acyclic: {acyclic}")
     return EXIT_OK
 
 
-def _cmd_paths(args) -> int:
-    q = _load_quiver(args.file)
+def _cmd_paths(q, args) -> int:
     s = build_semigroup(q)
     s.check_element_cap(args.max_elements)  # from path counts, before any path is listed
     for p in s.paths:
@@ -57,8 +55,7 @@ def _cmd_paths(args) -> int:
     return EXIT_OK
 
 
-def _cmd_congruences(args) -> int:
-    q = _load_quiver(args.file)
+def _cmd_congruences(q, args) -> int:
     s = build_semigroup(q)
     congs = enumerate_congruences(s, args.max_elements)
     if args.json:
@@ -71,8 +68,7 @@ def _cmd_congruences(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ideals(args) -> int:
-    q = _load_quiver(args.file)
+def _cmd_ideals(q, args) -> int:
     s = build_semigroup(q)
     ideals = enumerate_special_ideals(q, args.max_elements)
     names = [p.name for p in s.paths]
@@ -86,8 +82,7 @@ def _cmd_ideals(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lattice(args) -> int:
-    q = _load_quiver(args.file)
+def _cmd_lattice(q, args) -> int:
     lat = congruence_lattice(build_semigroup(q), args.max_elements)
     if args.dot:
         try:
@@ -107,8 +102,7 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
-    q = _load_quiver(args.file)
+def _cmd_predict(q, args) -> int:
     predicted = predict_properties(q)
     s = build_semigroup(q)  # sized from path counts; nothing is enumerated
     elements, mpp = s.n, s.max_parallel_paths
@@ -123,8 +117,7 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    q = _load_quiver(args.file)
+def _cmd_check(q, args) -> int:
     report = check_theorems(q, args.max_elements)
     print(report.format())
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -164,6 +157,24 @@ def _int_at_least(low: int):
     return parse
 
 
+# A file command option: its flag and add_argument keywords.
+_DOT = ("--dot", {"metavar": "PATH", "help": "write a DOT rendering to PATH"})
+_JSON = ("--json", {"action": "store_true"})
+_MAX_ELEMENTS = ("--max-elements", {"type": _int_at_least(1), "default": DEFAULT_MAX_ELEMENTS})
+
+# Each command on a quiver file: (name, handler(q, args) run on the loaded
+# quiver, help, options after the file).  A new one is a row and its handler.
+FILE_COMMANDS = (
+    ("validate", _cmd_validate, "parse a quiver file and report its shape", ()),
+    ("paths", _cmd_paths, "list all paths in canonical order", (_MAX_ELEMENTS,)),
+    ("congruences", _cmd_congruences, "enumerate all congruences", (_JSON, _MAX_ELEMENTS)),
+    ("ideals", _cmd_ideals, "enumerate all special ideals", (_JSON, _MAX_ELEMENTS)),
+    ("lattice", _cmd_lattice, "build the congruence lattice", (_DOT, _JSON, _MAX_ELEMENTS)),
+    ("predict", _cmd_predict, "predict lattice properties from path counts alone", (_JSON,)),
+    ("check", _cmd_check, "run the theorem-verification harness", (_MAX_ELEMENTS,)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathcong",
@@ -174,43 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse a quiver file and report its shape")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("paths", help="list all paths in canonical order")
-    p.add_argument("file")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(func=_cmd_paths)
-
-    p = sub.add_parser("congruences", help="enumerate all congruences")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(func=_cmd_congruences)
-
-    p = sub.add_parser("ideals", help="enumerate all special ideals")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser("lattice", help="build the congruence lattice")
-    p.add_argument("file")
-    p.add_argument("--dot", metavar="PATH", help="write a DOT rendering to PATH")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("predict", help="predict lattice properties from path counts alone")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("check", help="run the theorem-verification harness")
-    p.add_argument("file")
-    p.add_argument("--max-elements", type=_int_at_least(1), default=DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(func=_cmd_check)
+    for name, handler, help_line, options in FILE_COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("file")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=lambda args, run=handler: run(_load_quiver(args.file), args))
 
     p = sub.add_parser("random-check", help="verify the theorems on random quivers")
     p.add_argument("--vertices", type=_int_at_least(1), default=4)

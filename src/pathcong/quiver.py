@@ -114,8 +114,10 @@ class Quiver:
 
 
 def _valid_identifier(token: str) -> bool:
-    """Nonempty, no ':', '.' or whitespace, and not ``0``, so no element names collide."""
-    return token != "0" and ":" not in token and "." not in token and token.split() == [token]
+    """Nonempty, no ':', '.', '->' or whitespace, and not ``0``, so no element
+    names collide and every name reads back from its line of the file format."""
+    marks = (":", ".", "->")
+    return token != "0" and not any(m in token for m in marks) and token.split() == [token]
 
 
 def parse_quiver(text: str) -> Quiver:
@@ -131,6 +133,7 @@ def parse_quiver(text: str) -> Quiver:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        keyword = line.split()[0]
         if line.startswith("vertices:"):
             if vertices is not None:
                 raise QuiverParseError("second 'vertices:' line", lineno)
@@ -142,8 +145,8 @@ def parse_quiver(text: str) -> Quiver:
                 if v in seen:
                     raise QuiverParseError(f"duplicate vertex identifier {v!r}", lineno)
                 seen.add(v)
-        elif line.startswith("arrow ") or line == "arrow":
-            head, sep, rest = line[len("arrow "):].partition(":")
+        elif keyword == "arrow":
+            head, sep, rest = line[len("arrow"):].partition(":")
             if not sep:
                 raise QuiverParseError("arrow line is missing ':'", lineno)
             name = head.strip()
@@ -157,7 +160,7 @@ def parse_quiver(text: str) -> Quiver:
                 raise QuiverParseError("arrow endpoints must be single identifiers", lineno)
             arrow_decls.append((name, src[0], tgt[0], lineno))
         else:
-            raise QuiverParseError(f"unrecognized declaration {line.split()[0]!r}", lineno)
+            raise QuiverParseError(f"unrecognized declaration {keyword!r}", lineno)
     if vertices is None:
         raise QuiverParseError("missing 'vertices:' line")
     vertex_set = set(vertices)

@@ -36,6 +36,12 @@ def test_parse_single_arrow():
     assert q.arrows[0].target == "2"
 
 
+def test_parse_accepts_tabs_between_tokens():
+    # after the `arrow` keyword too, as after `vertices:` and around `->`
+    q = parse_quiver("vertices:\t1 2\narrow\ta:\t1\t->\t2\n")
+    assert q == Quiver(["1", "2"], [("a", "1", "2")])
+
+
 def test_parse_minimal_quiver():
     q = parse_quiver("vertices: a\n")
     assert q.vertices == ("a",)
@@ -105,6 +111,16 @@ PARSE_ERRORS = {
     "two sources": (
         "vertices: 1 2\narrow a: 1 2 -> 2\n", "line 2: arrow endpoints must be single identifiers"
     ),
+    # the keyword is a line's first token: a bare `arrow` is an arrow line,
+    # `arrow:` and `arrowx:` are not
+    "bare arrow": ("vertices: 1 2\narrow\n", "line 2: arrow line is missing ':'"),
+    "arrow colon": ("vertices: 1 2\narrow: 1 -> 2\n", "line 2: unrecognized declaration 'arrow:'"),
+    "arrowx": ("vertices: 1 2\narrowx: 1 -> 2\n", "line 2: unrecognized declaration 'arrowx:'"),
+    # no name holds `->`, so each arrow line splits at its one `->`
+    "arrow in vertex": ("vertices: a->b c\n", "line 1: invalid vertex identifier 'a->b'"),
+    "arrow in arrow name": (
+        "vertices: 1 2\narrow x->y: 1 -> 2\n", "line 2: invalid arrow name 'x->y'"
+    ),
 }
 
 
@@ -127,6 +143,15 @@ def test_parse_error_names_its_line_and_fault(text, message):
 def test_quiver_refuses_names_that_collide_with_element_names(vertices, arrows):
     with pytest.raises(QuiverError, match="invalid identifier"):
         Quiver(vertices, arrows)
+
+
+def test_quiver_refuses_names_holding_an_arrow():
+    # quiver_to_text joins an arrow's endpoints with ` -> `, so such a name
+    # would write a line that parse_quiver cannot split
+    with pytest.raises(QuiverError, match="invalid identifier 'a->b'"):
+        Quiver(["a->b", "c"], [("x", "a->b", "c")])
+    with pytest.raises(QuiverError, match="invalid identifier 'x->y'"):
+        Quiver(["1", "2"], [("x->y", "1", "2")])
 
 
 def test_parse_roundtrip(kronecker):
