@@ -84,7 +84,7 @@ def _cmd_ideals(q, args) -> int:
 
 def _cmd_lattice(q, args) -> int:
     lat = congruence_lattice(build_semigroup(q), args.max_elements)
-    if args.dot:
+    if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(lattice_to_dot(lat))
@@ -93,7 +93,7 @@ def _cmd_lattice(q, args) -> int:
             return EXIT_DOMAIN
     if args.json:
         print(json.dumps(lattice_to_json_dict(lat), indent=2, sort_keys=True))
-    elif not args.dot:
+    elif args.dot is None:
         props = lattice_properties(lat)
         print(f"elements: {lat.n}")
         print(f"covers: {len(lat.covers)}")

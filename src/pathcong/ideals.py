@@ -170,31 +170,20 @@ def generate_ideal(q: Quiver, gens) -> SpecialIdeal:
     u*g*v with u, v paths (trivial ones included) meeting g's ends, which is
     closed under multiplication.  Each product is formed here, by joining
     arrow tuples: the semigroup's table is the congruence route's alone.
+    Raises ``ValueError`` on a relation that is not one of q's.
     """
     s = build_semigroup(q)
-    gens = list(gens)
-    for r in gens:
-        _validate_relation(r, s)
-    return _generate(q, gens, _product_index(s.paths))
-
-
-def _product_index(paths):
-    """The ideal route's own product index over ``paths``: path index by arrow
-    tuple (a trivial path by its vertex), and by vertex the arrow tuples of
-    the paths into it and out of it."""
+    paths = s.paths
+    # path index by arrow tuple (a trivial path by its vertex), and by
+    # vertex the arrow tuples of the paths into it and out of it
     index = {p.arrows or p.source: i for i, p in enumerate(paths)}
     into, out_of = {}, {}
     for p in paths:
         into.setdefault(p.target, []).append(p.arrows)
         out_of.setdefault(p.source, []).append(p.arrows)
-    return paths, index, into, out_of
-
-
-def _generate(q: Quiver, rels, products) -> SpecialIdeal:
-    """``generate_ideal`` of the valid relations ``rels``, over a ``_product_index``."""
-    paths, index, into, out_of = products
     mask, vectors = 0, []
-    for r in rels:
+    for r in gens:
+        _validate_relation(r, s)
         mask |= 1 << _bit(r, len(paths))
         # x is nontrivial: in an acyclic quiver no trivial path is parallel to another
         x = paths[r.x - 1].arrows if r.x else None
@@ -242,10 +231,9 @@ def ideal_route(q: Quiver) -> Route:
     # two-term vector is x - y.  A two-sided ideal contains (r) exactly
     # when it contains r = (x, y), which its residue labels say
     # (``contains_relation``): x and y share a label, as in theta(x, y)
-    products = _product_index(s.paths)  # built once for all K + 1 generations
     return Route(
-        _generate(q, (), products),
-        tuple((*r, _generate(q, (r,), products)) for r in all_relations(q)),
+        zero_ideal(q),
+        tuple((*r, generate_ideal(q, (r,))) for r in all_relations(q)),
         labels=lambda ideal: ideal.residue_labels,
         join=ideal_join,
     )

@@ -90,8 +90,12 @@ def build_lattice(elements, succ) -> FiniteLattice:
     n = len(elements)
     if n == 0:
         raise LatticeError("a lattice needs at least one element")
-    try:  # an immutable copy, as a tuple of int tuples
-        S = tuple(tuple(map(operator.index, row)) for row in succ)
+    try:  # as a tuple of int tuples, sharing each row that is one already
+        S = tuple(
+            row if type(row) is tuple and all(type(d) is int for d in row)
+            else tuple(map(operator.index, row))
+            for row in succ
+        )
     except TypeError:  # entries that are no integers, as in a 3-D table
         raise LatticeError(f"join table of non-integers does not index {n} elements") from None
     shape = (len(S), *sorted(set(map(len, S))))  # more than two entries: ragged

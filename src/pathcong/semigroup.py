@@ -392,11 +392,11 @@ def congruence_route(s: PathSemigroup) -> Route:
     One atom per relation, their pairs (x, y) in lexicographic order, the
     order of ``ideals.all_relations``; the closure lists them finest first.
     """
-    mult = s.table_bytes
+    s.check_kernel_limit()  # before a path is listed
     n = s.n
     ends = [None, *((p.source, p.target) for p in s.paths)]
     generators = tuple(
-        (x, y, _kernels.principal_labels(mult, n, x, y))
+        (x, y, principal_congruence(s, x, y).labels)
         for x in range(n)
         for y in range(x + 1, n)
         if not x or ends[x] == ends[y]

@@ -26,6 +26,14 @@ def test_lattice_stage_runs_on_a_star(monkeypatch):
     assert (len(wide.vertices), len(wide.arrows)) == (3, 5)
 
 
+def test_three_plus_three_is_a_checked_input(monkeypatch):
+    bench = load_bench(monkeypatch)
+    assert "3+3" in bench.CHECK_INPUTS
+    q = bench.quiver("3+3")
+    assert q.vertices == ("u", "v", "w")
+    assert sorted((a.source, a.target) for a in q.arrows) == [("u", "v")] * 3 + [("v", "w")] * 3
+
+
 def test_match_stage_runs_on_a_star(monkeypatch):
     bench = load_bench(monkeypatch)
     row = bench.match_microseconds(bench.quiver("star(2)"))

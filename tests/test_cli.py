@@ -71,6 +71,15 @@ def test_lattice_dot_unwritable(qfile, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {dot_path}: ")
 
 
+def test_lattice_dot_to_an_empty_path_is_unwritable(qfile, capsys):
+    # an empty path is a path given, not an absent option: it is opened and
+    # fails, rather than the summary being printed with nothing written
+    assert main(["lattice", qfile(SINGLE), "--dot", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write : ")
+
+
 def test_paths(qfile, capsys):
     assert main(["paths", qfile(SINGLE)]) == 0
     assert capsys.readouterr().out.splitlines() == ["1", "2", "alpha"]

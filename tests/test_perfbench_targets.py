@@ -56,9 +56,7 @@ def test_kernel_hooks_the_benchmark_reads():
 # lattice reads meets off generator sets, not partition meets, and verdict 1
 # finds each congruence's image among the ideals by residue labels and
 # dimension instead of building it, and an ideal with its congruence's
-# labels maps back to it, so no round trip is run; the ideal closure
-# generates its atoms through a private helper over one product index, not
-# generate_ideal.
+# labels maps back to it, so no round trip is run.
 DROPPED_FROM_CHECK = {
     "ideals.congruence_to_ideal",
     "ideals.ideal_to_congruence",
@@ -66,7 +64,6 @@ DROPPED_FROM_CHECK = {
     "linalg.Subspace.contains",
     "linalg.Subspace.contains_subspace",
     "ideals.enumerate_special_ideals",
-    "ideals.generate_ideal",
     "kernels.meet_labels",
 }
 

@@ -24,7 +24,6 @@ QUIVERS = sorted((Path(__file__).resolve().parent.parent / "quivers").glob("*.qu
 LIBRARY_ENTRY_POINTS = {
     "identity_congruence",
     "universal_congruence",
-    "principal_congruence",
     "join_congruences",
     "meet_congruences",
     "_require_same_semigroup",  # shared by the two entry points above
@@ -45,11 +44,6 @@ LIBRARY_ENTRY_POINTS = {
     # the ideal closure tests containment on the label bytes inline;
     # ideal_leq_matrix, which only the benchmark's tracer calls, reads it
     "contains_relation",
-    # the ideal closure generates its atoms and the zero ideal through
-    # ideals._generate over one product index; these check the relations
-    # a caller gives and generate from them
-    "zero_ideal",
-    "_validate_relation",
     # exported; the commands read PathSemigroup.max_parallel_paths, the
     # largest of the path counts the semigroup already holds
     "max_parallel_paths",
@@ -59,12 +53,10 @@ LIBRARY_ENTRY_POINTS = {
 # random-check also prints it for a quiver that fails its check.
 BENCHMARK_BUILDERS = {"quiver_to_text"}
 # Functions perfbench/tracer.py wraps by name and raises without, which no
-# command reaches since check_theorems compares join tables, reads meets
-# off generator sets and generates ideals over one product index.  ROADMAP item 1 retires them from the
-# tracer's targets.
+# command reaches since check_theorems compares join tables and reads meets
+# off generator sets.  ROADMAP item 1 retires them from the tracer's targets.
 BENCHMARK_TRACED = {
     "ideal_leq_matrix",
-    "generate_ideal",
     "Subspace.contains",
     "Subspace.contains_subspace",
     "meet_labels",

@@ -203,6 +203,28 @@ def test_check_builds_one_lattice_per_enumeration(monkeypatch, kronecker):
     assert len(closures) == 1 + 2
 
 
+def test_check_builds_its_generators_with_the_public_constructors(monkeypatch, triple_arrow):
+    # one principal congruence and one generated ideal per relation, and the
+    # zero ideal: both routes reach their generators through the library's
+    # constructors, so they are the ones the tests and the benchmark see
+    principals = count_calls(monkeypatch, semigroup, "principal_congruence")
+    generations = count_calls(monkeypatch, ideals, "generate_ideal")
+    assert check_theorems(triple_arrow).ok
+    relations = len(ideals.all_relations(triple_arrow))
+    assert len(principals) == relations
+    assert len(generations) == relations + 1
+
+
+def test_congruence_lattice_shares_the_closure_rows(kronecker):
+    # build_lattice keeps a row that is a tuple of ints already, so the
+    # lattice holds no second copy of the cached join table
+    s = build_semigroup(kronecker)
+    lat = congruence_lattice(s)
+    table = s.congruence_closure[1]
+    assert len(lat.succ) == len(table)
+    assert all(row is table[i] for i, row in enumerate(lat.succ))
+
+
 def test_check_of_an_equal_quiver_runs_no_closure(monkeypatch, kronecker):
     closures = count_calls(monkeypatch, semigroup, "congruence_route")
     ideal_closures = count_calls(monkeypatch, ideals, "ideal_route")
@@ -408,7 +430,7 @@ def test_cover_verdict_builds_no_subspace(monkeypatch, triple_arrow):
     # and only the ideal route generates ideals, one per relation atom and
     # the zero ideal; the bijection check writes its images from the blocks
     reductions = count_calls(monkeypatch, linalg, "row_reduce")
-    generations = count_calls(monkeypatch, ideals, "_generate")
+    generations = count_calls(monkeypatch, ideals, "generate_ideal")
     sums = count_calls(monkeypatch, linalg, "subspace_sum")
     joins = count_calls(monkeypatch, ideals, "ideal_join")
     for q in (triple_arrow, three_components()):

@@ -79,13 +79,18 @@ REPEATS = 9
 
 CLOSURE_INPUTS = ("kronecker(5)", "star(5)", "kronecker(7)", "star(8)", "wide")
 LATTICE_INPUTS = ("kronecker(5)", "star(5)", "kronecker(7)", "star(8)")
-CHECK_INPUTS = ("kronecker(7)", "star(8)", "wide", "kronecker(8)")
+CHECK_INPUTS = ("kronecker(7)", "star(8)", "wide", "kronecker(8)", "3+3")
+
+# the arrows u -> v and the arrows v -> w of each named three-vertex input
+TWO_STEP = {"wide": ("abc", "de"), "3+3": ("abc", "def")}
 
 
 def quiver(name: str):
-    """``kronecker(k)``, ``star(k)``, or ``wide``: 3 arrows u -> v and 2 arrows v -> w."""
-    if name == "wide":
-        arrows = [(a, "u", "v") for a in "abc"] + [(a, "v", "w") for a in "de"]
+    """``kronecker(k)``, ``star(k)``, or one of ``TWO_STEP``: ``wide`` has 3 arrows
+    u -> v and 2 arrows v -> w, ``3+3`` has 3 arrows u -> v and 3 arrows v -> w."""
+    if name in TWO_STEP:
+        first, second = TWO_STEP[name]
+        arrows = [(a, "u", "v") for a in first] + [(a, "v", "w") for a in second]
         return Quiver(["u", "v", "w"], arrows)
     family, k = name.rstrip(")").split("(")
     return {"kronecker": kronecker, "star": star}[family](int(k))
